@@ -84,7 +84,11 @@ def orbit_length(frame: BoundaryFrame, thetas) -> float:
 
 
 def _length_grad_hess(profile, thetas):
-    """Gradient and Hessian of the closed polygon length in the vertex parameters."""
+    """Gradient and cyclic tridiagonal Hessian of the closed polygon length.
+
+    Returns ``(length, grad, diag, off)``: ``diag[k]`` is the Hessian entry at
+    bounce k and ``off[k]`` the entry coupling bounces k and k+1 (cyclic).
+    """
     q = len(thetas)
     pts = profile.position(thetas)
     vel = profile.velocity(thetas)
@@ -101,7 +105,6 @@ def _length_grad_hess(profile, thetas):
     u_in = np.roll(u, 1, axis=0)
     grad = np.einsum("ki,ki->k", vel, u_in - u)
 
-    hess = np.zeros((q, q))
     vu_tail = np.einsum("ki,ki->k", vel, u)            # V_k . u_k
     vu_head = np.einsum("ki,ki->k", vel[nxt], u)       # V_{k+1} . u_k
     vv_tail = np.einsum("ki,ki->k", vel, vel)
@@ -113,37 +116,47 @@ def _length_grad_hess(profile, thetas):
     diag_tail = (vv_tail - vu_tail**2) / ell - au_tail
     diag_head = (vv_head - vu_head**2) / ell + au_head
     off = -(vv_cross - vu_tail * vu_head) / ell
-
-    idx = np.arange(q)
-    np.add.at(hess, (idx, idx), diag_tail)
-    np.add.at(hess, (nxt, nxt), diag_head)
-    np.add.at(hess, (idx, nxt), off)
-    np.add.at(hess, (nxt, idx), off)
-    return float(np.sum(ell)), grad, hess
+    # chord k contributes diag_tail[k] at bounce k and diag_head[k] at bounce k+1
+    diag = diag_tail + np.roll(diag_head, 1)
+    return float(np.sum(ell)), grad, diag, off
 
 
-def _symmetric_layout(q: int):
-    """Reduction map from free upper-half bounce offsets to the full orbit.
+def _symmetric_assemble(q: int, s):
+    """Full offset vector from the free upper-half bounce offsets ``s``.
 
-    Returns (assemble, reduction_matrix) where assemble(s) yields the full
-    offset vector t (t_0 = 0 marked, t_{q-k} = 2*pi - t_k mirrored, and for
-    even q the antipodal bounce pinned at pi).
+    t_0 = 0 is the marked point, t_{q-k} = 2*pi - t_k is mirrored, and for
+    even q the antipodal bounce is pinned at pi.
     """
     half = (q - 1) // 2
-    reduction = np.zeros((q, half))
-    for j in range(1, half + 1):
-        reduction[j, j - 1] = 1.0
-        reduction[q - j, j - 1] = -1.0
+    t = np.zeros(q)
+    t[1 : half + 1] = s
+    t[q - half :] = (TWO_PI - s)[::-1]
+    if q % 2 == 0:
+        t[q // 2] = np.pi
+    return t
 
-    def assemble(s):
-        t = np.zeros(q)
-        t[1 : half + 1] = s
-        t[q - half :] = (TWO_PI - s)[::-1]
-        if q % 2 == 0:
-            t[q // 2] = np.pi
-        return t
 
-    return assemble, reduction
+def _reduced_grad_hess(profile, t):
+    """Length, gradient and Hessian of a symmetric orbit in its free offsets.
+
+    ``t`` is the full offset vector from `_symmetric_assemble`. Free bounce j
+    (j = 1..half) moves with its mirror q-j in the opposite direction, so the
+    reduced gradient is ``grad[j] - grad[q-j]`` and the reduced Hessian stays
+    tridiagonal; for odd q the mirror pair half, half+1 are neighbours, which
+    adds the coupling ``-2*off[half]`` to the last diagonal entry.
+    """
+    q = len(t)
+    half = (q - 1) // 2
+    length, grad, diag, off = _length_grad_hess(profile, MARKED_THETA + t)
+    j = np.arange(1, half + 1)
+    gr = grad[j] - grad[q - j]
+    d = diag[j] + diag[q - j]
+    if q % 2:
+        d[-1] -= 2.0 * off[half]
+    hr = np.diag(d)
+    i = np.arange(half - 1)
+    hr[i, i + 1] = hr[i + 1, i] = off[i + 1] + off[q - i - 2]
+    return length, gr, hr
 
 
 def maximal_marked_orbit(
@@ -157,19 +170,15 @@ def maximal_marked_orbit(
     if q < 2:
         raise ValueError(f"period must be >= 2, got {q}")
     profile = frame.profile
-    assemble, reduction = _symmetric_layout(q)
-    half = reduction.shape[1]
+    half = (q - 1) // 2
 
     s = TWO_PI * np.arange(1, half + 1) / q  # regular polygon start
     iterations = 0
     if half:
-        t = assemble(s)
-        _, grad, hess = _length_grad_hess(profile, MARKED_THETA + t)
-        gr = reduction.T @ grad
+        _, gr, hr = _reduced_grad_hess(profile, _symmetric_assemble(q, s))
         for iterations in range(1, max_iter + 1):
             if np.max(np.abs(gr)) < tol:
                 break
-            hr = reduction.T @ hess @ reduction
             try:
                 step = np.linalg.solve(hr, -gr)
             except np.linalg.LinAlgError:
@@ -177,12 +186,11 @@ def maximal_marked_orbit(
             lam, accepted = 1.0, False
             for _ in range(50):
                 cand = s + lam * step
-                t_cand = assemble(cand)
+                t_cand = _symmetric_assemble(q, cand)
                 if np.all(np.diff(t_cand) > 1e-12) and t_cand[-1] < TWO_PI - 1e-12:
-                    _, grad_c, hess_c = _length_grad_hess(profile, MARKED_THETA + t_cand)
-                    gr_c = reduction.T @ grad_c
+                    _, gr_c, hr_c = _reduced_grad_hess(profile, t_cand)
                     if np.max(np.abs(gr_c)) < np.max(np.abs(gr)) or lam < 1e-8:
-                        s, grad, hess, gr = cand, grad_c, hess_c, gr_c
+                        s, gr, hr = cand, gr_c, hr_c
                         accepted = True
                         break
                 lam *= 0.5
@@ -194,11 +202,9 @@ def maximal_marked_orbit(
                 f"|grad|={np.max(np.abs(gr)):.3g}"
             )
 
-    t = assemble(s)
+    t = _symmetric_assemble(q, s)
     theta = MARKED_THETA + t
-    length, grad, hess = _length_grad_hess(profile, theta)
-    gr = reduction.T @ grad
-    hr = reduction.T @ hess @ reduction
+    length, gr, hr = _reduced_grad_hess(profile, t)
     max_eig = float(np.max(np.linalg.eigvalsh(hr))) if half else -np.inf
     maximal = max_eig < HESSIAN_POS_TOL
     if require_maximal and not maximal:

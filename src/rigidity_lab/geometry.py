@@ -8,7 +8,10 @@ horizontal axis and translated so the marked boundary point (at
 All boundary quantities (curvature, arclength, Lazutkin coordinate) are
 evaluated through closed-form derivatives of the cosine series plus
 FFT-based antiderivatives of smooth periodic integrands, so evaluations
-are spectrally accurate at arbitrary points, not just grid nodes.
+are spectrally accurate at arbitrary points, not just grid nodes. Each
+integrand's Fourier series is chopped where its spectrum reaches the
+roundoff plateau (Aurentz & Trefethen's rule), so an evaluation costs the
+resolved bandwidth, a few dozen modes, whatever the grid size.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import NonConvexError, NonPositiveRadiusError
+from .errors import NoConvergenceError, NonConvexError, NonPositiveRadiusError
 
 TWO_PI = 2.0 * np.pi
 
@@ -117,10 +120,14 @@ def build_profile(
 ) -> DomainProfile:
     """Validate a radial cosine series and return the centered profile.
 
-    Raises ``NonPositiveRadiusError`` or ``NonConvexError`` when the sampled
-    radius or curvature fails to stay positive.
+    Raises ``ValueError`` for a non-finite coefficient (NaN compares false,
+    so it would slip past the sign checks), and ``NonPositiveRadiusError``
+    or ``NonConvexError`` when the sampled radius or curvature fails to stay
+    positive.
     """
     coeffs = tuple(float(a) for a in radial_coeffs)
+    if not all(np.isfinite(coeffs)):
+        raise ValueError(f"radial coefficients must be finite, got {coeffs}")
     if smoothness_order < 8:
         raise ValueError(f"smoothness_order must be >= 8, got {smoothness_order}")
     offset = 1.0 + sum(a * (-1.0) ** n for n, a in enumerate(coeffs))
@@ -144,20 +151,56 @@ def unit_circle_profile(smoothness_order: int = DEFAULT_SMOOTHNESS) -> DomainPro
     return build_profile((), smoothness_order)
 
 
+def _standard_chop(coeffs) -> int:
+    """Number of leading coefficients to keep before the roundoff plateau.
+
+    Aurentz & Trefethen, "Chopping a Chebyshev series" (ACM TOMS 2017), at
+    tolerance machine epsilon: scan the monotone envelope of the magnitudes
+    for the first point followed by a plateau, then cut where the envelope
+    plus a slight linear bias toward the left end is least. A spectrum with
+    no plateau is kept whole.
+    """
+    tol = np.finfo(float).eps
+    n = len(coeffs)
+    if n < 17:
+        return n
+    envelope = np.maximum.accumulate(np.abs(coeffs)[::-1])[::-1]
+    if envelope[0] == 0.0:
+        return 1
+    envelope = envelope / envelope[0]
+    for j in range(2, n + 1):
+        j2 = int(np.floor(1.25 * j + 5.5))  # round half up
+        if j2 > n:
+            return n
+        e1, e2 = envelope[j - 1], envelope[j2 - 1]
+        if e1 == 0.0 or e2 / e1 > 3.0 * (1.0 - np.log(e1) / np.log(tol)):
+            plateau = j - 1
+            break
+    if envelope[plateau - 1] == 0.0:
+        return plateau
+    floor = tol ** (7.0 / 6.0)
+    j3 = int(np.sum(envelope >= floor))
+    if j3 < j2:
+        j2 = j3 + 1
+        envelope[j2 - 1] = floor
+    biased = np.log10(envelope[:j2]) + np.linspace(0.0, -np.log10(tol) / 3.0, j2)
+    return max(int(np.argmin(biased)), 1)
+
+
 class _FourierSeries:
     """Real trigonometric polynomial fitted to samples on a uniform period-2pi grid.
 
     Supports pointwise evaluation and the exact antiderivative from 0,
     which is what turns grid data into spectrally accurate arclength and
-    Lazutkin coordinate maps.
+    Lazutkin coordinate maps. Modes past the roundoff plateau of the
+    spectrum are dropped, so evaluation cost follows the resolved bandwidth
+    rather than the grid size.
     """
 
-    def __init__(self, samples: np.ndarray, drop_tol: float = 1e-17):
+    def __init__(self, samples: np.ndarray):
         n = len(samples)
         spec = np.fft.rfft(samples) / n
-        scale = max(abs(spec[0]), 1.0)
-        keep = np.nonzero(np.abs(spec) > drop_tol * scale)[0]
-        kmax = int(keep[-1]) if len(keep) else 0
+        kmax = _standard_chop(spec) - 1
         self.n = n
         self.coeffs = spec[: kmax + 1].copy()
         self.k = np.arange(kmax + 1)
@@ -244,6 +287,10 @@ class LazutkinChart:
             theta = theta - resid / deriv(theta)
             if np.max(np.abs(resid)) < 1e-14 * period:
                 break
+        else:
+            raise NoConvergenceError(
+                f"chart inversion hit the iteration cap, |resid|={np.max(np.abs(resid)):.3g}"
+            )
         return theta
 
     def theta_of_x(self, x):

@@ -98,6 +98,58 @@ def test_solver_iteration_cap(perturbed_frame):
         billiards.maximal_marked_orbit(perturbed_frame, 8, max_iter=1)
 
 
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 16, 17, 64])
+def test_reduced_hessian_matches_dense_reduction(perturbed_frame, q):
+    """Tridiagonal reduced Hessian against R^T H R with H assembled densely."""
+    profile = perturbed_frame.profile
+    half = (q - 1) // 2
+    rng = np.random.default_rng(q)
+    s = 2 * np.pi * np.arange(1, half + 1) / q + 1e-3 * rng.standard_normal(half)
+    t = billiards._symmetric_assemble(q, s)
+    _, grad, diag, off = billiards._length_grad_hess(profile, geometry.MARKED_THETA + t)
+    k = np.arange(q)
+    hess = np.diag(diag)
+    np.add.at(hess, (k, (k + 1) % q), off)
+    np.add.at(hess, ((k + 1) % q, k), off)
+    reduction = np.zeros((q, half))
+    for j in range(1, half + 1):
+        reduction[j, j - 1] = 1.0
+        reduction[q - j, j - 1] = -1.0
+
+    _, gr, hr = billiards._reduced_grad_hess(profile, t)
+    assert hr.shape == (half, half)
+    assert_allclose(hr, reduction.T @ hess @ reduction, rtol=0, atol=1e-14)
+    assert_allclose(gr, reduction.T @ grad, rtol=0, atol=1e-14)
+
+
+def test_reduced_gradient_and_hessian_finite_difference(perturbed_frame):
+    """Central differences of the polygon length in the free offsets."""
+    q, h = 9, 1e-5
+    frame = perturbed_frame
+    s = 2 * np.pi * np.arange(1, 5) / q + np.array([3e-3, -2e-3, 1e-3, 4e-3])
+
+    def reduced(s):
+        return billiards._reduced_grad_hess(frame.profile, billiards._symmetric_assemble(q, s))
+
+    def length(s):
+        return billiards.orbit_length(
+            frame, geometry.MARKED_THETA + billiards._symmetric_assemble(q, s)
+        )
+
+    _, gr, hr = reduced(s)
+
+    fd_grad = np.zeros(4)
+    fd_hess = np.zeros((4, 4))
+    for j in range(4):
+        e = np.zeros(4)
+        e[j] = h
+        fd_grad[j] = (length(s + e) - length(s - e)) / (2 * h)
+        fd_hess[:, j] = (reduced(s + e)[1] - reduced(s - e)[1]) / (2 * h)
+    assert np.max(np.abs(gr)) > 1e-3  # away from the orbit, so the check has teeth
+    assert_allclose(gr, fd_grad, rtol=0, atol=1e-9)
+    assert_allclose(hr, fd_hess, rtol=0, atol=1e-9)
+
+
 def test_compute_orbits_threaded_matches_serial(perturbed_frame):
     serial = billiards.compute_orbits(perturbed_frame, [3, 5, 9])
     threaded = billiards.compute_orbits(perturbed_frame, [3, 5, 9], threads=3)

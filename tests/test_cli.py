@@ -20,6 +20,13 @@ def test_invalid_domain_exit_code(tmp_path, capsys):
     assert "curvature" in capsys.readouterr().err
 
 
+def test_non_finite_domain_exit_code(tmp_path, capsys):
+    out = tmp_path / "out"
+    assert run(["domain", "dump", "--coeffs", "0,0,nan", "--out", str(out)]) == 1
+    assert "finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_domain_dump_circle(tmp_path):
     assert run(["domain", "dump", "--coeffs", "", "--frame", "512",
                 "--out", str(tmp_path)]) == 0

@@ -1,3 +1,4 @@
+import mpmath
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -5,7 +6,7 @@ from scipy.integrate import quad
 from scipy.optimize import brentq
 
 from rigidity_lab import geometry
-from rigidity_lab.errors import NonConvexError, NonPositiveRadiusError
+from rigidity_lab.errors import NoConvergenceError, NonConvexError, NonPositiveRadiusError
 
 TWO_PI = 2.0 * np.pi
 
@@ -58,6 +59,12 @@ def test_small_perturbation_accepted_large_rejected():
 def test_radius_positivity_rejected():
     with pytest.raises(NonPositiveRadiusError):
         geometry.build_profile([-1.5])
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+def test_non_finite_coefficients_rejected(bad):
+    with pytest.raises(ValueError, match="finite"):
+        geometry.build_profile([0.0, 0.0, bad])
 
 
 def test_parameter_validation():
@@ -136,6 +143,70 @@ def test_roundtrip_inverse_maps(perturbed_frame):
     assert_allclose(chart.x_of_theta(chart.theta_of_x(x)), x, rtol=0, atol=1e-12)
     s = np.linspace(0.0, 0.999 * chart.perimeter, 41)
     assert_allclose(chart.sigma_of_theta(chart.theta_of_sigma(s)), s, rtol=0, atol=1e-11)
+
+
+def test_inversion_iteration_cap_raises(perturbed_frame):
+    chart = perturbed_frame.chart
+
+    def wrong_deriv(theta):  # 1000x too steep: Newton creeps and never converges
+        return 1e3 * chart.dx_dtheta(theta)
+
+    with pytest.raises(NoConvergenceError, match="iteration cap"):
+        chart._invert(chart.x_of_theta, wrong_deriv, np.array([0.3, 0.7]), 1.0)
+
+
+def _mp_speed_and_density(coeffs):
+    """Arclength and Lazutkin densities of the radial series, in mpmath."""
+
+    def radial(theta):
+        r = 1 + sum(a * mpmath.cos(n * theta) for n, a in enumerate(coeffs))
+        r1 = -sum(n * a * mpmath.sin(n * theta) for n, a in enumerate(coeffs))
+        r2 = -sum(n * n * a * mpmath.cos(n * theta) for n, a in enumerate(coeffs))
+        return r, r1, r2
+
+    def speed(theta):
+        r, r1, _ = radial(theta)
+        return mpmath.sqrt(r * r + r1 * r1)
+
+    def density(theta):
+        r, r1, r2 = radial(theta)
+        kappa = (r * r + 2 * r1 * r1 - r * r2) / (r * r + r1 * r1) ** 1.5
+        return kappa ** (mpmath.mpf(2) / 3) * speed(theta)
+
+    return speed, density
+
+
+@pytest.mark.parametrize("coeffs", [[0.0, 0.0, 0.01], [0.0] * 5 + [0.005]])
+def test_chopped_chart_against_mpmath_quadrature(coeffs):
+    """Arclength, Lazutkin coordinate and constant against adaptive mpmath quadrature."""
+    speed, density = _mp_speed_and_density(coeffs)
+    theta = np.pi + TWO_PI * np.array([0.05, 0.21, 0.5, 0.66, 0.93])
+    with mpmath.workdps(20):
+        # integrate piece by piece between the sample points, then accumulate
+        ends = [mpmath.pi] + [mpmath.mpf(t) for t in theta] + [3 * mpmath.pi]
+        arc = np.cumsum([mpmath.quad(speed, ends[i : i + 2]) for i in range(len(ends) - 1)])
+        mass = np.cumsum([mpmath.quad(density, ends[i : i + 2]) for i in range(len(ends) - 1)])
+        sigma_ref = np.array([float(v) for v in arc[:-1]])
+        x_ref = np.array([float(v / mass[-1]) for v in mass[:-1]])
+        const_ref = float(1 / mass[-1])
+    for n in (512, 4096):
+        chart = geometry.build_frame(geometry.build_profile(coeffs), n).chart
+        assert_allclose(chart.sigma_of_theta(theta), sigma_ref, rtol=0, atol=1e-13)
+        assert_allclose(chart.x_of_theta(theta), x_ref, rtol=0, atol=1e-13)
+        assert_allclose(chart.lazutkin_const, const_ref, rtol=0, atol=1e-13)
+        if n == 4096:
+            # only the resolved bandwidth is kept, not the roundoff plateau
+            assert len(chart._speed_series.k) <= 64
+            assert len(chart._density_series.k) <= 64
+
+
+def test_standard_chop_plateau_rules():
+    k = np.arange(200)
+    noisy = 0.5**k + 1e-16 * np.random.default_rng(0).standard_normal(200)
+    assert 45 <= geometry._standard_chop(noisy) <= 56   # 0.5^k meets eps near k=52
+    assert geometry._standard_chop(0.9**k) == 200        # unresolved: keep everything
+    assert geometry._standard_chop(np.zeros(200)) == 1
+    assert geometry._standard_chop(np.ones(16)) == 16    # too short to judge
 
 
 def test_spectral_convergence_on_doubling():
