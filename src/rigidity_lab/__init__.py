@@ -73,6 +73,7 @@ from .operator import (
 )
 from .reconstruction import (
     RecoveryOptions,
+    RecoveryPlan,
     RecoveryResult,
     SuiteOptions,
     recover_robin,

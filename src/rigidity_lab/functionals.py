@@ -232,6 +232,17 @@ class InvariantVector:
     normalization: str = "C_gamma=1"
     provenance: dict = field(default_factory=dict)
 
+    def __post_init__(self):
+        if self.q_max < 2:
+            raise ValueError(f"invariant vector needs q_max >= 2, got {self.q_max}")
+        if len(self.d) != self.q_max + 1:
+            raise ValueError(
+                f"invariant vector has {len(self.d)} entries in d, expected "
+                f"q_max + 1 = {self.q_max + 1}"
+            )
+        if not (np.all(np.isfinite(self.d)) and np.isfinite(self.H0) and np.isfinite(self.H1)):
+            raise ValueError("invariant vector entries d, H0 and H1 must be finite")
+
     def to_json_dict(self) -> dict:
         return {
             "d": [float(v) for v in self.d],

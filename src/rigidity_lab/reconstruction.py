@@ -8,6 +8,14 @@ is solved through the certified divisor-plus-remainder block: the rank-one
 second-order term is eliminated by a scalar fixed point (two Neumann
 solves), then K = mu * v.
 
+The work splits at the Robin function: `RecoveryPlan` builds, once per table
+and data depth, everything that depends only on the domain (ladder fit,
+contraction certificate, the square block, the full-depth rows and the solves
+of the K-independent right-hand side b*), and `RecoveryPlan.solve` does the
+per-K rest (right-hand side, its Neumann solve with the lstsq cross-check,
+projection and residual gates). `recover_robin` is a one-shot plan, and
+`rigidity_suite` builds one plan per domain for all of its K.
+
 `triple_disambiguate` replays the three-function argument as a numerical
 audit, and `two_symmetry_pin` replays the doubly-symmetric marked-value
 pinning through the axis 2-orbit.
@@ -86,6 +94,158 @@ def estimate_limit_entry(data: InvariantVector, qs: Sequence[int]) -> float:
     return float((qb**2 * vb - qa**2 * va) / (qb**2 - qa**2))
 
 
+class RecoveryPlan:
+    """The K-independent half of the recovery, built once per domain and depth.
+
+    Holds everything that depends only on the table and the data depth
+    ``q_max``: the ladder fit, the contraction certificate (checked here), the
+    square divisor-plus-remainder block and its rank-one row ``lss``, the
+    full-depth rows for the limit-entry column and the holdout check, and the
+    two solves of the K-independent right-hand side ``b*``.
+    """
+
+    def __init__(
+        self,
+        frame: BoundaryFrame,
+        chart: LazutkinChart,
+        orbits: Mapping[int, PeriodicOrbit],
+        q_max: int,
+        options: RecoveryOptions | None = None,
+    ):
+        opt = options or RecoveryOptions()
+        n = opt.jmax if opt.jmax is not None else max(8, min(q_max - 4, 16))
+        if n > q_max:
+            raise ValueError(f"square block size {n} exceeds data depth q_max={q_max}")
+        need = [q for q in range(2, n + 1) if q not in orbits]
+        if need:
+            orbits = dict(orbits) | compute_orbits(frame, need)
+
+        params = GammaSpaceParams(gamma=opt.gamma, J=max(opt.norm_jmax, n), Q=n)
+        ladder_orbits = dict(orbits)
+        for q in opt.ladder:
+            if q not in ladder_orbits:
+                ladder_orbits[q] = compute_orbits(frame, [q])[q]
+        fit = fit_alpha_beta(chart, {q: ladder_orbits[q] for q in opt.ladder})
+        cert = contraction_certificate(
+            frame, chart, params,
+            orbits=orbits, fit=fit, c_constant=opt.c_constant, ladder=opt.ladder,
+        )
+        certified = cert.inversion_certified or opt.override_certificate
+        if not certified:
+            raise NotContractiveError(
+                f"numeric contraction norm {cert.numeric_norm_completed:.4f} >= 1 "
+                "and no override requested"
+            )
+
+        tsr = assemble_T_star_R(frame, chart, orbits, params, fit)
+        A = square_block(tsr, n)
+        lss = tsr.extras["lss"][1 : n + 1]
+
+        # full-depth rows (up to q_max) feed the limit-entry column and holdout checks
+        T_full = assemble_T(frame, chart, orbits, GammaSpaceParams(opt.gamma, n, q_max))
+        col0 = {int(q): T_full.row(int(q))[0] for q in T_full.row_q if q >= 2}
+
+        b = build_b_star(np.arange(1, n + 1))
+        w_b, _ = neumann_invert(A, b, order=opt.neumann_order,
+                                tol=opt.neumann_tol, certified=certified,
+                                gamma=opt.gamma)
+        ls_b = lstsq_invert(A, b).coeffs[1:]
+
+        self.frame, self.chart, self.options = frame, chart, opt
+        self.q_max, self.n = q_max, n
+        self.certificate, self.certified = cert, certified
+        self.block, self.lss, self.col0 = A, lss, col0
+        self.b, self.w_b, self.ls_b = b, w_b.coeffs[1:], ls_b
+        self.hold_rows = [(q, T_full.row(q)) for q in range(n + 1, q_max + 1) if q in orbits]
+
+    def solve(self, data: InvariantVector, K0_at_marked: float) -> RecoveryResult:
+        """Recover the Robin function from one invariant vector and marked value."""
+        opt, chart, n, A, lss, b = self.options, self.chart, self.n, self.block, self.lss, self.b
+        if data.q_max != self.q_max:
+            raise ValueError(f"data depth q_max={data.q_max} does not match the plan's "
+                             f"q_max={self.q_max}")
+        if not np.isfinite(K0_at_marked):
+            raise ValueError(f"marked value K0 must be finite, got {K0_at_marked!r}")
+        v0_data = float(data.d[0])
+        d0_gap = None
+        if opt.use_extrapolated_d0:
+            est = estimate_limit_entry(data, [q for q in range(2, self.q_max + 1)])
+            d0_gap = abs(est - v0_data)
+            v0 = est
+        else:
+            v0 = v0_data
+
+        mu0 = chart.mu_at_marked
+        g = np.zeros(n)
+        g[0] = K0_at_marked / mu0 - v0
+        for q in range(2, n + 1):
+            g[q - 1] = data.d[q] / q**2 - v0 * self.col0[q]
+
+        # the Neumann solve of g is the certified audit; lstsq cross-checks it
+        w_g, info_g = neumann_invert(A, g, order=opt.neumann_order,
+                                     tol=opt.neumann_tol, certified=self.certified,
+                                     gamma=opt.gamma)
+        lam = float(lss @ w_g.coeffs[1:]) / (1.0 + float(lss @ self.w_b))
+        w = w_g.coeffs[1:] - lam * self.w_b
+
+        ls_g = lstsq_invert(A, g).coeffs[1:]
+        lam_ls = float(lss @ ls_g) / (1.0 + float(lss @ self.ls_b))
+        w_ls = ls_g - lam_ls * self.ls_b
+        lstsq_diff = float(np.max(np.abs(w - w_ls)))
+
+        v = CosineSeries(np.concatenate([[v0], w]))
+        out_j = opt.output_jmax if opt.output_jmax is not None else min(2 * n, chart.n_grid // 4)
+        mu_vals = chart.mu_at_x_nodes
+        k_vals = mu_vals * v(chart.x_nodes)
+        spec = np.fft.rfft(k_vals) / chart.n_grid
+        coeffs = 2.0 * spec[: out_j + 1].real
+        coeffs[0] = spec[0].real
+        K_hat = CosineSeries(coeffs)
+
+        solve_residual = float(np.max(np.abs(A.entries @ w - (g - lam * b))))
+        marked_residual = abs(mu0 * (v0 + float(np.sum(w))) - K0_at_marked)
+
+        # the period rows alone cannot see the marked value (which is exactly why
+        # it must be supplied); consistency with the data's own marked entry and
+        # with the quadratic heat coefficient is what flags a wrong pin
+        data_marked_gap = abs(K0_at_marked - float(data.d[1]))
+        h0_hat, h1_hat = heat_defect(self.frame, K_hat)
+        heat_residual = (abs(h0_hat - data.H0), abs(h1_hat - data.H1))
+
+        holdout = None
+        if self.hold_rows:
+            vals = []
+            for q, row in self.hold_rows:
+                vals.append(abs(row[0] * v0 + row[1 : n + 1] @ w - data.d[q] / q**2))
+            holdout = float(np.max(vals))
+        if opt.strict_residual:
+            # written as "not <=" so that a NaN residual fails the gate
+            bad_holdout = holdout is not None and not (holdout <= opt.residual_tol)
+            if bad_holdout or not (data_marked_gap <= opt.residual_tol):
+                raise ResidualTooLargeError(
+                    f"data inconsistent at this truncation: marked-entry gap "
+                    f"{data_marked_gap:.3e}, held-out row residual "
+                    f"{holdout if holdout is not None else float('nan'):.3e} "
+                    f"(tolerance {opt.residual_tol:.1e})"
+                )
+
+        return RecoveryResult(
+            K_hat=K_hat,
+            v=v,
+            second_order_value=lam,
+            certificate=self.certificate,
+            neumann_iterations=info_g.iterations,
+            neumann_update_norms=info_g.update_norms,
+            lstsq_max_diff=lstsq_diff,
+            solve_residual=solve_residual,
+            holdout_residual=holdout,
+            marked_residual=marked_residual,
+            data_marked_gap=data_marked_gap,
+            heat_residual=heat_residual,
+            d0_extrapolation_gap=d0_gap,
+        )
+
+
 def recover_robin(
     data: InvariantVector,
     frame: BoundaryFrame,
@@ -94,123 +254,12 @@ def recover_robin(
     K0_at_marked: float,
     options: RecoveryOptions | None = None,
 ) -> RecoveryResult:
-    """Recover the Robin function from its invariant vector and marked value."""
-    opt = options or RecoveryOptions()
-    q_max = data.q_max
-    n = opt.jmax if opt.jmax is not None else max(8, min(q_max - 4, 16))
-    if n > q_max:
-        raise ValueError(f"square block size {n} exceeds data depth q_max={q_max}")
-    need = [q for q in range(2, n + 1) if q not in orbits]
-    if need:
-        orbits = dict(orbits) | compute_orbits(frame, need)
+    """Recover the Robin function from its invariant vector and marked value.
 
-    params = GammaSpaceParams(gamma=opt.gamma, J=max(opt.norm_jmax, n), Q=n)
-    ladder_orbits = dict(orbits)
-    for q in opt.ladder:
-        if q not in ladder_orbits:
-            ladder_orbits[q] = compute_orbits(frame, [q])[q]
-    fit = fit_alpha_beta(chart, {q: ladder_orbits[q] for q in opt.ladder})
-    cert = contraction_certificate(
-        frame, chart, params,
-        orbits=orbits, fit=fit, c_constant=opt.c_constant, ladder=opt.ladder,
-    )
-    if not (cert.inversion_certified or opt.override_certificate):
-        raise NotContractiveError(
-            f"numeric contraction norm {cert.numeric_norm_completed:.4f} >= 1 "
-            "and no override requested"
-        )
-
-    tsr = assemble_T_star_R(frame, chart, orbits, params, fit)
-    A = square_block(tsr, n)
-    lss = tsr.extras["lss"][1 : n + 1]
-
-    # full-depth rows (up to q_max) feed the limit-entry column and holdout checks
-    T_full = assemble_T(frame, chart, orbits, GammaSpaceParams(opt.gamma, n, q_max))
-    v0_data = float(data.d[0])
-    d0_gap = None
-    if opt.use_extrapolated_d0:
-        est = estimate_limit_entry(data, [q for q in range(2, q_max + 1)])
-        d0_gap = abs(est - v0_data)
-        v0 = est
-    else:
-        v0 = v0_data
-
-    mu0 = chart.mu_at_marked
-    g = np.zeros(n)
-    g[0] = K0_at_marked / mu0 - v0
-    col0 = {int(q): T_full.row(int(q))[0] for q in T_full.row_q if q >= 2}
-    for q in range(2, n + 1):
-        g[q - 1] = data.d[q] / q**2 - v0 * col0[q]
-
-    b = build_b_star(np.arange(1, n + 1))
-    certified = cert.inversion_certified or opt.override_certificate
-    w_g, info_g = neumann_invert(A, g, order=opt.neumann_order,
-                                 tol=opt.neumann_tol, certified=certified,
-                                 gamma=opt.gamma)
-    w_b, _ = neumann_invert(A, b, order=opt.neumann_order,
-                            tol=opt.neumann_tol, certified=certified,
-                            gamma=opt.gamma)
-    lam = float(lss @ w_g.coeffs[1:]) / (1.0 + float(lss @ w_b.coeffs[1:]))
-    w = w_g.coeffs[1:] - lam * w_b.coeffs[1:]
-
-    ls_g = lstsq_invert(A, g).coeffs[1:]
-    ls_b = lstsq_invert(A, b).coeffs[1:]
-    lam_ls = float(lss @ ls_g) / (1.0 + float(lss @ ls_b))
-    w_ls = ls_g - lam_ls * ls_b
-    lstsq_diff = float(np.max(np.abs(w - w_ls)))
-
-    v = CosineSeries(np.concatenate([[v0], w]))
-    out_j = opt.output_jmax if opt.output_jmax is not None else min(2 * n, chart.n_grid // 4)
-    mu_vals = chart.mu_at_x_nodes
-    k_vals = mu_vals * v(chart.x_nodes)
-    spec = np.fft.rfft(k_vals) / chart.n_grid
-    coeffs = 2.0 * spec[: out_j + 1].real
-    coeffs[0] = spec[0].real
-    K_hat = CosineSeries(coeffs)
-
-    solve_residual = float(np.max(np.abs(A.entries @ w - (g - lam * b))))
-    marked_residual = abs(mu0 * (v0 + float(np.sum(w))) - K0_at_marked)
-
-    # the period rows alone cannot see the marked value (which is exactly why
-    # it must be supplied); consistency with the data's own marked entry and
-    # with the quadratic heat coefficient is what flags a wrong pin
-    data_marked_gap = abs(K0_at_marked - float(data.d[1]))
-    h0_hat, h1_hat = heat_defect(frame, K_hat)
-    heat_residual = (abs(h0_hat - data.H0), abs(h1_hat - data.H1))
-
-    holdout = None
-    hold_rows = [q for q in range(n + 1, q_max + 1) if q in orbits]
-    if hold_rows:
-        vals = []
-        for q in hold_rows:
-            row = T_full.row(q)
-            vals.append(abs(row[0] * v0 + row[1 : n + 1] @ w - data.d[q] / q**2))
-        holdout = float(np.max(vals))
-    if opt.strict_residual:
-        bad_holdout = holdout is not None and holdout > opt.residual_tol
-        if bad_holdout or data_marked_gap > opt.residual_tol:
-            raise ResidualTooLargeError(
-                f"data inconsistent at this truncation: marked-entry gap "
-                f"{data_marked_gap:.3e}, held-out row residual "
-                f"{holdout if holdout is not None else float('nan'):.3e} "
-                f"(tolerance {opt.residual_tol:.1e})"
-            )
-
-    return RecoveryResult(
-        K_hat=K_hat,
-        v=v,
-        second_order_value=lam,
-        certificate=cert,
-        neumann_iterations=info_g.iterations,
-        neumann_update_norms=info_g.update_norms,
-        lstsq_max_diff=lstsq_diff,
-        solve_residual=solve_residual,
-        holdout_residual=holdout,
-        marked_residual=marked_residual,
-        data_marked_gap=data_marked_gap,
-        heat_residual=heat_residual,
-        d0_extrapolation_gap=d0_gap,
-    )
+    A one-shot ``RecoveryPlan``; build the plan once to invert many data
+    vectors on the same table.
+    """
+    return RecoveryPlan(frame, chart, orbits, data.q_max, options).solve(data, K0_at_marked)
 
 
 # -- three-function disambiguation audit ---------------------------------------
@@ -441,10 +490,12 @@ def rigidity_suite(
             ks = [(f"random_{i}", draw_random_K(rng, opt.k_jmax)) for i in range(opt.n_random_K)]
         else:
             ks = [(f"K_{i}", k) for i, k in enumerate(K_list)]
+        if ks:
+            plan = RecoveryPlan(frame, chart, orbits, opt.q_max, opt.recovery)
         for label, K in ks:
             heat = heat_defect(frame, K)
             data = robin_data(frame, chart, K, {q: orbits[q] for q in range(2, opt.q_max + 1)}, heat)
-            rec = recover_robin(data, frame, chart, orbits, K.at_zero, opt.recovery)
+            rec = plan.solve(data, K.at_zero)
             xs = np.arange(2048) / 2048.0
             err_sup = float(np.max(np.abs(rec.K_hat(xs) - K(xs))))
             nc = max(len(rec.K_hat.coeffs), len(K.coeffs))

@@ -97,6 +97,24 @@ def test_invariants_reconstruct_chain(tmp_path):
     assert result["certificate"]["numeric_norm_completed"] < 1.0
 
 
+def test_reconstruct_rejects_malformed_invariants(tmp_path, capsys):
+    inv_dir = tmp_path / "inv"
+    assert run(["invariants", "--coeffs", "0,0,0.01", "--robin-coeffs", "0,-1,1",
+                "--q-max", "16", "--out", str(inv_dir)]) == 0
+    good = json.loads((inv_dir / "invariants.json").read_text())
+    nan_entry = dict(good, d=good["d"][:5] + [float("nan")] + good["d"][6:])
+    short_d = dict(good, d=good["d"][:8])
+    for name, payload, message in (("nan", nan_entry, "finite"),
+                                   ("short", short_d, "entries")):
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(payload))
+        rc_dir = tmp_path / f"rc_{name}"
+        assert run(["reconstruct", "--coeffs", "0,0,0.01", "--data", str(path),
+                    "--k0", "0", "--out", str(rc_dir)]) == 1
+        assert message in capsys.readouterr().err
+        assert not (rc_dir / "reconstruction.json").exists()
+
+
 def test_suite_deterministic_outputs(tmp_path):
     d1, d2 = tmp_path / "a", tmp_path / "b"
     args = ["suite", "acceptance", "--grid", "small", "--n-random", "2",

@@ -1,10 +1,17 @@
+import dataclasses
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
-from rigidity_lab import functionals as fn, geometry, traces
+from rigidity_lab import billiards, functionals as fn, geometry, traces
 from rigidity_lab import reconstruction as rec
-from rigidity_lab.errors import ResidualTooLargeError, SymmetryViolationError
+from rigidity_lab.errors import (
+    NotContractiveError,
+    ResidualTooLargeError,
+    SymmetryViolationError,
+)
 
 XS = np.arange(2048) / 2048.0
 
@@ -97,6 +104,112 @@ def test_limit_entry_extrapolation(perturbed_frame, perturbed_orbits, rng):
         rec.RecoveryOptions(use_extrapolated_d0=True, strict_residual=False))
     assert res.d0_extrapolation_gap < 1e-5
     assert np.max(np.abs(res.K_hat(XS) - K(XS))) < 1e-4
+
+
+# -- recovery plan ------------------------------------------------------------------
+
+
+@pytest.fixture(scope="module")
+def perturbed_plan(perturbed_frame, perturbed_orbits):
+    return rec.RecoveryPlan(perturbed_frame, perturbed_frame.chart, perturbed_orbits, 16)
+
+
+def _assert_same_result(a, b):
+    for f in dataclasses.fields(rec.RecoveryResult):
+        x, y = getattr(a, f.name), getattr(b, f.name)
+        if isinstance(x, fn.CosineSeries):
+            assert np.array_equal(x.coeffs, y.coeffs), f.name
+        elif isinstance(x, np.ndarray):
+            assert np.array_equal(x, y), f.name
+        elif f.name == "certificate":
+            assert x.to_json_dict() == y.to_json_dict()
+        else:
+            assert x == y, f.name
+
+
+def test_plan_solve_matches_recover_robin(perturbed_frame, perturbed_orbits,
+                                          perturbed_plan, rng):
+    for _ in range(3):
+        K = rec.draw_random_K(rng, 6)
+        data = _forward(perturbed_frame, perturbed_orbits, K)
+        one_shot = rec.recover_robin(data, perturbed_frame, perturbed_frame.chart,
+                                     perturbed_orbits, K.at_zero)
+        _assert_same_result(perturbed_plan.solve(data, K.at_zero), one_shot)
+
+
+def test_plan_certificate_gate_at_build():
+    """a2 = 0.02 has numeric norm about 1.44: refused at build unless overridden."""
+    frame = geometry.build_frame(geometry.build_profile([0.0, 0.0, 0.02]), 512)
+    orbits = billiards.compute_orbits(frame, sorted(set(range(2, 17)) | {32, 64}))
+    with pytest.raises(NotContractiveError, match="no override"):
+        rec.RecoveryPlan(frame, frame.chart, orbits, 16)
+    plan = rec.RecoveryPlan(frame, frame.chart, orbits, 16,
+                            rec.RecoveryOptions(override_certificate=True))
+    assert plan.certificate.numeric_norm_completed > 1.0
+    K = fn.CosineSeries([0.0, 0.2, -0.1])
+    res = plan.solve(_forward(frame, orbits, K), K.at_zero)
+    assert np.max(np.abs(res.K_hat(XS) - K(XS))) < 1e-6
+
+
+def test_plan_rejects_depth_mismatch_and_non_finite_k0(perturbed_plan):
+    with pytest.raises(ValueError, match="q_max"):
+        perturbed_plan.solve(fn.InvariantVector(d=np.zeros(13), H0=0.0, H1=0.0, q_max=12),
+                             0.0)
+    data = fn.InvariantVector(d=np.zeros(17), H0=0.0, H1=0.0, q_max=16)
+    for k0 in (float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="finite"):
+            perturbed_plan.solve(data, k0)
+
+
+def test_nan_residual_fails_strict_gate(perturbed_plan):
+    data = fn.InvariantVector(d=np.zeros(17), H0=0.0, H1=0.0, q_max=16)
+    data.d[16] = np.nan       # past construction-time validation, e.g. mutated in place
+    with pytest.raises(ResidualTooLargeError):
+        perturbed_plan.solve(data, 0.0)
+
+
+def test_invariant_vector_validation():
+    with pytest.raises(ValueError, match="entries"):
+        fn.InvariantVector(d=np.zeros(9), H0=0.0, H1=0.0, q_max=16)
+    with pytest.raises(ValueError, match="q_max"):
+        fn.InvariantVector(d=np.zeros(2), H0=0.0, H1=0.0, q_max=1)
+    for bad in ({"d": np.r_[np.zeros(16), np.nan]}, {"H0": np.inf}, {"H1": np.nan}):
+        kwargs = {"d": np.zeros(17), "H0": 0.0, "H1": 0.0, "q_max": 16} | bad
+        with pytest.raises(ValueError, match="finite"):
+            fn.InvariantVector(**kwargs)
+    payload = fn.InvariantVector(d=np.zeros(17), H0=0.0, H1=0.0, q_max=16).to_json_dict()
+    payload["d"] = payload["d"][:9]
+    with pytest.raises(ValueError, match="entries"):
+        fn.InvariantVector.from_json_dict(payload)
+
+
+def test_suite_builds_one_plan_per_domain(monkeypatch):
+    calls = {"contraction_certificate": 0, "fit_alpha_beta": 0}
+
+    def counting(name):
+        original = getattr(rec, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(rec, name, counting(name))
+    summary = rec.rigidity_suite([[0.0, 0.0, 0.01]], None, rec.SuiteOptions(n_random_K=5))
+    assert len(summary.rows) == 5
+    assert calls == {"contraction_certificate": 1, "fit_alpha_beta": 1}
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.floats(-1.0, 1.0), min_size=6, max_size=6))
+def test_plan_round_trip_property(perturbed_frame, perturbed_orbits, perturbed_plan, c):
+    """Mean-free K on e_1..e_6, marked value K(0) = sum(c): recovered to 1e-5."""
+    K = fn.CosineSeries([0.0] + c)
+    res = perturbed_plan.solve(_forward(perturbed_frame, perturbed_orbits, K), K.at_zero)
+    assert np.max(np.abs(res.K_hat(XS) - K(XS))) <= 1e-5
+    assert res.holdout_residual <= 1e-6
 
 
 # -- three-function audit -----------------------------------------------------------
