@@ -8,17 +8,18 @@ bounces are slaved, and for even q the antipodal axis bounce is pinned).
 
 A geometric shooting map (`billiard_map`) provides an independent route to
 the same orbits and to finite-difference return-map Jacobians; it shares no
-code with the variational solver beyond the boundary parametrization.
+code with the variational solver beyond the boundary parametrization. Each
+bounce is bracketed by a scan of the boundary and polished by a safeguarded
+Newton solve that falls back to bisection.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
+import math
 from dataclasses import dataclass
 from typing import Mapping
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .errors import (
     DegenerateChordError,
@@ -32,6 +33,11 @@ from .geometry import MARKED_THETA, TWO_PI, BoundaryFrame, LazutkinChart
 GRADIENT_TOL = 1e-13
 MAX_NEWTON_ITER = 60
 HESSIAN_POS_TOL = 1e-8
+MAX_SHOOT_ITER = 100  # bisection alone needs ~40 steps from a scan bracket to 1e-14
+
+#: bounces with sin(phi) below this are treated as grazing by every
+#: functional, trace and transfer matrix built on an orbit
+SIN_PHI_TOL = 1e-9
 
 
 @dataclass
@@ -249,13 +255,12 @@ def maximal_marked_orbit(
 def compute_orbits(
     frame: BoundaryFrame, qs, threads: int = 1, **kwargs
 ) -> dict:
-    """Solve orbits for each period in qs; periods are independent solves."""
-    qs = sorted(set(int(q) for q in qs))
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(lambda q: maximal_marked_orbit(frame, q, **kwargs), qs))
-        return dict(zip(qs, results))
-    return {q: maximal_marked_orbit(frame, q, **kwargs) for q in qs}
+    """Solve orbits for each period in qs, serially.
+
+    ``threads`` is accepted and ignored: the solves hold the GIL, so a
+    thread pool was no faster than the serial loop.
+    """
+    return {q: maximal_marked_orbit(frame, q, **kwargs) for q in sorted(set(int(q) for q in qs))}
 
 
 # -- linearized return map ----------------------------------------------------
@@ -264,7 +269,7 @@ def compute_orbits(
 def linearized_poincare(
     frame: BoundaryFrame,
     orbit: PeriodicOrbit,
-    sin_phi_tol: float = 1e-9,
+    sin_phi_tol: float = SIN_PHI_TOL,
     unit_eigen_tol: float = 1e-8,
 ) -> PoincareData:
     """Product of per-bounce transfer matrices in (arclength, angle) variables."""
@@ -309,8 +314,9 @@ def billiard_map(frame: BoundaryFrame, theta: float, direction, scan: int = 1024
     """One bounce of the billiard map: next boundary parameter and reflected direction.
 
     The next intersection is bracketed by scanning the signed cross product of
-    the ray direction against the boundary, then polished with a root solve;
-    convexity guarantees a single crossing away from the start point.
+    the ray direction against the boundary, then polished with a safeguarded
+    Newton solve; convexity guarantees a single crossing away from the start
+    point.
     """
     profile = frame.profile
     p0 = profile.position(theta)
@@ -330,17 +336,49 @@ def billiard_map(frame: BoundaryFrame, theta: float, direction, scan: int = 1024
         mid = 0.5 * (grid[i] + grid[i + 1])
         p = profile.position(theta + mid)
         if np.dot(p - p0, d) > 0:
-            hit = (grid[i], grid[i + 1])
+            hit = i
             break
     if hit is None:
         raise NoConvergenceError("shooting failed to bracket the next bounce")
-    dtheta = brentq(side, hit[0], hit[1], xtol=1e-14, rtol=8.9e-16)
+    dtheta = _polish_crossing(
+        profile, theta, p0, d, grid[hit], grid[hit + 1], vals[hit], vals[hit + 1]
+    )
     theta1 = theta + dtheta
     t1 = profile.tangent(theta1)
     if t1.ndim > 1:
         t1 = t1[0]
     d_out = 2.0 * np.dot(d, t1) * t1 - d
     return float(theta1), d_out
+
+
+def _polish_crossing(profile, theta, p0, d, lo, hi, f_lo, f_hi):
+    """Root of side(t) = d x (position(theta + t) - p0) inside the bracket [lo, hi].
+
+    Newton with side'(t) = d x velocity, started at the secant point; any
+    step that leaves the current bracket is replaced by bisection. Stops once
+    a step is below 1e-14 + 8.9e-16 |t|.
+    """
+    x0, y0 = float(p0[0]) - profile.center_offset, float(p0[1])
+    dx, dy = float(d[0]), float(d[1])
+    t = lo - f_lo * (hi - lo) / (f_hi - f_lo)
+    for _ in range(MAX_SHOOT_ITER):
+        th = theta + t
+        r, r1 = float(profile.radius(th)), float(profile.radius_d1(th))
+        c, s = math.cos(th), math.sin(th)
+        f = dx * (r * s - y0) - dy * (r * c - x0)
+        if (f > 0.0) == (f_lo > 0.0):
+            lo, f_lo = t, f
+        else:
+            hi = t
+        slope = dx * (r1 * s + r * c) - dy * (r1 * c - r * s)
+        tol = 1e-14 + 8.9e-16 * abs(t)
+        step = f / slope if slope != 0.0 else math.inf
+        if abs(step) > tol and not lo < t - step < hi:
+            step = t - 0.5 * (lo + hi)  # the Newton step leaves the bracket: bisect
+        t -= step
+        if abs(step) <= tol:
+            return t
+    raise NoConvergenceError(f"shooting root solve hit the iteration cap of {MAX_SHOOT_ITER}")
 
 
 def shoot_orbit(frame: BoundaryFrame, q: int, phi0: float, theta0: float = MARKED_THETA):

@@ -53,13 +53,6 @@ def _load_profile(args):
     return geometry.build_profile(coeffs), (args.frame or geometry.DEFAULT_FRAME_SAMPLES)
 
 
-def _threads(args) -> int:
-    if getattr(args, "threads", None):
-        return args.threads
-    env = os.environ.get("RIGIDITY_LAB_THREADS")
-    return int(env) if env else 1
-
-
 def _out_path(args, name: str) -> str:
     out = getattr(args, "out", None) or "."
     os.makedirs(out, exist_ok=True)
@@ -133,7 +126,7 @@ def cmd_orbits(args) -> int:
     profile, n = _load_profile(args)
     frame = geometry.build_frame(profile, n)
     qs = sorted(set(range(2, args.q_max + 1)) | set(args.q_ladder or []))
-    orbits = billiards.compute_orbits(frame, qs, threads=_threads(args))
+    orbits = billiards.compute_orbits(frame, qs)
     cols = {k: [] for k in ("q", "k", "theta_k", "sigma_k", "x_k", "phi_k",
                             "length", "poincare_trace", "nondegenerate")}
     for q in qs:
@@ -159,7 +152,7 @@ def cmd_invariants(args) -> int:
     profile, n = _load_profile(args)
     frame = geometry.build_frame(profile, n)
     K = functionals.CosineSeries(_parse_coeffs(args.robin_coeffs))
-    orbits = billiards.compute_orbits(frame, range(2, args.q_max + 1), threads=_threads(args))
+    orbits = billiards.compute_orbits(frame, range(2, args.q_max + 1))
     heat = traces.heat_defect(frame, K)
     data = functionals.robin_data(frame, frame.chart, K, orbits, heat)
     path = _out_path(args, "invariants.json")
@@ -179,8 +172,7 @@ def cmd_operator(args) -> int:
         profile, n = _load_profile(args)
         frame = geometry.build_frame(profile, n)
         orbits = billiards.compute_orbits(
-            frame, sorted(set(range(2, args.q_max + 1)) | set(DEFAULT_LADDER)),
-            threads=_threads(args),
+            frame, sorted(set(range(2, args.q_max + 1)) | set(DEFAULT_LADDER))
         )
         cert = operator_mod.contraction_certificate(
             frame, frame.chart, params, eps=args.epsilon,
@@ -212,7 +204,6 @@ def cmd_reconstruct(args) -> int:
     orbits = billiards.compute_orbits(
         frame,
         sorted(set(range(2, data.q_max + 1)) | set(DEFAULT_LADDER)),
-        threads=_threads(args),
     )
     options = reconstruction.RecoveryOptions(
         gamma=args.gamma,
@@ -274,7 +265,8 @@ def build_parser() -> _Parser:
     def common(sp, domain=True):
         sp.add_argument("--config", help="JSON file with defaults for this command")
         sp.add_argument("--out", help="output directory (default: cwd)")
-        sp.add_argument("--threads", type=int, help="worker cap (env RIGIDITY_LAB_THREADS)")
+        sp.add_argument("--threads", type=int,
+                        help="accepted and ignored; orbits are solved serially")
         sp.add_argument("--format", choices=["csv", "json"], default="csv",
                         help="table output format where applicable")
         if domain:

@@ -16,11 +16,9 @@ from typing import Mapping
 
 import numpy as np
 
-from .billiards import PeriodicOrbit
+from .billiards import SIN_PHI_TOL, PeriodicOrbit
 from .errors import InsufficientLadderError, SingularAngleError
 from .geometry import BoundaryFrame, LazutkinChart
-
-SIN_PHI_TOL = 1e-9
 
 
 @dataclass

@@ -9,12 +9,10 @@ from typing import Mapping
 
 import numpy as np
 
-from .billiards import PeriodicOrbit
+from .billiards import SIN_PHI_TOL, PeriodicOrbit
 from .errors import SingularAngleError
 from .functionals import CosineSeries
 from .geometry import BoundaryFrame
-
-SIN_PHI_TOL = 1e-9
 
 
 def wave_c0(orbit: PeriodicOrbit, K: CosineSeries, C_gamma: float = 1.0) -> float:

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
+from scipy.optimize import brentq
 
 from rigidity_lab import billiards, geometry
 from rigidity_lab.errors import (
@@ -77,6 +78,72 @@ def test_shooting_oracle_confirms_variational_orbit(perturbed_frame, perturbed_o
     thetas, _ = billiards.shoot_orbit(perturbed_frame, 8, float(orb.phi[0]))
     assert abs((thetas[-1] - thetas[0]) - 2 * np.pi) < 1e-9   # closes up
     assert_allclose(thetas[:-1], orb.theta, rtol=0, atol=1e-9)
+
+
+def _launch(frame, theta, phi):
+    t0 = frame.profile.tangent(theta)
+    return np.cos(phi) * t0 + np.sin(phi) * np.array([-t0[1], t0[0]])
+
+
+def _forward_bracket(frame, theta, d, scan=1024):
+    """Side function and the first forward sign change on the same scan grid."""
+    profile = frame.profile
+    p0 = profile.position(theta)
+
+    def side(dtheta):
+        p = profile.position(theta + dtheta)
+        return d[0] * (p[..., 1] - p0[1]) - d[1] * (p[..., 0] - p0[0])
+
+    grid = 2 * np.pi * np.arange(1, scan) / scan
+    vals = side(grid)
+    for i in np.nonzero(np.sign(vals[:-1]) * np.sign(vals[1:]) < 0)[0]:
+        mid = profile.position(theta + 0.5 * (grid[i] + grid[i + 1]))
+        if np.dot(mid - p0, d) > 0:
+            return side, grid[i], grid[i + 1]
+    raise AssertionError("no forward crossing")
+
+
+@pytest.mark.parametrize("coeffs", [[0.0, 0.0, 0.01], [0.0, 0.0, 0.0, 0.0, 0.0, 0.005]])
+def test_billiard_map_against_brentq(coeffs):
+    """The safeguarded Newton bounce agrees with brentq run on the same bracket."""
+    frame = geometry.build_frame(geometry.build_profile(coeffs), 512)
+    rng = np.random.default_rng(5)
+    thetas = np.pi + 2 * np.pi * rng.random(40)
+    phis = np.concatenate([[0.02, 0.3, np.pi / 2, np.pi - 0.02], 0.05 + 3.0 * rng.random(36)])
+    for theta, phi in zip(thetas, phis):
+        d = _launch(frame, theta, phi)
+        side, lo, hi = _forward_bracket(frame, theta, d)
+        expect = theta + brentq(side, lo, hi, xtol=1e-14, rtol=8.9e-16)
+        theta1, d_out = billiards.billiard_map(frame, theta, d)
+        assert abs(theta1 - expect) <= 1e-14
+        assert abs(np.linalg.norm(d_out) - 1.0) < 1e-14
+
+
+def test_root_solve_bisects_when_newton_leaves_the_bracket(perturbed_frame):
+    """From a bracket spanning almost the whole boundary, plain Newton runs off
+    to other roots of the side function; the safeguard keeps the solve inside."""
+    profile = perturbed_frame.profile
+    lo, hi = 1e-3, 2 * np.pi - 1e-3
+    for theta, phi in [(np.pi, 0.3), (np.pi, 1.2), (4.0, 2.9), (5.0, 0.05)]:
+        d = _launch(perturbed_frame, theta, phi)
+        side, _, _ = _forward_bracket(perturbed_frame, theta, d)
+        expect = brentq(side, lo, hi, xtol=1e-14, rtol=8.9e-16)
+        got = billiards._polish_crossing(
+            profile, theta, profile.position(theta), d, lo, hi, side(lo), side(hi)
+        )
+        assert abs(got - expect) <= 1e-14
+
+
+def test_billiard_map_without_forward_crossing(perturbed_frame):
+    outward = -_launch(perturbed_frame, np.pi, np.pi / 2)
+    with pytest.raises(NoConvergenceError, match="bracket"):
+        billiards.billiard_map(perturbed_frame, np.pi, outward)
+
+
+def test_billiard_map_iteration_cap(perturbed_frame, monkeypatch):
+    monkeypatch.setattr(billiards, "MAX_SHOOT_ITER", 2)
+    with pytest.raises(NoConvergenceError, match="iteration cap"):
+        billiards.billiard_map(perturbed_frame, np.pi, _launch(perturbed_frame, np.pi, 0.7))
 
 
 def test_orbit_symmetry_multiset(perturbed_orbits):

@@ -1,8 +1,15 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 
+import rigidity_lab
 from rigidity_lab import cli
+
+SRC = str(Path(rigidity_lab.__file__).resolve().parents[1])
 
 
 def run(argv):
@@ -142,3 +149,41 @@ def test_threads_env_fallback(tmp_path, monkeypatch):
     monkeypatch.setenv("RIGIDITY_LAB_THREADS", "2")
     assert run(["orbits", "--coeffs", "", "--q-max", "3", "--q-ladder", "8",
                 "--out", str(tmp_path)]) == 0
+
+
+def _fresh_python(code, *args):
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [SRC] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    return subprocess.run([sys.executable, "-c", code, *args], env=env,
+                          capture_output=True, text=True, timeout=120)
+
+
+def test_cli_runs_without_scipy(tmp_path):
+    """The runtime path needs numpy only: scipy is blocked before the import."""
+    code = """
+import sys
+sys.modules["scipy"] = None
+from rigidity_lab import cli
+out = sys.argv[1]
+coeffs = ["--coeffs", "0,0,0.01"]
+print(cli.main(["invariants", *coeffs, "--robin-coeffs", "0,-1,1", "--out", out]),
+      cli.main(["reconstruct", *coeffs, "--data", out + "/invariants.json",
+                "--k0", "0", "--out", out]),
+      cli.main(["orbits", *coeffs, "--out", out]))
+"""
+    proc = _fresh_python(code, str(tmp_path))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "0 0 0"
+    for name in ("invariants.json", "reconstruction.json", "orbits.csv"):
+        assert (tmp_path / name).exists()
+
+
+def test_import_loads_no_scipy():
+    code = """
+import sys
+import rigidity_lab.cli
+print(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")))
+"""
+    proc = _fresh_python(code)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

@@ -1,3 +1,4 @@
+import mpmath
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -18,6 +19,40 @@ def test_params_validation():
         op.GammaSpaceParams(gamma=4.0)
     with pytest.raises(ValueError):
         op.GammaSpaceParams(J=1)
+
+
+# -- Hurwitz zeta -----------------------------------------------------------------
+
+ZETA_S = (3.0,) + tuple(np.linspace(3.0001, 3.9999, 21))
+ZETA_A = np.arange(1, 1001)
+
+
+def test_hurwitz_zeta_against_scipy():
+    for s in ZETA_S:
+        ref = zeta(s, ZETA_A)
+        assert np.max(np.abs(op.hurwitz_zeta(s, ZETA_A) / ref - 1.0)) <= 2e-15
+        for a in (1, 2, 3, 10, 49, 1000):
+            value = op.hurwitz_zeta(s, a)
+            assert isinstance(value, float)
+            assert abs(value / ref[a - 1] - 1.0) <= 2e-15
+
+
+def test_hurwitz_zeta_against_mpmath():
+    a_values = np.array([1, 2, 3, 4, 7, 10, 11, 17, 49, 100, 999, 1000])
+    with mpmath.workdps(30):
+        for s in ZETA_S:
+            ref = np.array([float(mpmath.zeta(s, int(a))) for a in a_values])
+            assert np.max(np.abs(op.hurwitz_zeta(s, a_values) / ref - 1.0)) <= 2e-15
+            for a, r in zip(a_values, ref):
+                assert abs(op.hurwitz_zeta(s, int(a)) / r - 1.0) <= 2e-15
+        assert op.ZETA3 == float(mpmath.zeta(3))  # correctly rounded
+
+
+def test_hurwitz_zeta_domain():
+    with pytest.raises(ValueError):
+        op.hurwitz_zeta(1.0, 1)
+    with pytest.raises(ValueError):
+        op.hurwitz_zeta(3.5, [1.0, 0.0])
 
 
 # -- divisor matrix ---------------------------------------------------------------
