@@ -69,7 +69,6 @@ from .operator import (
     decompose_T,
     gamma_norm,
     neumann_invert,
-    script_L_star_star,
 )
 from .reconstruction import (
     RecoveryOptions,

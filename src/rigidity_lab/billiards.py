@@ -5,6 +5,18 @@ orbit of rotation number 1/q through the marked point that maximizes the
 polygon length. It runs damped Newton on the length gradient in reduced
 coordinates (only the bounces in the open upper half are free; mirror
 bounces are slaved, and for even q the antipodal axis bounce is pinned).
+Every step costs O(q) and forms no dense matrix:
+
+- it starts from the Lazutkin points ``x = k/q``, which the orbit misses by
+  O(q^-2), interpolated in the frame's own (x, theta) table;
+- the reduced Hessian is a tridiagonal band, and the Newton step is its
+  LDL^T (Thomas) solve;
+- once ``|grad| < tol`` one more full Newton step is taken, because the
+  smallest Hessian eigenvalue falls like q^-3 and the gradient alone does
+  not bound the error in theta; its size is kept as ``final_step``;
+- the orbit is maximal when every LDL^T pivot of ``H - HESSIAN_POS_TOL*I``
+  is negative (Sylvester's inertia), and its largest Hessian eigenvalue
+  comes from Laguerre's iteration on the same pivot recurrence.
 
 A geometric shooting map (`billiard_map`) provides an independent route to
 the same orbits and to finite-difference return-map Jacobians; it shares no
@@ -32,6 +44,7 @@ from .geometry import MARKED_THETA, TWO_PI, BoundaryFrame, LazutkinChart
 
 GRADIENT_TOL = 1e-13
 MAX_NEWTON_ITER = 60
+MAX_EIG_ITER = 50
 HESSIAN_POS_TOL = 1e-8
 MAX_SHOOT_ITER = 100  # bisection alone needs ~40 steps from a scan bracket to 1e-14
 
@@ -56,7 +69,8 @@ class PeriodicOrbit:
     hessian_max_eig: float
     reflection_residual: float
     gradient_residual: float
-    iterations: int
+    iterations: int          # gradient checks until |grad| < tol
+    final_step: float = 0.0  # size of the polishing Newton step taken after that
 
     @property
     def rotation_number(self) -> float:
@@ -89,6 +103,15 @@ def orbit_length(frame: BoundaryFrame, thetas) -> float:
     return float(np.sum(chords))
 
 
+def _bounce_jet(profile, thetas):
+    """Position, velocity and acceleration at each bounce as ``(x, y)`` pairs."""
+    r, r1, r2, c, s = profile.jet(thetas)
+    pos = (profile.center_offset + r * c, r * s)
+    vel = (r1 * c - r * s, r1 * s + r * c)
+    acc = ((r2 - r) * c - 2.0 * r1 * s, (r2 - r) * s + 2.0 * r1 * c)
+    return pos, vel, acc
+
+
 def _length_grad_hess(profile, thetas):
     """Gradient and cyclic tridiagonal Hessian of the closed polygon length.
 
@@ -96,34 +119,31 @@ def _length_grad_hess(profile, thetas):
     bounce k and ``off[k]`` the entry coupling bounces k and k+1 (cyclic).
     """
     q = len(thetas)
-    pts = profile.position(thetas)
-    vel = profile.velocity(thetas)
-    acc = profile.acceleration(thetas)
+    nxt, prv = np.arange(1, q + 1) % q, np.arange(-1, q - 1) % q
+    (px, py), (vx, vy), (ax, ay) = _bounce_jet(profile, thetas)
 
-    nxt = np.roll(np.arange(q), -1)
-    d = pts[nxt] - pts
-    ell = np.linalg.norm(d, axis=1)
+    dx, dy = px[nxt] - px, py[nxt] - py
+    ell = np.hypot(dx, dy)
     if np.min(ell) < 1e-12:
         raise DegenerateChordError("degenerate chord during orbit solve")
-    u = d / ell[:, None]
+    ux, uy = dx / ell, dy / ell
 
     # gradient: tangential mismatch of incoming vs outgoing unit chords
-    u_in = np.roll(u, 1, axis=0)
-    grad = np.einsum("ki,ki->k", vel, u_in - u)
+    grad = vx * (ux[prv] - ux) + vy * (uy[prv] - uy)
 
-    vu_tail = np.einsum("ki,ki->k", vel, u)            # V_k . u_k
-    vu_head = np.einsum("ki,ki->k", vel[nxt], u)       # V_{k+1} . u_k
-    vv_tail = np.einsum("ki,ki->k", vel, vel)
-    vv_head = np.einsum("ki,ki->k", vel[nxt], vel[nxt])
-    vv_cross = np.einsum("ki,ki->k", vel, vel[nxt])
-    au_tail = np.einsum("ki,ki->k", acc, u)
-    au_head = np.einsum("ki,ki->k", acc[nxt], u)
+    vx1, vy1 = vx[nxt], vy[nxt]
+    vu_tail = vx * ux + vy * uy            # V_k . u_k
+    vu_head = vx1 * ux + vy1 * uy          # V_{k+1} . u_k
+    vv = vx * vx + vy * vy
+    vv_cross = vx * vx1 + vy * vy1
+    au_tail = ax * ux + ay * uy
+    au_head = ax[nxt] * ux + ay[nxt] * uy
 
-    diag_tail = (vv_tail - vu_tail**2) / ell - au_tail
-    diag_head = (vv_head - vu_head**2) / ell + au_head
+    diag_tail = (vv - vu_tail**2) / ell - au_tail
+    diag_head = (vv[nxt] - vu_head**2) / ell + au_head
     off = -(vv_cross - vu_tail * vu_head) / ell
     # chord k contributes diag_tail[k] at bounce k and diag_head[k] at bounce k+1
-    diag = diag_tail + np.roll(diag_head, 1)
+    diag = diag_tail + diag_head[prv]
     return float(np.sum(ell)), grad, diag, off
 
 
@@ -143,12 +163,13 @@ def _symmetric_assemble(q: int, s):
 
 
 def _reduced_grad_hess(profile, t):
-    """Length, gradient and Hessian of a symmetric orbit in its free offsets.
+    """Length, gradient and Hessian band of a symmetric orbit in its free offsets.
 
     ``t`` is the full offset vector from `_symmetric_assemble`. Free bounce j
     (j = 1..half) moves with its mirror q-j in the opposite direction, so the
     reduced gradient is ``grad[j] - grad[q-j]`` and the reduced Hessian stays
-    tridiagonal; for odd q the mirror pair half, half+1 are neighbours, which
+    tridiagonal: it is returned as the band ``(d, e)`` of its diagonal and
+    off-diagonal. For odd q the mirror pair half, half+1 are neighbours, which
     adds the coupling ``-2*off[half]`` to the last diagonal entry.
     """
     q = len(t)
@@ -159,10 +180,97 @@ def _reduced_grad_hess(profile, t):
     d = diag[j] + diag[q - j]
     if q % 2:
         d[-1] -= 2.0 * off[half]
-    hr = np.diag(d)
     i = np.arange(half - 1)
-    hr[i, i + 1] = hr[i + 1, i] = off[i + 1] + off[q - i - 2]
-    return length, gr, hr
+    return length, gr, (d, off[i + 1] + off[q - i - 2])
+
+
+# -- symmetric tridiagonal bands (d, e): O(n) per pass, no dense matrix ----------
+
+
+def _band_solve(band, b):
+    """Solve ``H x = b`` for the band ``H = (d, e)`` by LDL^T (Thomas).
+
+    No pivoting: backward stable where H is definite, as the length Hessian
+    is near a nondegenerate maximum. A zero pivot raises ZeroDivisionError.
+    """
+    d, e, b = band[0].tolist(), band[1].tolist(), b.tolist()
+    n = len(d)
+    piv, mult, y = [d[0]] * n, [0.0] * n, [b[0]] * n
+    for i in range(1, n):
+        m = e[i - 1] / piv[i - 1]
+        mult[i], piv[i], y[i] = m, d[i] - m * e[i - 1], b[i] - m * y[i - 1]
+    x = [y[-1] / piv[-1]] * n
+    for i in range(n - 2, -1, -1):
+        x[i] = y[i] / piv[i] - mult[i + 1] * x[i + 1]
+    return np.array(x)
+
+
+def _band_inertia(band, shift: float) -> int:
+    """Number of eigenvalues of the band below ``shift``.
+
+    By Sylvester's law of inertia it is the number of negative LDL^T pivots
+    of ``H - shift*I`` (a Sturm count; Barth, Martin & Wilkinson, Numer.
+    Math. 1967). A zero pivot counts as a tiny negative one, and a NaN pivot
+    as non-negative, so a NaN band never counts as definite.
+    """
+    d, e = band
+    # LAPACK dstebz's stand-in for a zero pivot: tiny, yet e^2 / pivmin stays finite
+    pivmin = float(np.finfo(float).tiny * max(1.0, float(np.max(e * e, initial=0.0))))
+    count, p = 0, 1.0
+    for di, e2 in zip(d.tolist(), [0.0] + (e * e).tolist()):
+        p = di - shift - e2 / p
+        if p == 0.0:
+            p = -pivmin
+        count += p < 0.0
+    return count
+
+
+def _band_max_eig(band, upper: float = math.inf) -> float:
+    """Largest eigenvalue of the band, by Laguerre's iteration from above.
+
+    The logarithmic derivatives of ``det(H - x I)`` are sums over the LDL^T
+    pivots of ``H - x I`` and their x-derivatives, one O(n) pass per step.
+    The characteristic polynomial has only real roots, so from above the
+    largest one the iterates decrease monotonically onto it, cubically near
+    a simple root (Li & Zeng, SIAM J. Sci. Comput. 15, 1994). Any symmetric
+    band qualifies, definite or not; accuracy is absolute, about eps * |H|.
+    The start is ``upper`` or the Gershgorin bound, whichever is lower.
+    """
+    d, e = band
+    n = len(d)
+    radius = np.abs(np.append(e, 0.0)) + np.abs(np.insert(e, 0, 0.0))
+    norm = float(np.max(np.abs(d) + radius))
+    if not norm > 0.0:  # the zero band, or NaN
+        return norm
+    # work on H / 2^k with |H / 2^k| in [1/2, 1): exact, and nothing over- or underflows
+    scale = 2.0 ** math.frexp(norm)[1]
+    floor = 4.0 * np.finfo(float).eps
+    x = float(np.minimum(upper / scale, np.max(d + radius) / scale + floor))
+    d, e2 = (d / scale).tolist(), [0.0] + ((e / scale) ** 2).tolist()
+    for _ in range(MAX_EIG_ITER):
+        # g = p'/p and h = p''/p of each pivot p; s1 = sum 1/(x - lam), s2 = sum 1/(x - lam)^2
+        p, g, h, s1, s2 = 1.0, 0.0, 0.0, 0.0, 0.0
+        for di, ei2 in zip(d, e2):
+            w = ei2 / p
+            p = di - x - w
+            if not p < 0.0:  # H - xI is not negative definite: x reached the root
+                return x * scale
+            g, h = (w * g - 1.0) / p, w * (h - 2.0 * g * g) / p
+            s1 += g
+            s2 += g * g - h
+        step = n / (s1 + math.sqrt(max((n - 1) * (n * s2 - s1 * s1), 0.0)))
+        x -= step
+        if step <= floor + 1e-15 * abs(x):
+            return x * scale
+    raise NoConvergenceError(f"band eigenvalue iteration hit its cap of {MAX_EIG_ITER}")
+
+
+def _newton_step(band, gr):
+    """Newton step for gradient ``gr``, or a short ascent step where a pivot vanishes."""
+    try:
+        return _band_solve(band, -gr)
+    except ZeroDivisionError:
+        return gr * (0.1 / max(np.max(np.abs(gr)), 1.0))
 
 
 def maximal_marked_orbit(
@@ -178,25 +286,27 @@ def maximal_marked_orbit(
     profile = frame.profile
     half = (q - 1) // 2
 
-    s = TWO_PI * np.arange(1, half + 1) / q  # regular polygon start
-    iterations = 0
+    # Lazutkin start: x_q^k = k/q + O(q^-2), read off the frame's own table
+    s = np.interp(np.arange(1, half + 1) / q, frame.x, frame.theta) - MARKED_THETA
+    iterations, final_step = 0, 0.0
     if half:
-        _, gr, hr = _reduced_grad_hess(profile, _symmetric_assemble(q, s))
+        _, gr, band = _reduced_grad_hess(profile, _symmetric_assemble(q, s))
         for iterations in range(1, max_iter + 1):
+            step = _newton_step(band, gr)
             if np.max(np.abs(gr)) < tol:
+                # polished stop: |grad| bounds the error only by |grad| / |lambda_min|,
+                # which grows like q^3, so one more full step resolves it to roundoff
+                s = s + step
+                final_step = float(np.max(np.abs(step)))
                 break
-            try:
-                step = np.linalg.solve(hr, -gr)
-            except np.linalg.LinAlgError:
-                step = gr * (0.1 / max(np.max(np.abs(gr)), 1.0))
             lam, accepted = 1.0, False
             for _ in range(50):
                 cand = s + lam * step
                 t_cand = _symmetric_assemble(q, cand)
                 if np.all(np.diff(t_cand) > 1e-12) and t_cand[-1] < TWO_PI - 1e-12:
-                    _, gr_c, hr_c = _reduced_grad_hess(profile, t_cand)
+                    _, gr_c, band_c = _reduced_grad_hess(profile, t_cand)
                     if np.max(np.abs(gr_c)) < np.max(np.abs(gr)) or lam < 1e-8:
-                        s, gr, hr = cand, gr_c, hr_c
+                        s, gr, band = cand, gr_c, band_c
                         accepted = True
                         break
                 lam *= 0.5
@@ -210,25 +320,31 @@ def maximal_marked_orbit(
 
     t = _symmetric_assemble(q, s)
     theta = MARKED_THETA + t
-    length, gr, hr = _reduced_grad_hess(profile, t)
-    max_eig = float(np.max(np.linalg.eigvalsh(hr))) if half else -np.inf
-    maximal = max_eig < HESSIAN_POS_TOL
+    length, gr, band = _reduced_grad_hess(profile, t)
+    if half:
+        # maximal <=> every eigenvalue below HESSIAN_POS_TOL, which then bounds the largest
+        maximal = _band_inertia(band, HESSIAN_POS_TOL) == half
+        max_eig = _band_max_eig(band, HESSIAN_POS_TOL if maximal else math.inf)
+    else:
+        maximal, max_eig = True, -np.inf
     if require_maximal and not maximal:
         raise NotMaximalError(
             f"second variation indefinite at q={q} (max eigenvalue {max_eig:.3g})"
         )
 
-    pts = profile.position(theta)
-    tangents = profile.tangent(theta)
-    d = np.roll(pts, -1, axis=0) - pts
-    chords = np.linalg.norm(d, axis=1)
-    u = d / chords[:, None]
-    u_in = np.roll(u, 1, axis=0)
+    nxt, prv = np.arange(1, q + 1) % q, np.arange(-1, q - 1) % q
+    (px, py), (vx, vy), _ = _bounce_jet(profile, theta)
+    speed = np.hypot(vx, vy)
+    tx, ty = vx / speed, vy / speed
+    dx, dy = px[nxt] - px, py[nxt] - py
+    chords = np.hypot(dx, dy)
+    ux, uy = dx / chords, dy / chords
+    ux_in, uy_in = ux[prv], uy[prv]
 
-    cross_out = tangents[:, 0] * u[:, 1] - tangents[:, 1] * u[:, 0]
-    dot_out = np.einsum("ki,ki->k", tangents, u)
-    cross_in = u_in[:, 0] * tangents[:, 1] - u_in[:, 1] * tangents[:, 0]
-    dot_in = np.einsum("ki,ki->k", u_in, tangents)
+    cross_out = tx * uy - ty * ux
+    dot_out = tx * ux + ty * uy
+    cross_in = ux_in * ty - uy_in * tx
+    dot_in = ux_in * tx + uy_in * ty
     phi_out = np.arctan2(cross_out, dot_out)
     phi_in = np.arctan2(cross_in, dot_in)
 
@@ -247,6 +363,7 @@ def maximal_marked_orbit(
         reflection_residual=float(np.max(np.abs(phi_in - phi_out))),
         gradient_residual=float(np.max(np.abs(gr))) if half else 0.0,
         iterations=iterations,
+        final_step=final_step,
     )
     orbit.x[0] = 0.0  # marked point, exact by convention
     return orbit
@@ -279,20 +396,22 @@ def linearized_poincare(
         raise SingularTransferError(
             f"bounce angle too close to grazing (sin phi = {np.min(sin_phi):.3g})"
         )
-    q = orbit.q
-    mat = np.eye(2)
-    for k in range(q):
-        k1 = (k + 1) % q
-        tau = orbit.chords[k]
-        k0c, k1c = kappa[k], kappa[k1]
-        s0, s1 = sin_phi[k], sin_phi[k1]
-        step = np.array(
-            [
-                [k0c * tau - s0, tau],
-                [k0c * k1c * tau - k0c * s1 - k1c * s0, k1c * tau - s1],
-            ]
-        ) / s1
-        mat = step @ mat
+    nxt = np.arange(1, orbit.q + 1) % orbit.q
+    tau = orbit.chords
+    k0c, k1c = kappa, kappa[nxt]
+    s0, s1 = sin_phi, sin_phi[nxt]
+    # transfer matrix of bounce k -> k+1, stacked over k
+    steps = np.empty((orbit.q, 2, 2))
+    steps[:, 0, 0] = k0c * tau - s0
+    steps[:, 0, 1] = tau
+    steps[:, 1, 0] = k0c * k1c * tau - k0c * s1 - k1c * s0
+    steps[:, 1, 1] = k1c * tau - s1
+    steps /= s1[:, None, None]
+    # step[q-1] @ ... @ step[0] by a pairwise tree, log2(q) batched passes
+    while len(steps) > 1:
+        odd = steps[-1:] if len(steps) % 2 else steps[:0]
+        steps = np.concatenate([steps[1::2] @ steps[0:-1:2], odd])
+    mat = steps[0]
     eig = np.linalg.eigvals(mat)
     trace = float(np.trace(mat))
     # unit eigenvalue of an area-preserving map <=> det(M - I) = 2 - trace = 0;
@@ -363,8 +482,7 @@ def _polish_crossing(profile, theta, p0, d, lo, hi, f_lo, f_hi):
     t = lo - f_lo * (hi - lo) / (f_hi - f_lo)
     for _ in range(MAX_SHOOT_ITER):
         th = theta + t
-        r, r1 = float(profile.radius(th)), float(profile.radius_d1(th))
-        c, s = math.cos(th), math.sin(th)
+        r, r1, _, c, s = (float(v) for v in profile.jet(th))
         f = dx * (r * s - y0) - dy * (r * c - x0)
         if (f > 0.0) == (f_lo > 0.0):
             lo, f_lo = t, f

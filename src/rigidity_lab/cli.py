@@ -46,11 +46,11 @@ def _parse_int_list(text: str):
 def _load_profile(args):
     if getattr(args, "domain", None):
         profile, n = geometry.load_domain_spec(args.domain)
-        if getattr(args, "frame", None):
-            n = args.frame
-        return profile, n
-    coeffs = _parse_coeffs(args.coeffs if args.coeffs is not None else "")
-    return geometry.build_profile(coeffs), (args.frame or geometry.DEFAULT_FRAME_SAMPLES)
+    else:
+        coeffs = _parse_coeffs(args.coeffs if args.coeffs is not None else "")
+        profile, n = geometry.build_profile(coeffs), geometry.DEFAULT_FRAME_SAMPLES
+    # an explicit --frame, 0 included, goes to build_frame to be validated there
+    return profile, (n if args.frame is None else args.frame)
 
 
 def _out_path(args, name: str) -> str:
@@ -87,7 +87,8 @@ def _apply_config(args, parser_dests):
     if unknown:
         raise _UsageError(f"unknown config keys: {sorted(unknown)}")
     for key, val in payload.items():
-        if getattr(args, key, None) in (None, False):
+        current = getattr(args, key, None)
+        if current is None or current is False:  # not `in (None, False)`: 0 == False
             setattr(args, key, val)
     return args
 
@@ -123,6 +124,8 @@ def cmd_domain(args) -> int:
 
 
 def cmd_orbits(args) -> int:
+    if args.q_max < 2:
+        raise _UsageError(f"--q-max must be >= 2, got {args.q_max}")
     profile, n = _load_profile(args)
     frame = geometry.build_frame(profile, n)
     qs = sorted(set(range(2, args.q_max + 1)) | set(args.q_ladder or []))
@@ -242,7 +245,7 @@ def cmd_suite(args) -> int:
     else:
         domains = [[], [0.0, 0.0, 0.01]]
     options = reconstruction.SuiteOptions(
-        frame_samples=args.frame or geometry.DEFAULT_FRAME_SAMPLES,
+        frame_samples=geometry.DEFAULT_FRAME_SAMPLES if args.frame is None else args.frame,
         q_max=args.q_max,
         n_random_K=args.n_random,
         seed=args.seed,

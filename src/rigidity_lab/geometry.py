@@ -64,6 +64,20 @@ class DomainProfile:
             out = out - a * n * n * np.cos(n * theta)
         return out
 
+    def jet(self, theta):
+        """``(r, r', r'', cos theta, sin theta)`` from one evaluation of cos/sin(n theta).
+
+        The orbit solver's hot path: one ``cos`` and one ``sin`` over all
+        modes in place of a transcendental per mode per derivative.
+        """
+        theta = np.asarray(theta, dtype=float)
+        a = np.zeros(max(len(self.radial_coeffs), 2))
+        a[: len(self.radial_coeffs)] = self.radial_coeffs
+        n = np.arange(len(a))
+        phase = np.multiply.outer(theta, n)
+        cos, sin = np.cos(phase), np.sin(phase)
+        return 1.0 + cos @ a, -(sin @ (n * a)), -(cos @ (n * n * a)), cos[..., 1], sin[..., 1]
+
     def position(self, theta):
         """Boundary point(s) as (..., 2) array, marked point at the origin."""
         theta = np.asarray(theta, dtype=float)

@@ -176,10 +176,6 @@ def script_L_star_star_table(chart: LazutkinChart, fit: AlphaBetaFit, jmax: int)
     return out
 
 
-def script_L_star_star(chart: LazutkinChart, fit: AlphaBetaFit, j: int) -> float:
-    return float(script_L_star_star_table(chart, fit, j)[j])
-
-
 def assemble_T_star_R(
     frame: BoundaryFrame,
     chart: LazutkinChart,

@@ -1,5 +1,7 @@
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 from numpy.testing import assert_allclose
 from scipy.optimize import brentq
 
@@ -165,6 +167,35 @@ def test_solver_iteration_cap(perturbed_frame):
         billiards.maximal_marked_orbit(perturbed_frame, 8, max_iter=1)
 
 
+def _dense(band):
+    """The symmetric tridiagonal matrix of a band (d, e)."""
+    d, e = band
+    hess = np.diag(d)
+    i = np.arange(len(e))
+    hess[i, i + 1] = hess[i + 1, i] = e
+    return hess
+
+
+def _dense_cyclic(diag, off):
+    """The cyclic tridiagonal Hessian of all q bounces, assembled densely."""
+    q = len(diag)
+    k = np.arange(q)
+    hess = np.diag(diag)
+    np.add.at(hess, (k, (k + 1) % q), off)
+    np.add.at(hess, ((k + 1) % q, k), off)
+    return hess
+
+
+def _reduction(q):
+    """R with dt = R ds: free bounce j moves with s_j, its mirror q-j opposite."""
+    half = (q - 1) // 2
+    reduction = np.zeros((q, half))
+    for j in range(1, half + 1):
+        reduction[j, j - 1] = 1.0
+        reduction[q - j, j - 1] = -1.0
+    return reduction
+
+
 @pytest.mark.parametrize("q", [2, 3, 4, 5, 16, 17, 64])
 def test_reduced_hessian_matches_dense_reduction(perturbed_frame, q):
     """Tridiagonal reduced Hessian against R^T H R with H assembled densely."""
@@ -174,16 +205,10 @@ def test_reduced_hessian_matches_dense_reduction(perturbed_frame, q):
     s = 2 * np.pi * np.arange(1, half + 1) / q + 1e-3 * rng.standard_normal(half)
     t = billiards._symmetric_assemble(q, s)
     _, grad, diag, off = billiards._length_grad_hess(profile, geometry.MARKED_THETA + t)
-    k = np.arange(q)
-    hess = np.diag(diag)
-    np.add.at(hess, (k, (k + 1) % q), off)
-    np.add.at(hess, ((k + 1) % q, k), off)
-    reduction = np.zeros((q, half))
-    for j in range(1, half + 1):
-        reduction[j, j - 1] = 1.0
-        reduction[q - j, j - 1] = -1.0
+    hess, reduction = _dense_cyclic(diag, off), _reduction(q)
 
-    _, gr, hr = billiards._reduced_grad_hess(profile, t)
+    _, gr, band = billiards._reduced_grad_hess(profile, t)
+    hr = _dense(band)
     assert hr.shape == (half, half)
     assert_allclose(hr, reduction.T @ hess @ reduction, rtol=0, atol=1e-14)
     assert_allclose(gr, reduction.T @ grad, rtol=0, atol=1e-14)
@@ -203,7 +228,8 @@ def test_reduced_gradient_and_hessian_finite_difference(perturbed_frame):
             frame, geometry.MARKED_THETA + billiards._symmetric_assemble(q, s)
         )
 
-    _, gr, hr = reduced(s)
+    _, gr, band = reduced(s)
+    hr = _dense(band)
 
     fd_grad = np.zeros(4)
     fd_hess = np.zeros((4, 4))
@@ -215,6 +241,178 @@ def test_reduced_gradient_and_hessian_finite_difference(perturbed_frame):
     assert np.max(np.abs(gr)) > 1e-3  # away from the orbit, so the check has teeth
     assert_allclose(gr, fd_grad, rtol=0, atol=1e-9)
     assert_allclose(hr, fd_hess, rtol=0, atol=1e-9)
+
+
+# -- symmetric tridiagonal band algebra -------------------------------------------
+
+
+@st.composite
+def _bands(draw):
+    """A symmetric tridiagonal band (d, e) and whether it was drawn negative definite."""
+    n = draw(st.integers(1, 40))
+    entry = st.floats(-1.0, 1.0)
+    e = np.array(draw(st.lists(entry, min_size=n - 1, max_size=n - 1)))
+    definite = draw(st.booleans())
+    if definite:  # strictly diagonally dominant with a negative diagonal
+        margin = np.array(draw(st.lists(st.floats(1e-3, 1.0), min_size=n, max_size=n)))
+        d = -(np.abs(np.append(e, 0.0)) + np.abs(np.insert(e, 0, 0.0)) + margin)
+    else:
+        d = np.array(draw(st.lists(entry, min_size=n, max_size=n)))
+    return (d, e), definite
+
+
+@settings(max_examples=300, deadline=None)
+@given(_bands(), st.data())
+def test_band_solve_inertia_and_max_eig_against_dense(drawn, data):
+    """Band LDL^T solve, Sturm count and Laguerre eigenvalue against numpy's dense routines.
+
+    The solve does not pivot, so it is compared where it is used: on
+    definite bands. The count and the eigenvalue hold on any band.
+    """
+    band, definite = drawn
+    hess = _dense(band)
+    n = len(band[0])
+    eig = np.linalg.eigvalsh(hess)
+    scale = max(np.max(np.abs(eig)), 1e-300)
+    if definite:
+        b = np.array(data.draw(st.lists(st.floats(-1.0, 1.0), min_size=n, max_size=n)))
+        expect = np.linalg.solve(hess, b)
+        got = billiards._band_solve(band, b)
+        assert np.max(np.abs(got - expect)) <= 1e-10 * max(np.max(np.abs(expect)), 1e-300)
+    shift = billiards.HESSIAN_POS_TOL
+    assume(np.min(np.abs(eig - shift)) > 1e-9 * scale)
+    assert billiards._band_inertia(band, shift) == np.sum(eig < shift)
+    assert abs(billiards._band_max_eig(band) - eig[-1]) <= 1e-10 * scale
+    if eig[-1] < shift:  # the start the orbit solver uses once the inertia shows maximality
+        assert abs(billiards._band_max_eig(band, shift) - eig[-1]) <= 1e-10 * scale
+
+
+def test_orbit_maximality_matches_dense_eigenvalues(perturbed_frame, perturbed_orbits):
+    """`maximal` and `hessian_max_eig` against eigvalsh of the assembled reduced Hessian."""
+    orbits = dict(perturbed_orbits)
+    orbits[256] = billiards.maximal_marked_orbit(perturbed_frame, 256)
+    for q, orb in orbits.items():
+        half = (q - 1) // 2
+        if not half:
+            assert orb.maximal and orb.hessian_max_eig == -np.inf
+            continue
+        _, _, band = billiards._reduced_grad_hess(perturbed_frame.profile, orb.theta - np.pi)
+        top = np.linalg.eigvalsh(_dense(band))[-1]
+        assert orb.maximal == (top < billiards.HESSIAN_POS_TOL)
+        assert abs(orb.hessian_max_eig - top) <= 1e-10 * abs(top)
+
+
+# -- 30-digit orbit oracle -----------------------------------------------------------
+
+
+def _mp_reduced_gradient(coeffs, q, s):
+    """Reduced length gradient of the symmetric orbit with free offsets ``s``, in mpmath."""
+    half = (q - 1) // 2
+    pi = mpmath.pi
+    offset = 1 + sum(mpmath.mpf(a) * (-1) ** n for n, a in enumerate(coeffs))
+    t = [mpmath.mpf(0)] * q
+    for j in range(1, half + 1):
+        t[j], t[q - j] = s[j - 1], 2 * pi - s[j - 1]
+    if q % 2 == 0:
+        t[q // 2] = pi
+    pts, vel = [], []
+    for tk in t:
+        th = pi + tk
+        r = 1 + sum(mpmath.mpf(a) * mpmath.cos(n * th) for n, a in enumerate(coeffs))
+        r1 = -sum(n * mpmath.mpf(a) * mpmath.sin(n * th) for n, a in enumerate(coeffs))
+        c, sn = mpmath.cos(th), mpmath.sin(th)
+        pts.append((offset + r * c, r * sn))
+        vel.append((r1 * c - r * sn, r1 * sn + r * c))
+    unit = []
+    for k in range(q):
+        dx = pts[(k + 1) % q][0] - pts[k][0]
+        dy = pts[(k + 1) % q][1] - pts[k][1]
+        ell = mpmath.sqrt(dx * dx + dy * dy)
+        unit.append((dx / ell, dy / ell))
+    # d(length)/d(theta_k) = V_k . (u_{k-1} - u_k)
+    grad = [vel[k][0] * (unit[k - 1][0] - unit[k][0]) + vel[k][1] * (unit[k - 1][1] - unit[k][1])
+            for k in range(q)]
+    return [grad[j] - grad[q - j] for j in range(1, half + 1)]
+
+
+def _mp_orbit_theta(frame, q, theta):
+    """Bounce parameters of the symmetric orbit near ``theta``, solved to 30 digits.
+
+    Newton-chord in the free offsets: the gradient is evaluated in mpmath and
+    the step solved with the reduced Hessian assembled densely in double
+    precision. The iteration matrix only sets the rate of convergence; the
+    fixed point is the zero of the 30-digit gradient.
+    """
+    coeffs = frame.profile.radial_coeffs
+    half = (q - 1) // 2
+    _, _, diag, off = billiards._length_grad_hess(frame.profile, theta)
+    reduction = _reduction(q)
+    inverse = np.linalg.inv(reduction.T @ _dense_cyclic(diag, off) @ reduction)
+    with mpmath.workdps(30):
+        s = [mpmath.mpf(float(v)) - mpmath.pi for v in theta[1 : half + 1]]
+        for _ in range(4):
+            grad = _mp_reduced_gradient(coeffs, q, s)
+            step = inverse @ np.array([float(g) for g in grad])
+            s = [sj - mpmath.mpf(float(dj)) for sj, dj in zip(s, step)]
+            if np.max(np.abs(step)) < 1e-24:
+                break
+        else:
+            raise AssertionError("30-digit Newton-chord solve did not settle")
+        full = [mpmath.mpf(0)] * q
+        for j in range(1, half + 1):
+            full[j], full[q - j] = s[j - 1], 2 * mpmath.pi - s[j - 1]
+        if q % 2 == 0:
+            full[q // 2] = mpmath.pi
+        return np.array([float(mpmath.pi + tk) for tk in full])
+
+
+@pytest.mark.parametrize(
+    "coeffs, q, tol",
+    [
+        ([0.0, 0.0, 0.01], 256, 1e-12),
+        ([0.0, 0.0, 0.0, 0.0, 0.0, 0.005], 256, 1e-12),
+        ([0.0, 0.0, 0.01], 1024, 1e-11),
+    ],
+)
+def test_orbit_matches_30_digit_solve(coeffs, q, tol):
+    """The polished stop resolves the orbit to roundoff.
+
+    The smallest Hessian eigenvalue falls like q^-3 (1.1e-7 at q=1024), so
+    ``|grad| < tol`` alone bounds the error in theta only by tol / 1.1e-7.
+    The step taken after the gradient test closes that gap: even a stop at
+    |grad| < 1e-9, which leaves up to 8e-7 rad without it, meets the oracle.
+    """
+    frame = geometry.build_frame(geometry.build_profile(coeffs), 2048)
+    orb = billiards.maximal_marked_orbit(frame, q)
+    exact = _mp_orbit_theta(frame, q, orb.theta)
+    assert 0.0 < orb.final_step < 1e-6
+    assert np.max(np.abs(orb.theta - exact)) <= tol
+    loose = billiards.maximal_marked_orbit(frame, q, tol=1e-9)
+    assert np.max(np.abs(loose.theta - exact)) <= tol
+
+
+def test_poincare_tree_product_matches_per_bounce_loop(perturbed_frame, perturbed_orbits):
+    """The batched pairwise product keeps the order step[q-1] @ ... @ step[0]."""
+
+    def loop(orbit):
+        kappa = perturbed_frame.profile.curvature(orbit.theta)
+        sin_phi, q = orbit.sin_phi, orbit.q
+        mat = np.eye(2)
+        for k in range(q):
+            k1 = (k + 1) % q
+            tau, k0c, k1c, s0, s1 = orbit.chords[k], kappa[k], kappa[k1], sin_phi[k], sin_phi[k1]
+            step = np.array(
+                [[k0c * tau - s0, tau], [k0c * k1c * tau - k0c * s1 - k1c * s0, k1c * tau - s1]]
+            ) / s1
+            mat = step @ mat
+        return mat
+
+    orbits = [perturbed_orbits[q] for q in (2, 3, 8, 64)]
+    orbits += [billiards.maximal_marked_orbit(perturbed_frame, q) for q in (17, 1024)]
+    for orbit in orbits:
+        expect = loop(orbit)
+        got = billiards.linearized_poincare(perturbed_frame, orbit).matrix
+        assert np.max(np.abs(got - expect)) <= 1e-12 * np.max(np.abs(expect))
 
 
 def test_compute_orbits_threaded_matches_serial(perturbed_frame):

@@ -60,6 +60,27 @@ def test_orbits_table(tmp_path):
     assert first[0] == 2.0 and abs(first[6] - 4.0) < 1e-10
 
 
+def test_frame_zero_is_refused(tmp_path, capsys):
+    """--frame 0 reaches build_frame's check instead of falling back to 512."""
+    spec = tmp_path / "domain.json"
+    spec.write_text(json.dumps({"radial_cosine_coeffs": [0.0, 0.0, 0.01], "frame_samples": 1024}))
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"frame": 512}))
+    for source in (["--coeffs", "0,0,0.01"], ["--domain", str(spec)],
+                   ["--coeffs", "", "--config", str(cfg)]):
+        out = tmp_path / "out"
+        assert run(["domain", "dump", *source, "--frame", "0", "--out", str(out)]) == 1
+        assert "n_samples must be even and >= 256, got 0" in capsys.readouterr().err
+        assert not (out / "frame.csv").exists()
+
+
+def test_orbits_q_max_below_two_is_a_usage_error(tmp_path, capsys):
+    assert run(["orbits", "--coeffs", "", "--q-max", "1", "--q-ladder", "8",
+                "--out", str(tmp_path)]) == 1
+    assert "usage error: --q-max must be >= 2" in capsys.readouterr().err
+    assert not (tmp_path / "orbits.csv").exists()
+
+
 def test_certificate_analytic_only(tmp_path, capsys):
     code = run(["operator", "certify", "--gamma", "3.5", "--epsilon", "0",
                 "--out", str(tmp_path)])
