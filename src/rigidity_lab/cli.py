@@ -123,9 +123,13 @@ def cmd_domain(args) -> int:
     return 0
 
 
-def cmd_orbits(args) -> int:
+def _check_q_max(args) -> None:
     if args.q_max < 2:
         raise _UsageError(f"--q-max must be >= 2, got {args.q_max}")
+
+
+def cmd_orbits(args) -> int:
+    _check_q_max(args)
     profile, n = _load_profile(args)
     frame = geometry.build_frame(profile, n)
     qs = sorted(set(range(2, args.q_max + 1)) | set(args.q_ladder or []))
@@ -152,6 +156,7 @@ def cmd_orbits(args) -> int:
 
 
 def cmd_invariants(args) -> int:
+    _check_q_max(args)
     profile, n = _load_profile(args)
     frame = geometry.build_frame(profile, n)
     K = functionals.CosineSeries(_parse_coeffs(args.robin_coeffs))

@@ -6,13 +6,17 @@ come in two families: plain bounce sums weighted by sin(phi), and the
 normalized sums weighted by ``mu/(q^2 sin(phi))`` whose large-q limit is
 the mean of u. Fourier data of the angle-correction function S_q feeds the
 operator certificates.
+
+Series are evaluated by one ``irfft`` on uniform grids (``on_grid``), by the
+direct cosine sum at scattered points, and in one batch over all bounce
+points for the bounce sums (``bounce_sums``).
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Mapping
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -43,23 +47,34 @@ class CosineSeries:
     @classmethod
     def from_function(cls, fn, jmax: int, n_grid: int = 1024) -> "CosineSeries":
         """Project a function of x onto the cosine basis (grid transform)."""
-        if jmax > n_grid // 4:
-            raise ValueError(f"jmax={jmax} above anti-alias cap {n_grid // 4}")
-        x = np.arange(n_grid) / n_grid
-        vals = np.asarray(fn(x), dtype=float)
-        spec = np.fft.rfft(vals) / n_grid
-        coeffs = 2.0 * spec[: jmax + 1].real
-        coeffs[0] = spec[0].real
-        return cls(coeffs)
+        return cls(cosine_coeffs(fn(np.arange(n_grid) / n_grid), jmax))
 
     @property
     def jmax(self) -> int:
         return len(self.coeffs) - 1
 
     def __call__(self, x):
+        """Values at scattered points, by the direct cosine sum."""
         x = np.asarray(x, dtype=float)
         j = np.arange(len(self.coeffs))
         return np.cos(2.0 * np.pi * np.multiply.outer(x, j)) @ self.coeffs
+
+    def on_grid(self, n: int) -> np.ndarray:
+        """Values at x = k/n, k = 0..n-1, from one ``irfft``; inverse of `cosine_coeffs`.
+
+        Frequencies above n/2 are folded onto |j mod n|, the frequency they
+        take at these points.
+        """
+        c = self.coeffs
+        if len(c) > n // 2 + 1:
+            j = np.arange(len(c)) % n
+            c = np.bincount(np.minimum(j, n - j), weights=c, minlength=n // 2 + 1)
+        spec = np.zeros(n // 2 + 1)
+        spec[: len(c)] = 0.5 * n * c
+        spec[0] *= 2.0
+        if n % 2 == 0:
+            spec[-1] *= 2.0  # the Nyquist bin is not split between +j and -j
+        return np.fft.irfft(spec, n)
 
     @property
     def at_zero(self) -> float:
@@ -87,20 +102,47 @@ class CosineSeries:
         return CosineSeries(-self.coeffs)
 
 
+def _fourier_coeffs(values, jmax: int) -> np.ndarray:
+    """``integral f(x) exp(-2 pi i j x) dx`` for j = 0..jmax from samples at x = k/n."""
+    vals = np.asarray(values, dtype=float)
+    n = len(vals)
+    if jmax > n // 4:
+        raise ValueError(f"jmax={jmax} above anti-alias cap {n // 4} for {n} samples")
+    return np.fft.rfft(vals)[: jmax + 1] / n
+
+
+def cosine_coeffs(values, jmax: int) -> np.ndarray:
+    """Cosine coefficients 0..jmax of an even function sampled at x = k/n."""
+    spec = _fourier_coeffs(values, jmax)
+    coeffs = 2.0 * spec.real
+    coeffs[0] = spec[0].real
+    return coeffs
+
+
 def series_from_arclength(fn_sigma, chart: LazutkinChart, jmax: int) -> CosineSeries:
     """Resample an arclength-parametrized boundary function into the x basis."""
-    n = chart.n_grid
     sigma_vals = chart.sigma_of_theta(chart.theta_at_x_nodes)
-    vals = np.asarray(fn_sigma(sigma_vals), dtype=float)
-    if jmax > n // 4:
-        raise ValueError(f"jmax={jmax} above anti-alias cap {n // 4}")
-    spec = np.fft.rfft(vals) / n
-    coeffs = 2.0 * spec[: jmax + 1].real
-    coeffs[0] = spec[0].real
-    return CosineSeries(coeffs)
+    return CosineSeries(cosine_coeffs(fn_sigma(sigma_vals), jmax))
 
 
 # -- plain bounce-sum functionals ---------------------------------------------
+
+
+def bounce_sums(u, orbits: Sequence[PeriodicOrbit]) -> np.ndarray:
+    """``sum_k u(x_k) / sin(phi_k)`` per orbit, in order: one evaluation of u over
+    all bounce points, split with ``np.add.reduceat``. A grazing bounce raises."""
+    if not orbits:
+        return np.zeros(0)
+    x = np.concatenate([orb.x for orb in orbits])
+    sin_phi = np.concatenate([orb.sin_phi for orb in orbits])
+    starts = np.cumsum([0] + [len(orb.x) for orb in orbits[:-1]])
+    if np.min(sin_phi) < SIN_PHI_TOL:
+        i = int(np.argmin(sin_phi))
+        q = orbits[int(np.searchsorted(starts, i, side="right")) - 1].q
+        raise SingularAngleError(
+            f"bounce angle too close to grazing at q={q} (sin phi = {sin_phi[i]:.3g})"
+        )
+    return np.add.reduceat(u(x) / sin_phi, starts)
 
 
 def ell_q(u, orbit: PeriodicOrbit) -> float:
@@ -110,12 +152,7 @@ def ell_q(u, orbit: PeriodicOrbit) -> float:
 
 def ell_0(u, frame: BoundaryFrame) -> float:
     """Boundary integral of u against (radius of curvature) d sigma."""
-    chart = frame.chart
-
-    def integrand(theta):
-        return u(chart.x_of_theta(theta)) / frame.profile.curvature(theta)
-
-    return chart.integrate_dsigma(integrand)
+    return frame.chart.integrate_dsigma(u(frame.chart.x_nodes) / frame.chart.kappa_at_x_nodes)
 
 
 def ell_1(u, chart: LazutkinChart) -> float:
@@ -163,25 +200,23 @@ def _s_q_node_values(chart: LazutkinChart, q: int) -> np.ndarray:
 
 def sigma_p(chart: LazutkinChart, q: int, p: int) -> complex:
     """Fourier coefficient of the angle-correction function at frequency p."""
-    spec = chart.fourier_exp_dx(_s_q_node_values(chart, q), abs(int(p)))
+    spec = _fourier_coeffs(_s_q_node_values(chart, q), abs(int(p)))
     return complex(spec[abs(int(p))])
 
 
 def sigma_p_table(chart: LazutkinChart, q: int, pmax: int) -> np.ndarray:
     """Coefficients for p = 0..pmax in one transform."""
-    return chart.fourier_exp_dx(_s_q_node_values(chart, q), pmax)
+    return _fourier_coeffs(_s_q_node_values(chart, q), pmax)
 
 
 def tilde_sigma(chart: LazutkinChart, j: int) -> complex:
     """Fourier coefficient of mu^2/6, the q-independent limit of q^2 sigma_j(q)."""
-    vals = chart.mu_at_x_nodes**2 / 6.0
-    spec = chart.fourier_exp_dx(vals, abs(int(j)))
+    spec = _fourier_coeffs(chart.mu_at_x_nodes**2 / 6.0, abs(int(j)))
     return complex(spec[abs(int(j))])
 
 
 def tilde_sigma_table(chart: LazutkinChart, jmax: int) -> np.ndarray:
-    vals = chart.mu_at_x_nodes**2 / 6.0
-    return chart.fourier_exp_dx(vals, jmax)
+    return _fourier_coeffs(chart.mu_at_x_nodes**2 / 6.0, jmax)
 
 
 # -- limit diagnostics ---------------------------------------------------------
@@ -284,13 +319,9 @@ def robin_data(
     qs = sorted(orbits)
     q_max = max(qs)
     d = np.zeros(q_max + 1)
-    d[0] = chart.integrate_dx(K(chart.x_nodes) / chart.mu_at_x_nodes)
+    d[0] = chart.integrate_dx(K.on_grid(chart.n_grid) / chart.mu_at_x_nodes)
     d[1] = K.at_zero
-    for q in qs:
-        orb = orbits[q]
-        if np.min(orb.sin_phi) < SIN_PHI_TOL:
-            raise SingularAngleError(f"grazing bounce at q={q}")
-        d[q] = float(np.sum(K(orb.x) / orb.sin_phi))
+    d[qs] = bounce_sums(K, [orbits[q] for q in qs])
     return InvariantVector(
         d=d,
         H0=float(heat[0]),

@@ -329,7 +329,7 @@ class LazutkinChart:
     def mu_at_marked(self) -> float:
         return float(self.mu_of_theta(MARKED_THETA))
 
-    # -- quadrature over the normalized coordinate -----------------------
+    # -- quadrature over the normalized coordinate and arclength ---------
 
     @cached_property
     def x_nodes(self) -> np.ndarray:
@@ -341,40 +341,31 @@ class LazutkinChart:
         return self.theta_of_x(self.x_nodes)
 
     @cached_property
+    def kappa_at_x_nodes(self) -> np.ndarray:
+        return self.profile.curvature(self.theta_at_x_nodes)
+
+    @cached_property
     def mu_at_x_nodes(self) -> np.ndarray:
         return self.mu_of_theta(self.theta_at_x_nodes)
 
-    def integrate_dx(self, values_or_fn) -> float:
-        """Integral over one period of x (periodic trapezoid = mean)."""
-        vals = self._x_node_values(values_or_fn)
-        return float(np.mean(vals))
+    @cached_property
+    def dsigma_dx_at_x_nodes(self) -> np.ndarray:
+        """Arclength density ``dsigma/dx = 1/(C_L kappa^(2/3))`` at the x nodes."""
+        return 1.0 / (self.lazutkin_const * self.kappa_at_x_nodes ** (2.0 / 3.0))
 
-    def fourier_exp_dx(self, values_or_fn, jmax: int) -> np.ndarray:
-        """Coefficients ``integral f(x) exp(-2 pi i j x) dx`` for j = 0..jmax."""
-        vals = self._x_node_values(values_or_fn)
-        if jmax > self.n_grid // 4:
-            raise ValueError(
-                f"jmax={jmax} above anti-alias cap {self.n_grid // 4} for n_grid={self.n_grid}"
-            )
-        return np.fft.rfft(vals)[: jmax + 1] / self.n_grid
+    def integrate_dx(self, values) -> float:
+        """Integral over one period of x of values at the x nodes (periodic trapezoid)."""
+        return float(np.mean(self._x_node_values(values)))
 
-    def _x_node_values(self, values_or_fn) -> np.ndarray:
-        if callable(values_or_fn):
-            vals = np.asarray(values_or_fn(self.x_nodes), dtype=float)
-        else:
-            vals = np.asarray(values_or_fn, dtype=float)
+    def integrate_dsigma(self, values) -> float:
+        """Arclength integral of values at the x nodes: the trapezoid in x against dsigma/dx."""
+        return float(np.mean(self._x_node_values(values) * self.dsigma_dx_at_x_nodes))
+
+    def _x_node_values(self, values) -> np.ndarray:
+        vals = np.asarray(values, dtype=float)
         if vals.shape != (self.n_grid,):
             raise ValueError("values must match the chart grid")
         return vals
-
-    # -- quadrature over arclength ---------------------------------------
-
-    def integrate_dsigma(self, fn_of_theta) -> float:
-        """Integral of f over the boundary against arclength."""
-        t = TWO_PI * np.arange(self.n_grid) / self.n_grid
-        theta = MARKED_THETA + t
-        vals = np.asarray(fn_of_theta(theta), dtype=float)
-        return float(np.mean(vals * self.profile.speed(theta)) * TWO_PI)
 
 
 @dataclass

@@ -510,10 +510,10 @@ def neumann_invert(
     converged = False
     for _ in range(order):
         w_next = rhs + B @ w
-        delta = w_next - w
-        step = float(np.max(np.abs(delta)))
+        abs_delta = np.abs(w_next - w)
+        step = float(abs_delta.max())
         updates.append(step)
-        weighted.append(float(np.max(weights * np.abs(delta))))
+        weighted.append(float((weights * abs_delta).max()))
         w = w_next
         if tol > 0.0 and step < tol:
             converged = True

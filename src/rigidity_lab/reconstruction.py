@@ -35,7 +35,7 @@ from .errors import (
     ResidualTooLargeError,
     SymmetryViolationError,
 )
-from .functionals import CosineSeries, InvariantVector, robin_data
+from .functionals import CosineSeries, InvariantVector, bounce_sums, cosine_coeffs, robin_data
 from .geometry import BoundaryFrame, LazutkinChart, build_frame, build_profile, closeness_report
 from .operator import (
     ContractionCertificate,
@@ -195,12 +195,7 @@ class RecoveryPlan:
 
         v = CosineSeries(np.concatenate([[v0], w]))
         out_j = opt.output_jmax if opt.output_jmax is not None else min(2 * n, chart.n_grid // 4)
-        mu_vals = chart.mu_at_x_nodes
-        k_vals = mu_vals * v(chart.x_nodes)
-        spec = np.fft.rfft(k_vals) / chart.n_grid
-        coeffs = 2.0 * spec[: out_j + 1].real
-        coeffs[0] = spec[0].real
-        K_hat = CosineSeries(coeffs)
+        K_hat = CosineSeries(cosine_coeffs(chart.mu_at_x_nodes * v.on_grid(chart.n_grid), out_j))
 
         solve_residual = float(np.max(np.abs(A.entries @ w - (g - lam * b))))
         marked_residual = abs(mu0 * (v0 + float(np.sum(w))) - K0_at_marked)
@@ -318,24 +313,18 @@ def triple_disambiguate(
     K12 = (K1 - K2) - (marked[0] - marked[1]) * f
     K13 = (K1 - K3) - (marked[0] - marked[2]) * f
 
+    qs = sorted(orbits)
+
     def spectral_sup(K: CosineSeries) -> float:
-        best = 0.0
-        for q in sorted(orbits):
-            orb = orbits[q]
-            best = max(best, abs(float(np.sum(K(orb.x) / orb.sin_phi)) / q**2))
-        return best
+        sums = bounce_sums(K, [orbits[q] for q in qs])
+        return float(np.max(np.abs(sums) / np.square(qs), initial=0.0))
 
     r12, r13 = spectral_sup(K12), spectral_sup(K13)
 
-    speed = frame.profile.speed(frame.theta)
-
-    def dsigma(vals):
-        return float(np.mean(vals * speed) * 2.0 * np.pi)
-
-    k1v, k2v, k3v = (k(frame.x) for k in ks)
-    fv = f(frame.x)
-    heat12 = dsigma((k1v - k2v) * (frame.kappa + 2.0 * (k1v + k2v)))
-    heat13 = dsigma((k1v - k3v) * (frame.kappa + 2.0 * (k1v + k3v)))
+    dsigma, kappa = chart.integrate_dsigma, chart.kappa_at_x_nodes
+    k1v, k2v, k3v, fv = (k.on_grid(chart.n_grid) for k in (*ks, f))
+    heat12 = dsigma((k1v - k2v) * (kappa + 2.0 * (k1v + k2v)))
+    heat13 = dsigma((k1v - k3v) * (kappa + 2.0 * (k1v + k3v)))
     cross = dsigma((k2v - k3v) * fv)
     f_sq = dsigma(fv * fv)
     identity_residual = abs(cross - (marked[1] - marked[2]) * f_sq)
@@ -399,9 +388,7 @@ def two_symmetry_pin(
     orbit2 = compute_orbits(frame, [2])[2]
     x_far = orbit2.x[1]
     sin_phi = float(np.min(orbit2.sin_phi))
-    d1 = float(np.sum(K1(orbit2.x) / orbit2.sin_phi))
-    d2 = float(np.sum(K2(orbit2.x) / orbit2.sin_phi))
-    gap = d1 - d2
+    gap = float(bounce_sums(K1, [orbit2])[0] - bounce_sums(K2, [orbit2])[0])
     vals = (float(K1(0.0)), float(K1(x_far)), float(K2(0.0)), float(K2(x_far)))
     marked_diff = vals[0] - vals[2]
     detected = abs(gap) > detection_tol
@@ -496,21 +483,15 @@ def rigidity_suite(
             heat = heat_defect(frame, K)
             data = robin_data(frame, chart, K, {q: orbits[q] for q in range(2, opt.q_max + 1)}, heat)
             rec = plan.solve(data, K.at_zero)
-            xs = np.arange(2048) / 2048.0
-            err_sup = float(np.max(np.abs(rec.K_hat(xs) - K(xs))))
-            nc = max(len(rec.K_hat.coeffs), len(K.coeffs))
-            ca = np.zeros(nc)
-            cb = np.zeros(nc)
-            ca[: len(rec.K_hat.coeffs)] = rec.K_hat.coeffs
-            cb[: len(K.coeffs)] = K.coeffs
+            diff = rec.K_hat - K
             rows.append(
                 {
                     "domain": repr(list(coeffs)),
                     "epsilon": eps,
                     "K_label": label,
                     "K0": K.at_zero,
-                    "recovery_error_sup": err_sup,
-                    "coeff_error_sup": float(np.max(np.abs(ca - cb))),
+                    "recovery_error_sup": float(np.max(np.abs(diff.on_grid(2048)))),
+                    "coeff_error_sup": float(np.max(np.abs(diff.coeffs))),
                     "lstsq_max_diff": rec.lstsq_max_diff,
                     "holdout_residual": rec.holdout_residual,
                     "certificate_numeric": rec.certificate.numeric_norm_completed,

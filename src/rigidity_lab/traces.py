@@ -9,32 +9,27 @@ from typing import Mapping
 
 import numpy as np
 
-from .billiards import SIN_PHI_TOL, PeriodicOrbit
-from .errors import SingularAngleError
-from .functionals import CosineSeries
+from .billiards import PeriodicOrbit
+from .functionals import CosineSeries, bounce_sums
 from .geometry import BoundaryFrame
 
 
 def wave_c0(orbit: PeriodicOrbit, K: CosineSeries, C_gamma: float = 1.0) -> float:
     """Leading singularity coefficient at the orbit length: C * sum K(b)/sin(phi)."""
-    if np.min(orbit.sin_phi) < SIN_PHI_TOL:
-        raise SingularAngleError(
-            f"bounce angle too close to grazing (sin phi = {np.min(orbit.sin_phi):.3g})"
-        )
-    return float(C_gamma) * float(np.sum(K(orbit.x) / orbit.sin_phi))
+    return float(C_gamma) * float(bounce_sums(K, [orbit])[0])
 
 
 def heat_defect(frame: BoundaryFrame, K: CosineSeries) -> tuple:
     """Leading heat-trace defect coefficients (H0, H1).
 
-    H0 = (1/2pi) int K dsigma and H1 = (1/(8 sqrt(pi))) int (K kappa + 2 K^2) dsigma.
+    H0 = (1/2pi) int K dsigma and H1 = (1/(8 sqrt(pi))) int (K kappa + 2 K^2) dsigma,
+    both on the chart's uniform x nodes.
     """
-    speed = frame.profile.speed(frame.theta)
-    k_vals = K(frame.x)
-    h0 = np.mean(k_vals * speed)  # (2pi/N sum)/2pi
-    h1_integrand = k_vals * frame.kappa + 2.0 * k_vals**2
-    h1 = np.mean(h1_integrand * speed) * 2.0 * np.pi / (8.0 * np.sqrt(np.pi))
-    return float(h0), float(h1)
+    chart = frame.chart
+    k_vals = K.on_grid(chart.n_grid)
+    h0 = chart.integrate_dsigma(k_vals) / (2.0 * np.pi)
+    h1 = chart.integrate_dsigma(k_vals * chart.kappa_at_x_nodes + 2.0 * k_vals**2)
+    return float(h0), float(h1 / (8.0 * np.sqrt(np.pi)))
 
 
 @dataclass
@@ -109,14 +104,11 @@ def build_trace_data(
     m_max: int = 1,
 ) -> TraceData:
     h0, h1 = heat_defect(frame, K)
+    qs = sorted(orbits)
+    c0 = bounce_sums(K, [orbits[q] for q in qs])
     records = [
-        {
-            "q": q,
-            "length": orbits[q].length,
-            "c0_normalized": wave_c0(orbits[q], K),
-            "C_gamma": 1.0,
-        }
-        for q in sorted(orbits)
+        {"q": q, "length": orbits[q].length, "c0_normalized": float(c), "C_gamma": 1.0}
+        for q, c in zip(qs, c0)
     ]
     return TraceData(
         records=records,

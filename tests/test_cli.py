@@ -5,6 +5,7 @@ import sys
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 import rigidity_lab
 from rigidity_lab import cli
@@ -79,6 +80,14 @@ def test_orbits_q_max_below_two_is_a_usage_error(tmp_path, capsys):
                 "--out", str(tmp_path)]) == 1
     assert "usage error: --q-max must be >= 2" in capsys.readouterr().err
     assert not (tmp_path / "orbits.csv").exists()
+
+
+@pytest.mark.parametrize("q_max", ["1", "0", "-3"])
+def test_invariants_q_max_below_two_is_a_usage_error(tmp_path, capsys, q_max):
+    assert run(["invariants", "--coeffs", "0,0,0.01", "--robin-coeffs", "0,-1,1",
+                "--q-max", q_max, "--out", str(tmp_path)]) == 1
+    assert f"usage error: --q-max must be >= 2, got {q_max}" in capsys.readouterr().err
+    assert not (tmp_path / "invariants.json").exists()
 
 
 def test_certificate_analytic_only(tmp_path, capsys):

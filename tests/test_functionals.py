@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
+from rigidity_lab import billiards, traces
 from rigidity_lab import functionals as fn
 from rigidity_lab import geometry
-from rigidity_lab.errors import InsufficientLadderError
+from rigidity_lab.errors import InsufficientLadderError, SingularAngleError
 
 LADDER = (8, 16, 32, 64)
 
@@ -41,12 +43,100 @@ def test_projection_alias_guard():
         fn.CosineSeries.from_function(lambda x: x, jmax=100, n_grid=256)
 
 
+def _grid_direct_sum(coeffs, n):
+    """Cosine sum at x = k/n with the phase reduced exactly: j k mod n in integers."""
+    j = np.arange(len(coeffs))
+    rows = np.array_split(np.arange(n), max(1, n // 256))  # bounded memory at n = 4096
+    return np.concatenate([np.cos(2.0 * np.pi * (np.outer(k, j) % n) / n) @ coeffs for k in rows])
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(128, 2048), st.data())
+def test_on_grid_matches_direct_sum_and_inverts_cosine_coeffs(half_n, data):
+    n = 2 * half_n
+    size = data.draw(st.integers(1, half_n), label="size")
+    seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
+    c0 = data.draw(st.floats(-10.0, 10.0), label="c0")
+    decay = data.draw(st.sampled_from([0.0, 0.01, 0.2]), label="decay")
+    j = np.arange(size)
+    coeffs = np.random.default_rng(seed).standard_normal(size) * np.exp(-decay * j)
+    coeffs[0] = c0
+    total = np.sum(np.abs(coeffs))
+    vals = fn.CosineSeries(coeffs).on_grid(n)
+    assert vals.shape == (n,)
+    assert np.max(np.abs(vals - _grid_direct_sum(coeffs, n))) <= 1e-13 * total
+    # __call__ rounds each phase 2 pi j x to about 2 eps of itself
+    call_tol = 1e-13 * total + 4.0 * np.pi * np.finfo(float).eps * np.sum(j * np.abs(coeffs))
+    direct = np.concatenate([fn.CosineSeries(coeffs)(x)
+                             for x in np.array_split(np.arange(n) / n, n // 256)])
+    assert np.max(np.abs(vals - direct)) <= call_tol
+    jmax = min(size - 1, n // 4)
+    assert np.max(np.abs(fn.cosine_coeffs(vals, jmax) - coeffs[: jmax + 1])) <= 1e-13 * total
+
+
+@pytest.mark.parametrize("n", [256, 258, 255])
+def test_on_grid_nyquist_and_aliased_frequencies(n, rng):
+    """Frequencies at and past n/2 take the value they alias to on the grid."""
+    for size in (n // 2 + 1, 3 * n + 5):
+        coeffs = rng.standard_normal(size)
+        vals = fn.CosineSeries(coeffs).on_grid(n)
+        assert_allclose(vals, _grid_direct_sum(coeffs, n), rtol=0,
+                        atol=1e-13 * np.sum(np.abs(coeffs)))
+
+
+def test_cosine_coeffs_alias_guard():
+    with pytest.raises(ValueError, match="anti-alias"):
+        fn.cosine_coeffs(np.ones(256), 65)
+
+
 def test_series_from_arclength_circle(circle_frame):
     u = fn.series_from_arclength(np.cos, circle_frame.chart, jmax=4)
     assert_allclose(u.coeffs, [0.0, 1.0, 0.0, 0.0, 0.0], rtol=0, atol=1e-12)
 
 
 # -- plain bounce sums -------------------------------------------------------------
+
+
+@pytest.fixture(scope="module")
+def a5_orbits():
+    frame = geometry.build_frame(geometry.build_profile([0.0] * 5 + [0.005]), 512)
+    return frame, billiards.compute_orbits(frame, range(2, 17))
+
+
+@pytest.mark.parametrize("domain", ["circle", "a2=0.01", "a5=0.005"])
+def test_bounce_sums_match_per_orbit_loop(domain, request, a5_orbits, rng):
+    if domain == "a5=0.005":
+        frame, orbits = a5_orbits
+    else:
+        name = "circle" if domain == "circle" else "perturbed"
+        frame = request.getfixturevalue(f"{name}_frame")
+        orbits = request.getfixturevalue(f"{name}_orbits")
+    qs = sorted(orbits)
+    K = fn.CosineSeries(rng.standard_normal(7))
+    loop = np.array([np.sum(K(orbits[q].x) / orbits[q].sin_phi) for q in qs])
+    scale = np.array([np.sum(np.abs(K(orbits[q].x) / orbits[q].sin_phi)) for q in qs])
+    batched = fn.bounce_sums(K, [orbits[q] for q in qs])
+    assert np.max(np.abs(batched - loop) / scale) <= 1e-14
+    # every caller takes its sums from the helper
+    deep = {q: orbits[q] for q in qs if q <= 16}
+    data = fn.robin_data(frame, frame.chart, K, deep, (0.0, 0.0))
+    assert np.array_equal(data.d[sorted(deep)], fn.bounce_sums(K, [deep[q] for q in sorted(deep)]))
+    records = traces.build_trace_data(frame, K, orbits).records
+    assert np.max(np.abs(np.array([r["c0_normalized"] for r in records]) - loop) / scale) <= 1e-14
+    assert traces.wave_c0(orbits[qs[-1]], K) == pytest.approx(loop[-1], rel=1e-14)
+
+
+def test_bounce_sums_grazing_guard_names_the_period(circle_orbits):
+    orb = circle_orbits[3]
+    hacked = billiards.PeriodicOrbit(
+        q=3, theta=orb.theta, sigma=orb.sigma, x=orb.x, phi=orb.phi,
+        sin_phi=np.array([1.0, 1e-12, 1.0]), chords=orb.chords, length=orb.length,
+        maximal=True, hessian_max_eig=0.0, reflection_residual=0.0,
+        gradient_residual=0.0, iterations=0,
+    )
+    with pytest.raises(SingularAngleError, match="q=3"):
+        fn.bounce_sums(fn.CosineSeries.basis(0), [circle_orbits[2], hacked, circle_orbits[4]])
+    assert fn.bounce_sums(fn.CosineSeries.basis(0), []).shape == (0,)
 
 
 def test_ell_q_circle_values(circle_orbits):

@@ -1,3 +1,6 @@
+import bisect
+
+import mpmath
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -55,6 +58,83 @@ def test_heat_defect_quadratic_split(perturbed_frame, rng):
     quadratic = (h1_2 - 2.0 * h1_1) / 2.0
     _, h1_3 = traces.heat_defect(perturbed_frame, 3.0 * K)
     assert_allclose(h1_3, 3.0 * linear + 9.0 * quadratic, rtol=0, atol=1e-10)
+
+
+def _heat_theta_trapezoid(frame, K):
+    """(H0, H1) by the periodic trapezoid on the frame's uniform theta grid."""
+    speed = frame.profile.speed(frame.theta)
+    k = K(frame.x)
+    h0 = np.mean(k * speed)
+    h1 = np.mean((k * frame.kappa + 2.0 * k**2) * speed) * 2.0 * np.pi / (8.0 * np.sqrt(np.pi))
+    return h0, h1
+
+
+@pytest.mark.parametrize("n", [512, 2048])
+@pytest.mark.parametrize("coeffs", [[], [0.0, 0.0, 0.01], [0.0, 0.0, 0.0, 0.01],
+                                    [0.0] * 5 + [0.005], [0.0, 0.0, 0.01, 0.0, 0.002]])
+def test_heat_on_x_nodes_matches_theta_trapezoid(coeffs, n, rng):
+    frame = geometry.build_frame(geometry.build_profile(coeffs), n)
+    c = rng.standard_normal(9)
+    s = np.sum(np.abs(c))
+    h0, h1 = traces.heat_defect(frame, fn.CosineSeries(c))
+    t0, t1 = _heat_theta_trapezoid(frame, fn.CosineSeries(c))
+    assert abs(h0 - t0) <= 1e-13 * s
+    assert abs(h1 - t1) <= 1e-13 * (s + s * s)
+    # the same weight integrates the radius of curvature in ell_0
+    theta_ell0 = np.mean(frame.profile.speed(frame.theta) / frame.kappa) * 2.0 * np.pi
+    assert abs(fn.ell_0(fn.CosineSeries.basis(0), frame) - theta_ell0) <= 1e-13
+
+
+def _heat_mpmath(radial, k_coeffs, dps=20):
+    """(H0, H1) by mpmath.quad over theta, x(theta) by nested quadrature of the density."""
+    with mpmath.workdps(dps):
+        a = [mpmath.mpf(v) for v in radial]
+        pi = mpmath.pi
+
+        def kappa_speed(th):
+            r = 1 + sum(an * mpmath.cos(n * th) for n, an in enumerate(a))
+            r1 = -sum(n * an * mpmath.sin(n * th) for n, an in enumerate(a))
+            r2 = -sum(n * n * an * mpmath.cos(n * th) for n, an in enumerate(a))
+            s2 = r * r + r1 * r1
+            return (r * r + 2 * r1 * r1 - r * r2) / s2**1.5, mpmath.sqrt(s2)
+
+        def density(th):
+            kappa, speed = kappa_speed(th)
+            return mpmath.cbrt(kappa) ** 2 * speed
+
+        c_l = 1 / mpmath.quad(density, [pi, 3 * pi])
+        nodes, integrals = [pi], [mpmath.mpf(0)]
+
+        def x_of(th):  # integrate from the nearest theta already done
+            i = bisect.bisect(nodes, th) - 1
+            if nodes[i] != th:
+                val = integrals[i] + mpmath.quad(density, [nodes[i], th], method="gauss-legendre")
+                nodes.insert(i + 1, th)
+                integrals.insert(i + 1, val)
+                i += 1
+            return c_l * integrals[i]
+
+        def K(th):
+            x = x_of(th)
+            return sum(c * mpmath.cos(2 * pi * j * x) for j, c in enumerate(k_coeffs))
+
+        def h1_integrand(th):
+            kappa, speed = kappa_speed(th)
+            k = K(th)
+            return (k * kappa + 2 * k * k) * speed
+
+        h0 = mpmath.quad(lambda th: K(th) * kappa_speed(th)[1], [pi, 3 * pi]) / (2 * pi)
+        h1 = mpmath.quad(h1_integrand, [pi, 3 * pi]) / (8 * mpmath.sqrt(pi))
+        return float(h0), float(h1)
+
+
+def test_heat_coefficients_match_mpmath_oracle():
+    k_coeffs = [0.3, 1.0, -0.5, 0.25]
+    frame = geometry.build_frame(geometry.build_profile([0.0, 0.0, 0.01]), 512)
+    h0, h1 = traces.heat_defect(frame, fn.CosineSeries(k_coeffs))
+    o0, o1 = _heat_mpmath([0.0, 0.0, 0.01], k_coeffs)
+    assert abs(h0 - o0) <= 1e-13
+    assert abs(h1 - o1) <= 1e-13
 
 
 def test_length_spectrum_circle_sorted(circle_frame, circle_orbits):
