@@ -5,12 +5,15 @@ orbit of rotation number 1/q through the marked point that maximizes the
 polygon length. It runs damped Newton on the length gradient in reduced
 coordinates (only the bounces in the open upper half are free; mirror
 bounces are slaved, and for even q the antipodal axis bounce is pinned).
-Every step costs O(q) and forms no dense matrix:
+`compute_orbits` solves all its periods in one lockstep Newton, each step
+O(sum q) with no dense matrix:
 
 - it starts from the Lazutkin points ``x = k/q``, which the orbit misses by
   O(q^-2), interpolated in the frame's own (x, theta) table;
-- the reduced Hessian is a tridiagonal band, and the Newton step is its
-  LDL^T (Thomas) solve;
+- each reduced Hessian is a tridiagonal band; with zero couplings between
+  periods one LDL^T (Thomas) pass gives every period's Newton step, and the
+  line search and stop run per period on masks, so each period takes the
+  steps it would take alone;
 - once ``|grad| < tol`` one more full Newton step is taken, because the
   smallest Hessian eigenvalue falls like q^-3 and the gradient alone does
   not bound the error in theta; its size is kept as ``final_step``;
@@ -20,13 +23,14 @@ Every step costs O(q) and forms no dense matrix:
 
 A geometric shooting map (`billiard_map`) provides an independent route to
 the same orbits and to finite-difference return-map Jacobians; it shares no
-code with the variational solver beyond the boundary parametrization. Each
-bounce is bracketed by a scan of the boundary and polished by a safeguarded
-Newton solve that falls back to bisection.
+code with the variational solver beyond the boundary parametrization. Strict
+convexity brackets each bounce by the whole boundary, and a safeguarded
+Newton solve from the circle's chord angle polishes it.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Mapping
@@ -46,7 +50,7 @@ GRADIENT_TOL = 1e-13
 MAX_NEWTON_ITER = 60
 MAX_EIG_ITER = 50
 HESSIAN_POS_TOL = 1e-8
-MAX_SHOOT_ITER = 100  # bisection alone needs ~40 steps from a scan bracket to 1e-14
+MAX_SHOOT_ITER = 100  # bisection alone needs ~50 steps from (0, 2 pi) to 1e-14
 
 #: bounces with sin(phi) below this are treated as grazing by every
 #: functional, trace and transfer matrix built on an orbit
@@ -112,20 +116,70 @@ def _bounce_jet(profile, thetas):
     return pos, vel, acc
 
 
-def _length_grad_hess(profile, thetas):
-    """Gradient and cyclic tridiagonal Hessian of the closed polygon length.
+class _Periods:
+    """Index arrays for the bounces of the periods ``qs`` laid end to end.
 
-    Returns ``(length, grad, diag, off)``: ``diag[k]`` is the Hessian entry at
-    bounce k and ``off[k]`` the entry coupling bounces k and k+1 (cyclic).
+    Period p owns bounces ``start[p] : start[p] + q`` (bounce 0 is the marked
+    point) and free offsets ``free[p] : free[p] + half``. Free offset j moves
+    bounce ``up`` = j and, oppositely, its mirror ``down`` = q - j; for even q
+    the ``axis`` bounce q/2 is pinned at pi.
     """
-    q = len(thetas)
-    nxt, prv = np.arange(1, q + 1) % q, np.arange(-1, q - 1) % q
+
+    def __init__(self, qs):
+        self.qs = q = np.array(qs, dtype=int)
+        self.half = half = (q - 1) // 2
+        self.start, self.free = np.cumsum(q) - q, np.cumsum(half) - half
+        owner, fowner = np.repeat(np.arange(len(q)), q), np.repeat(np.arange(len(q)), half)
+        k, base = np.arange(len(owner)) - self.start[owner], self.start[owner]
+        self.nxt, self.prv = base + (k + 1) % q[owner], base + (k - 1) % q[owner]
+        self.wrap = k == q[owner] - 1
+        self.j, self.jq = np.arange(len(fowner)) - self.free[fowner] + 1, q[fowner]
+        self.up = self.start[fowner] + self.j
+        self.down = self.start[fowner] + self.jq - self.j
+        self.axis = (self.start + q // 2)[q % 2 == 0]
+        self.end = (self.free + half - 1)[half > 0]
+        self.odd_end = self.end[q[half > 0] % 2 == 1]
+
+    def assemble(self, s):
+        """Full offset vector from the free offsets: t_0 = 0 and t_{q-j} = 2 pi - t_j."""
+        t = np.zeros(len(self.nxt))
+        t[self.up], t[self.down], t[self.axis] = s, TWO_PI - s, np.pi
+        return t
+
+    def increasing(self, t):
+        """Per period: the offsets rise by more than 1e-12 and stay 1e-12 below 2 pi."""
+        ok = np.where(self.wrap, t < TWO_PI - 1e-12, t[self.nxt] - t > 1e-12)
+        return np.logical_and.reduceat(ok, self.start)
+
+
+_periods = functools.lru_cache(maxsize=32)(_Periods)  # shared between callers: read only
+
+
+def _symmetric_assemble(q: int, s):
+    """Full offset vector of one period q from its free upper-half offsets ``s``."""
+    return _periods((q,)).assemble(s)
+
+
+def _length_grad_hess(profile, thetas, lay=None):
+    """Chords, gradient and cyclic tridiagonal Hessian of closed polygon lengths.
+
+    ``lay`` cuts ``thetas`` into polygons (default: one). Returns ``(ell,
+    grad, diag, off)``: chord k joins bounces k and k+1 of its polygon,
+    ``diag[k]`` is the Hessian entry at bounce k and ``off[k]`` the entry
+    coupling k and k+1. A chord below 1e-12 raises DegenerateChordError,
+    whose ``qs`` lists the periods of the polygons at fault.
+    """
+    lay = lay or _periods((len(thetas),))
+    nxt, prv = lay.nxt, lay.prv
     (px, py), (vx, vy), (ax, ay) = _bounce_jet(profile, thetas)
 
     dx, dy = px[nxt] - px, py[nxt] - py
     ell = np.hypot(dx, dy)
-    if np.min(ell) < 1e-12:
-        raise DegenerateChordError("degenerate chord during orbit solve")
+    short = np.minimum.reduceat(ell, lay.start) < 1e-12
+    if short.any():
+        err = DegenerateChordError("degenerate chord during orbit solve")
+        err.qs = lay.qs[short]
+        raise err
     ux, uy = dx / ell, dy / ell
 
     # gradient: tangential mismatch of incoming vs outgoing unit chords
@@ -144,44 +198,28 @@ def _length_grad_hess(profile, thetas):
     off = -(vv_cross - vu_tail * vu_head) / ell
     # chord k contributes diag_tail[k] at bounce k and diag_head[k] at bounce k+1
     diag = diag_tail + diag_head[prv]
-    return float(np.sum(ell)), grad, diag, off
+    return ell, grad, diag, off
 
 
-def _symmetric_assemble(q: int, s):
-    """Full offset vector from the free upper-half bounce offsets ``s``.
+def _reduced_grad_hess(profile, t, lay=None):
+    """Chords, gradient and Hessian band of symmetric orbits in their free offsets.
 
-    t_0 = 0 is the marked point, t_{q-k} = 2*pi - t_k is mirrored, and for
-    even q the antipodal bounce is pinned at pi.
-    """
-    half = (q - 1) // 2
-    t = np.zeros(q)
-    t[1 : half + 1] = s
-    t[q - half :] = (TWO_PI - s)[::-1]
-    if q % 2 == 0:
-        t[q // 2] = np.pi
-    return t
-
-
-def _reduced_grad_hess(profile, t):
-    """Length, gradient and Hessian band of a symmetric orbit in its free offsets.
-
-    ``t`` is the full offset vector from `_symmetric_assemble`. Free bounce j
+    ``t`` is the full offset vector from `_Periods.assemble`. Free bounce j
     (j = 1..half) moves with its mirror q-j in the opposite direction, so the
     reduced gradient is ``grad[j] - grad[q-j]`` and the reduced Hessian stays
     tridiagonal: it is returned as the band ``(d, e)`` of its diagonal and
-    off-diagonal. For odd q the mirror pair half, half+1 are neighbours, which
-    adds the coupling ``-2*off[half]`` to the last diagonal entry.
+    off-diagonal, with a zero coupling between consecutive periods. For odd q
+    the mirror pair half, half+1 are neighbours, which adds the coupling
+    ``-2*off[half]`` to the period's last diagonal entry.
     """
-    q = len(t)
-    half = (q - 1) // 2
-    length, grad, diag, off = _length_grad_hess(profile, MARKED_THETA + t)
-    j = np.arange(1, half + 1)
-    gr = grad[j] - grad[q - j]
-    d = diag[j] + diag[q - j]
-    if q % 2:
-        d[-1] -= 2.0 * off[half]
-    i = np.arange(half - 1)
-    return length, gr, (d, off[i + 1] + off[q - i - 2])
+    lay = lay or _periods((len(t),))
+    ell, grad, diag, off = _length_grad_hess(profile, MARKED_THETA + t, lay)
+    up, down = lay.up, lay.down
+    d = diag[up] + diag[down]
+    e = off[up] + off[down - 1]  # couples free j and j+1; at j = half of odd q, 2*off[half]
+    d[lay.odd_end] -= e[lay.odd_end]
+    e[lay.end] = 0.0
+    return ell, grad[up] - grad[down], (d, e[:-1])
 
 
 # -- symmetric tridiagonal bands (d, e): O(n) per pass, no dense matrix ----------
@@ -191,17 +229,24 @@ def _band_solve(band, b):
     """Solve ``H x = b`` for the band ``H = (d, e)`` by LDL^T (Thomas).
 
     No pivoting: backward stable where H is definite, as the length Hessian
-    is near a nondegenerate maximum. A zero pivot raises ZeroDivisionError.
+    is near a nondegenerate maximum. Zero couplings cut H into blocks that
+    are solved apart; a block that meets a zero pivot comes back as NaN and
+    leaves every other block as it would be alone.
     """
     d, e, b = band[0].tolist(), band[1].tolist(), b.tolist()
     n = len(d)
-    piv, mult, y = [d[0]] * n, [0.0] * n, [b[0]] * n
-    for i in range(1, n):
-        m = e[i - 1] / piv[i - 1]
-        mult[i], piv[i], y[i] = m, d[i] - m * e[i - 1], b[i] - m * y[i - 1]
-    x = [y[-1] / piv[-1]] * n
-    for i in range(n - 2, -1, -1):
-        x[i] = y[i] / piv[i] - mult[i + 1] * x[i + 1]
+    piv, mult, y, x = d[:], [0.0] * n, b[:], [math.nan] * n
+    cuts = [0, *(np.flatnonzero(band[1] == 0.0) + 1).tolist(), n]
+    for lo, hi in zip(cuts, cuts[1:]):
+        try:
+            for i in range(lo + 1, hi):
+                m = e[i - 1] / piv[i - 1]
+                mult[i], piv[i], y[i] = m, d[i] - m * e[i - 1], b[i] - m * y[i - 1]
+            x[hi - 1] = y[hi - 1] / piv[hi - 1]
+            for i in range(hi - 2, lo - 1, -1):
+                x[i] = y[i] / piv[i] - mult[i + 1] * x[i + 1]
+        except ZeroDivisionError:
+            x[lo:hi] = [math.nan] * (hi - lo)
     return np.array(x)
 
 
@@ -265,119 +310,161 @@ def _band_max_eig(band, upper: float = math.inf) -> float:
     raise NoConvergenceError(f"band eigenvalue iteration hit its cap of {MAX_EIG_ITER}")
 
 
-def _newton_step(band, gr):
-    """Newton step for gradient ``gr``, or a short ascent step where a pivot vanishes."""
-    try:
-        return _band_solve(band, -gr)
-    except ZeroDivisionError:
-        return gr * (0.1 / max(np.max(np.abs(gr)), 1.0))
+def _evaluate(profile, lay, mask, s, failed):
+    """`_reduced_grad_hess` of the periods of ``lay`` in ``mask`` at free offsets ``s``.
+
+    Returns ``(mask, t, ell, gr, d, e)`` laid out as ``lay``, zero outside
+    ``mask``; ``e`` ends each period with a zero coupling, so the band of any
+    set of whole periods is ``(d[f], e[f][:-1])``. A period with a degenerate
+    chord is recorded in ``failed`` (q -> error) and dropped from ``mask``.
+    """
+    while True:
+        sub, f = _periods(tuple(lay.qs[mask].tolist())), np.repeat(mask, lay.half)
+        t_sub = sub.assemble(s[f])
+        try:
+            ell, g, (d, e) = _reduced_grad_hess(profile, t_sub, sub)
+            break
+        except DegenerateChordError as err:
+            failed.update(dict.fromkeys(err.qs.tolist(), err))
+            mask = mask & ~np.isin(lay.qs, err.qs)
+    b = np.repeat(mask, lay.qs)
+    t, chords, terms = np.zeros(len(b)), np.zeros(len(b)), np.zeros((3, len(s)))
+    t[b], chords[b] = t_sub, ell
+    terms[:, f] = g, d, np.append(e, 0.0)[: len(d)]
+    return mask, t, chords, *terms
 
 
-def maximal_marked_orbit(
-    frame: BoundaryFrame,
-    q: int,
-    tol: float = GRADIENT_TOL,
-    max_iter: int = MAX_NEWTON_ITER,
-    require_maximal: bool = True,
-) -> PeriodicOrbit:
-    """Solve for the symmetric maximal q-periodic orbit through the marked point."""
-    if q < 2:
-        raise ValueError(f"period must be >= 2, got {q}")
-    profile = frame.profile
-    half = (q - 1) // 2
+def _solve_offsets(frame, lay, tol, max_iter, failed):
+    """Damped Newton on the free offsets of every period of ``lay`` in lockstep.
 
+    Each step evaluates the gradient and band of all live periods at once and
+    solves the block band in one pass; the line search, the monotone check
+    and the polished stop run per period on masks, so each period takes the
+    steps it would take alone. Returns the offsets and, per period, the
+    iteration count and the size of the polishing step. A failing period is
+    recorded in ``failed`` (q -> error) and drops out.
+    """
+    profile, n = frame.profile, len(lay.qs)
     # Lazutkin start: x_q^k = k/q + O(q^-2), read off the frame's own table
-    s = np.interp(np.arange(1, half + 1) / q, frame.x, frame.theta) - MARKED_THETA
-    iterations, final_step = 0, 0.0
-    if half:
-        _, gr, band = _reduced_grad_hess(profile, _symmetric_assemble(q, s))
-        for iterations in range(1, max_iter + 1):
-            step = _newton_step(band, gr)
-            if np.max(np.abs(gr)) < tol:
-                # polished stop: |grad| bounds the error only by |grad| / |lambda_min|,
-                # which grows like q^3, so one more full step resolves it to roundoff
-                s = s + step
-                final_step = float(np.max(np.abs(step)))
+    s = np.interp(lay.j / lay.jq, frame.x, frame.theta) - MARKED_THETA
+    live, _, _, gr, d, e = _evaluate(profile, lay, lay.half > 0, s, failed)
+    iterations, final_step = np.zeros(n, dtype=int), np.zeros(n)
+    for it in range(1, max_iter + 1):
+        if not live.any():
+            break
+        gmax = np.maximum.reduceat(np.abs(gr), lay.free)
+        f = np.repeat(live, lay.half)
+        step = np.zeros_like(s)
+        step[f] = _band_solve((d[f], e[f][:-1]), -gr[f])
+        # a zero pivot leaves its period's block NaN: take a short ascent step there
+        ascent = np.repeat(np.logical_or.reduceat(np.isnan(step), lay.free) & live, lay.half)
+        step[ascent] = (gr * np.repeat(0.1 / np.maximum(gmax, 1.0), lay.half))[ascent]
+        # polished stop: |grad| bounds the error only by |grad| / |lambda_min|,
+        # which grows like q^3, so one more full step resolves it to roundoff
+        done = live & (gmax < tol)
+        fd = np.repeat(done, lay.half)
+        s[fd] = s[fd] + step[fd]
+        final_step[done] = np.maximum.reduceat(np.abs(step), lay.free)[done]
+        iterations[done], live = it, live & ~done
+        search, lam = live.copy(), 1.0
+        for _ in range(50):
+            if not search.any():
                 break
-            lam, accepted = 1.0, False
-            for _ in range(50):
-                cand = s + lam * step
-                t_cand = _symmetric_assemble(q, cand)
-                if np.all(np.diff(t_cand) > 1e-12) and t_cand[-1] < TWO_PI - 1e-12:
-                    _, gr_c, band_c = _reduced_grad_hess(profile, t_cand)
-                    if np.max(np.abs(gr_c)) < np.max(np.abs(gr)) or lam < 1e-8:
-                        s, gr, band = cand, gr_c, band_c
-                        accepted = True
-                        break
-                lam *= 0.5
-            if not accepted:
-                raise NoConvergenceError(f"orbit solve stalled at q={q}")
-        else:
-            raise NoConvergenceError(
-                f"orbit solve hit the iteration cap at q={q}, "
-                f"|grad|={np.max(np.abs(gr)):.3g}"
-            )
-
-    t = _symmetric_assemble(q, s)
-    theta = MARKED_THETA + t
-    length, gr, band = _reduced_grad_hess(profile, t)
-    if half:
-        # maximal <=> every eigenvalue below HESSIAN_POS_TOL, which then bounds the largest
-        maximal = _band_inertia(band, HESSIAN_POS_TOL) == half
-        max_eig = _band_max_eig(band, HESSIAN_POS_TOL if maximal else math.inf)
-    else:
-        maximal, max_eig = True, -np.inf
-    if require_maximal and not maximal:
-        raise NotMaximalError(
-            f"second variation indefinite at q={q} (max eigenvalue {max_eig:.3g})"
-        )
-
-    nxt, prv = np.arange(1, q + 1) % q, np.arange(-1, q - 1) % q
-    (px, py), (vx, vy), _ = _bounce_jet(profile, theta)
-    speed = np.hypot(vx, vy)
-    tx, ty = vx / speed, vy / speed
-    dx, dy = px[nxt] - px, py[nxt] - py
-    chords = np.hypot(dx, dy)
-    ux, uy = dx / chords, dy / chords
-    ux_in, uy_in = ux[prv], uy[prv]
-
-    cross_out = tx * uy - ty * ux
-    dot_out = tx * ux + ty * uy
-    cross_in = ux_in * ty - uy_in * tx
-    dot_in = ux_in * tx + uy_in * ty
-    phi_out = np.arctan2(cross_out, dot_out)
-    phi_in = np.arctan2(cross_in, dot_in)
-
-    chart = frame.chart
-    orbit = PeriodicOrbit(
-        q=q,
-        theta=theta,
-        sigma=chart.sigma_of_theta(theta),
-        x=chart.x_of_theta(theta),
-        phi=0.5 * (phi_in + phi_out),
-        sin_phi=0.5 * (cross_in + cross_out),
-        chords=chords,
-        length=length,
-        maximal=maximal,
-        hessian_max_eig=max_eig,
-        reflection_residual=float(np.max(np.abs(phi_in - phi_out))),
-        gradient_residual=float(np.max(np.abs(gr))) if half else 0.0,
-        iterations=iterations,
-        final_step=final_step,
-    )
-    orbit.x[0] = 0.0  # marked point, exact by convention
-    return orbit
+            cand = s + lam * step
+            ok = search & lay.increasing(lay.assemble(cand))
+            if ok.any():
+                got, _, _, gr_c, d_c, e_c = _evaluate(profile, lay, ok, cand, failed)
+                live, search = live & ~(ok & ~got), search & ~(ok & ~got)
+                gmax_c = np.maximum.reduceat(np.abs(gr_c), lay.free)
+                take = got & ((gmax_c < gmax) | (lam < 1e-8))
+                ft = np.repeat(take, lay.half)
+                s[ft], gr[ft], d[ft], e[ft] = cand[ft], gr_c[ft], d_c[ft], e_c[ft]
+                search &= ~take
+            lam *= 0.5
+        failed.update((q, NoConvergenceError(f"orbit solve stalled at q={q}"))
+                      for q in lay.qs[search].tolist())
+        live &= ~search
+    for q, a, h in zip(lay.qs[live].tolist(), lay.free[live].tolist(), lay.half[live].tolist()):
+        g = np.max(np.abs(gr[a : a + h]))
+        failed[q] = NoConvergenceError(f"orbit solve hit the iteration cap at q={q}, |grad|={g:.3g}")
+    return s, iterations, final_step
 
 
 def compute_orbits(
-    frame: BoundaryFrame, qs, threads: int = 1, **kwargs
+    frame: BoundaryFrame, qs, threads: int = 1, tol: float = GRADIENT_TOL,
+    max_iter: int = MAX_NEWTON_ITER, require_maximal: bool = True,
 ) -> dict:
-    """Solve orbits for each period in qs, serially.
+    """Solve the maximal marked orbits of every period in qs, all in one lockstep Newton.
 
-    ``threads`` is accepted and ignored: the solves hold the GIL, so a
-    thread pool was no faster than the serial loop.
+    Each period gets the iterations and the result it would get alone. If
+    some fail, the error of the smallest failing period is raised.
+    ``threads`` is accepted and ignored: the solves hold the GIL, so a thread
+    pool was no faster than the serial loop.
     """
-    return {q: maximal_marked_orbit(frame, q, **kwargs) for q in sorted(set(int(q) for q in qs))}
+    qs = tuple(sorted({int(q) for q in qs}))
+    if qs and qs[0] < 2:
+        raise ValueError(f"period must be >= 2, got {qs[0]}")
+    profile, lay, failed = frame.profile, _periods(qs), {}
+    s, iterations, final_step = _solve_offsets(frame, lay, tol, max_iter, failed)
+    _, t, chords, gr, d, e = _evaluate(profile, lay, ~np.isin(lay.qs, list(failed)), s, failed)
+
+    checked = []
+    for q, a, h in zip(qs, lay.free.tolist(), lay.half.tolist()):
+        if q in failed:
+            continue
+        if failed and min(failed) < q:
+            raise failed[min(failed)]
+        if h:
+            # maximal <=> every eigenvalue below HESSIAN_POS_TOL, which then bounds the largest
+            band = (d[a : a + h], e[a : a + h - 1])
+            maximal = _band_inertia(band, HESSIAN_POS_TOL) == h
+            max_eig = _band_max_eig(band, HESSIAN_POS_TOL if maximal else math.inf)
+        else:
+            maximal, max_eig = True, -np.inf
+        if require_maximal and not maximal:
+            raise NotMaximalError(
+                f"second variation indefinite at q={q} (max eigenvalue {max_eig:.3g})"
+            )
+        checked.append((maximal, max_eig, float(np.max(np.abs(gr[a : a + h]))) if h else 0.0))
+    if failed:
+        raise failed[min(failed)]
+
+    theta = MARKED_THETA + t
+    nxt, prv = lay.nxt, lay.prv
+    (px, py), (vx, vy), _ = _bounce_jet(profile, theta)
+    speed = np.hypot(vx, vy)
+    tx, ty = vx / speed, vy / speed
+    ux, uy = (px[nxt] - px) / chords, (py[nxt] - py) / chords
+    ux_in, uy_in = ux[prv], uy[prv]
+
+    cross_out, dot_out = tx * uy - ty * ux, tx * ux + ty * uy
+    cross_in, dot_in = ux_in * ty - uy_in * tx, ux_in * tx + uy_in * ty
+    phi_out, phi_in = np.arctan2(cross_out, dot_out), np.arctan2(cross_in, dot_in)
+    reflection = np.maximum.reduceat(np.abs(phi_in - phi_out), lay.start)
+    x = frame.chart.x_of_theta(theta)
+    x[lay.start] = 0.0  # marked points, exact by convention
+    per_bounce = dict(theta=theta, sigma=frame.chart.sigma_of_theta(theta), x=x,
+                      phi=0.5 * (phi_in + phi_out), sin_phi=0.5 * (cross_in + cross_out))
+
+    orbits = {}
+    for p, (q, (maximal, max_eig, grad_res)) in enumerate(zip(qs, checked)):
+        b = slice(lay.start[p], lay.start[p] + q)
+        orbits[q] = PeriodicOrbit(
+            q=q, **{k: v[b] for k, v in per_bounce.items()}, chords=chords[b],
+            length=float(np.sum(chords[b])), maximal=maximal, hessian_max_eig=max_eig,
+            reflection_residual=float(reflection[p]), gradient_residual=grad_res,
+            iterations=int(iterations[p]), final_step=float(final_step[p]),
+        )
+    return orbits
+
+
+def maximal_marked_orbit(
+    frame: BoundaryFrame, q: int, tol: float = GRADIENT_TOL, max_iter: int = MAX_NEWTON_ITER,
+    require_maximal: bool = True,
+) -> PeriodicOrbit:
+    """Solve for the symmetric maximal q-periodic orbit through the marked point."""
+    return compute_orbits(frame, [q], tol=tol, max_iter=max_iter,
+                          require_maximal=require_maximal)[q]
 
 
 # -- linearized return map ----------------------------------------------------
@@ -429,57 +516,48 @@ def linearized_poincare(
 # -- geometric shooting map (independent of the variational solver) -----------
 
 
-def billiard_map(frame: BoundaryFrame, theta: float, direction, scan: int = 1024):
+def billiard_map(frame: BoundaryFrame, theta: float, direction):
     """One bounce of the billiard map: next boundary parameter and reflected direction.
 
-    The next intersection is bracketed by scanning the signed cross product of
-    the ray direction against the boundary, then polished with a safeguarded
-    Newton solve; convexity guarantees a single crossing away from the start
-    point.
+    For an inward ray at angle phi from the tangent, strict convexity splits
+    the boundary at the next bounce t*: the side function (the ray direction
+    crossed with the chord to ``theta + t``) is negative on (0, t*) and
+    positive on (t*, 2 pi). A safeguarded Newton solve on that bracket starts
+    from the circle's ``t = 2 phi``.
     """
     profile = frame.profile
-    p0 = profile.position(theta)
+    p0, t0 = _point_and_tangent(profile, theta)
     d = np.asarray(direction, dtype=float)
     d = d / np.linalg.norm(d)
-
-    def side(dtheta):
-        p = profile.position(theta + dtheta)
-        return d[0] * (p[..., 1] - p0[1]) - d[1] * (p[..., 0] - p0[0])
-
-    grid = TWO_PI * np.arange(1, scan) / scan
-    vals = side(grid)
-    signs = np.sign(vals)
-    flips = np.nonzero(signs[:-1] * signs[1:] < 0)[0]
-    hit = None
-    for i in flips:
-        mid = 0.5 * (grid[i] + grid[i + 1])
-        p = profile.position(theta + mid)
-        if np.dot(p - p0, d) > 0:
-            hit = i
-            break
-    if hit is None:
+    phi = math.atan2(t0[0] * d[1] - t0[1] * d[0], t0 @ d)
+    if not phi > 0.0:  # an outward ray: the bracket needs the boundary ahead of it
         raise NoConvergenceError("shooting failed to bracket the next bounce")
-    dtheta = _polish_crossing(
-        profile, theta, p0, d, grid[hit], grid[hit + 1], vals[hit], vals[hit + 1]
-    )
-    theta1 = theta + dtheta
-    t1 = profile.tangent(theta1)
-    if t1.ndim > 1:
-        t1 = t1[0]
-    d_out = 2.0 * np.dot(d, t1) * t1 - d
-    return float(theta1), d_out
+    theta1 = theta + _polish_crossing(profile, theta, p0, d, 0.0, TWO_PI, -1.0, 1.0, 2.0 * phi)
+    p1, t1 = _point_and_tangent(profile, theta1)
+    if not np.dot(p1 - p0, d) > 0.0:  # the crossing found lies behind the start
+        raise NoConvergenceError("shooting failed to bracket the next bounce")
+    return float(theta1), 2.0 * np.dot(d, t1) * t1 - d
 
 
-def _polish_crossing(profile, theta, p0, d, lo, hi, f_lo, f_hi):
+def _point_and_tangent(profile, theta):
+    """Boundary point and unit tangent at one parameter, from one jet."""
+    r, r1, _, c, s = (float(v) for v in profile.jet(theta))
+    vx, vy = r1 * c - r * s, r1 * s + r * c
+    speed = math.hypot(vx, vy)
+    return np.array([profile.center_offset + r * c, r * s]), np.array([vx / speed, vy / speed])
+
+
+def _polish_crossing(profile, theta, p0, d, lo, hi, f_lo, f_hi, start=None):
     """Root of side(t) = d x (position(theta + t) - p0) inside the bracket [lo, hi].
 
-    Newton with side'(t) = d x velocity, started at the secant point; any
-    step that leaves the current bracket is replaced by bisection. Stops once
-    a step is below 1e-14 + 8.9e-16 |t|.
+    Newton with side'(t) = d x velocity, started at ``start`` or else at the
+    secant point (only the sign of ``f_lo`` is read once ``start`` is given);
+    any step that leaves the current bracket is replaced by bisection. Stops
+    once a step is below 1e-14 + 8.9e-16 |t|.
     """
     x0, y0 = float(p0[0]) - profile.center_offset, float(p0[1])
     dx, dy = float(d[0]), float(d[1])
-    t = lo - f_lo * (hi - lo) / (f_hi - f_lo)
+    t = lo - f_lo * (hi - lo) / (f_hi - f_lo) if start is None else start
     for _ in range(MAX_SHOOT_ITER):
         th = theta + t
         r, r1, _, c, s = (float(v) for v in profile.jet(th))

@@ -70,13 +70,18 @@ class DomainProfile:
         The orbit solver's hot path: one ``cos`` and one ``sin`` over all
         modes in place of a transcendental per mode per derivative.
         """
-        theta = np.asarray(theta, dtype=float)
+        n, a, na, nna = self._jet_weights
+        phase = np.multiply.outer(np.asarray(theta, dtype=float), n)
+        cos, sin = np.cos(phase), np.sin(phase)
+        return 1.0 + cos @ a, -(sin @ na), -(cos @ nna), cos[..., 1], sin[..., 1]
+
+    @cached_property
+    def _jet_weights(self):
+        """Mode numbers n and the weights a, n a, n^2 a of the jet's sums (n = 0, 1 at least)."""
         a = np.zeros(max(len(self.radial_coeffs), 2))
         a[: len(self.radial_coeffs)] = self.radial_coeffs
         n = np.arange(len(a))
-        phase = np.multiply.outer(theta, n)
-        cos, sin = np.cos(phase), np.sin(phase)
-        return 1.0 + cos @ a, -(sin @ (n * a)), -(cos @ (n * n * a)), cos[..., 1], sin[..., 1]
+        return n, a, n * a, n * n * a
 
     def position(self, theta):
         """Boundary point(s) as (..., 2) array, marked point at the origin."""
@@ -93,16 +98,6 @@ class DomainProfile:
         r1 = self.radius_d1(theta)
         c, s = np.cos(theta), np.sin(theta)
         return np.stack([r1 * c - r * s, r1 * s + r * c], axis=-1)
-
-    def acceleration(self, theta):
-        theta = np.asarray(theta, dtype=float)
-        r = self.radius(theta)
-        r1 = self.radius_d1(theta)
-        r2 = self.radius_d2(theta)
-        c, s = np.cos(theta), np.sin(theta)
-        return np.stack(
-            [(r2 - r) * c - 2.0 * r1 * s, (r2 - r) * s + 2.0 * r1 * c], axis=-1
-        )
 
     def speed(self, theta):
         theta = np.asarray(theta, dtype=float)

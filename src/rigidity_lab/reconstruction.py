@@ -23,6 +23,8 @@ pinning through the axis 2-orbit.
 
 from __future__ import annotations
 
+import csv
+import io
 import json
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
@@ -443,10 +445,12 @@ class SuiteSummary:
             "lstsq_max_diff", "holdout_residual", "certificate_numeric",
             "certificate_analytic", "certified", "passed",
         ]
-        lines = [",".join(cols)]
+        out = io.StringIO()
+        writer = csv.writer(out, lineterminator="\n")
+        writer.writerow(cols)
         for r in self.rows:
-            lines.append(",".join(repr(r[c]) if not isinstance(r[c], str) else r[c] for c in cols))
-        return "\n".join(lines) + "\n"
+            writer.writerow(r[c] if isinstance(r[c], str) else repr(r[c]) for c in cols)
+        return out.getvalue()
 
 
 def draw_random_K(rng: np.random.Generator, k_jmax: int) -> CosineSeries:

@@ -1,3 +1,6 @@
+import dataclasses
+import functools
+
 import mpmath
 import numpy as np
 import pytest
@@ -10,6 +13,7 @@ from rigidity_lab.errors import (
     DegenerateChordError,
     InsufficientLadderError,
     NoConvergenceError,
+    NotMaximalError,
 )
 
 LADDER = (8, 16, 32, 64)
@@ -146,6 +150,35 @@ def test_billiard_map_iteration_cap(perturbed_frame, monkeypatch):
     monkeypatch.setattr(billiards, "MAX_SHOOT_ITER", 2)
     with pytest.raises(NoConvergenceError, match="iteration cap"):
         billiards.billiard_map(perturbed_frame, np.pi, _launch(perturbed_frame, np.pi, 0.7))
+
+
+@functools.lru_cache(maxsize=None)
+def _frame(coeffs, n=512):
+    return geometry.build_frame(geometry.build_profile(list(coeffs)), n)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.sampled_from([(0.0, 0.0, 0.01), (0.0, 0.0, 0.0, 0.0, 0.0, 0.005)]),
+    st.floats(np.pi, 3 * np.pi, exclude_max=True),
+    st.floats(1e-3, np.pi - 1e-3),
+)
+def test_billiard_map_launch_angles_against_brentq(coeffs, theta, phi):
+    """The convexity bracket finds the bounce at every launch angle, down to near grazing.
+
+    The oracle scans 8192 points, so its grid step stays below the bounce
+    distance of about 2 phi (a 1024-point scan misses bounces closer than
+    2 pi / 1024). Tolerance: the oracle's own (xtol + rtol |t| < 2e-14) plus
+    the root's conditioning, since both sides evaluate the side function to
+    a few ulp of |p| ~ 1 and its slope at the root is |V| sin phi.
+    """
+    frame = _frame(coeffs)
+    d = _launch(frame, theta, phi)
+    side, lo, hi = _forward_bracket(frame, theta, d, scan=8192)
+    expect = theta + brentq(side, lo, hi, xtol=1e-14, rtol=8.9e-16)
+    theta1, d_out = billiards.billiard_map(frame, theta, d)
+    assert abs(theta1 - expect) <= 2e-14 + 2e-15 / np.sin(phi)
+    assert abs(np.linalg.norm(d_out) - 1.0) < 1e-14
 
 
 def test_orbit_symmetry_multiset(perturbed_orbits):
@@ -287,6 +320,27 @@ def test_band_solve_inertia_and_max_eig_against_dense(drawn, data):
         assert abs(billiards._band_max_eig(band, shift) - eig[-1]) <= 1e-10 * scale
 
 
+def test_band_solve_zero_pivot_stays_in_its_block():
+    """A zero coupling splits the band; a zero pivot NaNs its own block only."""
+    rng = np.random.default_rng(3)
+    blocks = []
+    for n in (3, 4, 2):
+        e = rng.uniform(-1.0, 1.0, n - 1)
+        d = -(np.abs(np.append(e, 0.0)) + np.abs(np.insert(e, 0, 0.0)) + 0.5)
+        blocks.append((d, e))
+    blocks[1][0][0] = 0.0  # first pivot of the middle block vanishes
+    d = np.concatenate([blk[0] for blk in blocks])
+    e = np.concatenate([np.append(blk[1], 0.0) for blk in blocks])[:-1]
+    b = rng.uniform(-1.0, 1.0, len(d))
+    x = billiards._band_solve((d, e), b)
+    assert np.all(np.isnan(x[3:7]))
+    for lo, blk in ((0, blocks[0]), (7, blocks[2])):
+        alone = billiards._band_solve(blk, b[lo : lo + len(blk[0])])
+        assert np.array_equal(x[lo : lo + len(blk[0])], alone)
+        assert_allclose(alone, np.linalg.solve(_dense(blk), b[lo : lo + len(blk[0])]),
+                        rtol=1e-12, atol=0)
+
+
 def test_orbit_maximality_matches_dense_eigenvalues(perturbed_frame, perturbed_orbits):
     """`maximal` and `hessian_max_eig` against eigvalsh of the assembled reduced Hessian."""
     orbits = dict(perturbed_orbits)
@@ -421,6 +475,97 @@ def test_compute_orbits_threaded_matches_serial(perturbed_frame):
     for q in (3, 5, 9):
         assert serial[q].length == threaded[q].length
         assert np.array_equal(serial[q].theta, threaded[q].theta)
+
+
+def _assert_same_orbit(got, expect):
+    for field in dataclasses.fields(billiards.PeriodicOrbit):
+        a, b = getattr(got, field.name), getattr(expect, field.name)
+        assert np.array_equal(a, b), (expect.q, field.name)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.sampled_from([(), (0.0, 0.0, 0.01), (0.0, 0.0, 0.0, 0.0, 0.0, 0.005)]),
+    st.sets(st.sampled_from(list(range(2, 65)) + [128, 256]), min_size=1, max_size=10),
+)
+def test_lockstep_orbits_equal_single_period_solves(coeffs, qs):
+    """Every field of a period solved among others, iterations included, is bit-equal
+    to that period solved alone."""
+    frame = _frame(coeffs)
+    together = billiards.compute_orbits(frame, qs)
+    assert sorted(together) == sorted(qs)
+    for q in qs:
+        _assert_same_orbit(together[q], billiards.compute_orbits(frame, [q])[q])
+
+
+def test_damped_steps_equal_single_period_solves(perturbed_frame, monkeypatch):
+    """Tripled Newton steps overshoot, so every period backtracks in its line
+    search; each still takes exactly the steps it takes alone."""
+    qs = (3, 5, 8, 16, 64, 256)
+    plain = billiards.compute_orbits(perturbed_frame, qs)
+    solve = billiards._band_solve
+    monkeypatch.setattr(billiards, "_band_solve", lambda band, b: 3.0 * solve(band, b))
+    together = billiards.compute_orbits(perturbed_frame, qs)
+    for q in qs:
+        assert together[q].iterations > plain[q].iterations
+        _assert_same_orbit(together[q], billiards.compute_orbits(perturbed_frame, [q])[q])
+
+
+def test_zero_pivot_in_one_period_leaves_the_others(perturbed_frame, monkeypatch):
+    """A period whose block meets a zero pivot takes the short ascent step; the
+    other periods' steps, and so their orbits, do not change."""
+    qs = (3, 8, 64)
+    expect = billiards.compute_orbits(perturbed_frame, qs)
+    solve, solved = billiards._band_solve, []
+
+    def first_block_fails(band, b):
+        x = solve(band, b)
+        if not solved:
+            x[0] = np.nan  # q=3 owns the first free offset, a block of its own
+        solved.append(True)
+        return x
+
+    monkeypatch.setattr(billiards, "_band_solve", first_block_fails)
+    got = billiards.compute_orbits(perturbed_frame, qs)
+    for q in (8, 64):
+        _assert_same_orbit(got[q], expect[q])
+    assert got[3].iterations > expect[3].iterations  # the ascent step cost iterations
+    assert got[3].maximal and got[3].gradient_residual < 1e-13
+    assert_allclose(got[3].theta, expect[3].theta, rtol=0, atol=1e-13)
+
+
+@pytest.mark.parametrize(
+    "qs, error, q",
+    [
+        ((4, 5, 128), NotMaximalError, 4),
+        ((5, 8, 128), NoConvergenceError, 5),
+        ((8, 16, 3, 6), NoConvergenceError, 3),
+        ((5, 64), NoConvergenceError, 5),
+        ((64, 128), NoConvergenceError, 64),
+    ],
+)
+def test_compute_orbits_raises_the_smallest_failing_period(perturbed_frame, monkeypatch,
+                                                           qs, error, q):
+    """With several periods failing, the error raised is the smallest period's, as a
+    solve of that period alone raises it.
+
+    At max_iter=3, periods 3, 5, 6 and 7 hit the iteration cap at the end of
+    the Newton phase, while 4 and 8 and up converge. Two patches add the other
+    failures: q=64 never passes the monotone check, so it stalls in its first
+    line search, before any cap is reached; and the inertia finds every
+    converged orbit with free offsets not maximal, which only the checks
+    after the Newton phase see.
+    """
+    increasing = billiards._Periods.increasing
+    monkeypatch.setattr(billiards._Periods, "increasing",
+                        lambda lay, t: increasing(lay, t) & (lay.qs != 64))
+    monkeypatch.setattr(billiards, "_band_inertia", lambda band, shift: -1)
+    with pytest.raises(error) as alone:
+        billiards.compute_orbits(perturbed_frame, [q], max_iter=3)
+    assert f"q={q}" in str(alone.value)
+    with pytest.raises(error) as batch:
+        billiards.compute_orbits(perturbed_frame, qs, max_iter=3)
+    assert str(batch.value) == str(alone.value)
 
 
 # -- linearized return map -------------------------------------------------------

@@ -1,3 +1,4 @@
+import csv
 import json
 import os
 import subprocess
@@ -162,6 +163,25 @@ def test_suite_deterministic_outputs(tmp_path):
     assert (d1 / "suite.csv").read_bytes() == (d2 / "suite.csv").read_bytes()
     payload = json.loads((d1 / "suite.json").read_text())
     assert payload["max_error"] < 1e-5
+
+
+def test_suite_csv_reads_back_under_its_header(tmp_path):
+    """Every suite.csv row parses to the header's fields, domain lists included."""
+    assert run(["suite", "acceptance", "--grid", "small", "--n-random", "1",
+                "--out", str(tmp_path)]) == 0
+    with open(tmp_path / "suite.csv", newline="") as fh:
+        header, *rows = list(csv.reader(fh))
+    expected = json.loads((tmp_path / "suite.json").read_text())["rows"]
+    assert len(header) == 11 and len(rows) == len(expected)
+    assert any("," in row["domain"] for row in expected)  # a row that needs quoting
+    for row, expect in zip(rows, expected):
+        record = dict(zip(header, row))
+        assert len(row) == len(header)
+        assert record["domain"] == expect["domain"]
+        assert record["K_label"] == expect["K_label"]
+        for col in ("K0", "recovery_error_sup", "certificate_numeric"):
+            assert float(record[col]) == expect[col]
+        assert record["passed"] == str(expect["passed"])
 
 
 def test_config_file_merging(tmp_path, capsys):
