@@ -56,6 +56,9 @@ MAX_SHOOT_ITER = 100  # bisection alone needs ~50 steps from (0, 2 pi) to 1e-14
 #: functional, trace and transfer matrix built on an orbit
 SIN_PHI_TOL = 1e-9
 
+#: dyadic periods whose orbits feed `fit_alpha_beta` in every pipeline
+LADDER = (8, 16, 32, 64)
+
 
 @dataclass
 class PeriodicOrbit:

@@ -20,8 +20,6 @@ from . import billiards, functionals, geometry, reconstruction, traces
 from . import operator as operator_mod
 from .errors import NotContractiveError, RigidityError
 
-DEFAULT_LADDER = (8, 16, 32, 64)
-
 
 class _UsageError(Exception):
     pass
@@ -180,7 +178,7 @@ def cmd_operator(args) -> int:
         profile, n = _load_profile(args)
         frame = geometry.build_frame(profile, n)
         orbits = billiards.compute_orbits(
-            frame, sorted(set(range(2, args.q_max + 1)) | set(DEFAULT_LADDER))
+            frame, sorted(set(range(2, args.q_max + 1)) | set(billiards.LADDER))
         )
         cert = operator_mod.contraction_certificate(
             frame, frame.chart, params, eps=args.epsilon,
@@ -211,7 +209,7 @@ def cmd_reconstruct(args) -> int:
     data = functionals.InvariantVector.load(args.data)
     orbits = billiards.compute_orbits(
         frame,
-        sorted(set(range(2, data.q_max + 1)) | set(DEFAULT_LADDER)),
+        sorted(set(range(2, data.q_max + 1)) | set(billiards.LADDER)),
     )
     options = reconstruction.RecoveryOptions(
         gamma=args.gamma,
@@ -290,7 +288,7 @@ def build_parser() -> _Parser:
     sp = sub.add_parser("orbits", help="orbit table CSV")
     common(sp)
     sp.add_argument("--q-max", type=int, default=16, dest="q_max")
-    sp.add_argument("--q-ladder", type=_parse_int_list, default=list(DEFAULT_LADDER), dest="q_ladder")
+    sp.add_argument("--q-ladder", type=_parse_int_list, default=list(billiards.LADDER), dest="q_ladder")
     sp.set_defaults(fn=cmd_orbits)
 
     sp = sub.add_parser("invariants", help="forward-synthesized invariant vector")

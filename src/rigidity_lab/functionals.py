@@ -209,13 +209,8 @@ def sigma_p_table(chart: LazutkinChart, q: int, pmax: int) -> np.ndarray:
     return _fourier_coeffs(_s_q_node_values(chart, q), pmax)
 
 
-def tilde_sigma(chart: LazutkinChart, j: int) -> complex:
-    """Fourier coefficient of mu^2/6, the q-independent limit of q^2 sigma_j(q)."""
-    spec = _fourier_coeffs(chart.mu_at_x_nodes**2 / 6.0, abs(int(j)))
-    return complex(spec[abs(int(j))])
-
-
 def tilde_sigma_table(chart: LazutkinChart, jmax: int) -> np.ndarray:
+    """Fourier coefficients j = 0..jmax of mu^2/6, the q-independent limit of q^2 sigma_j(q)."""
     return _fourier_coeffs(chart.mu_at_x_nodes**2 / 6.0, jmax)
 
 

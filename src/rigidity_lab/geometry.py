@@ -199,11 +199,10 @@ def _standard_chop(coeffs) -> int:
 class _FourierSeries:
     """Real trigonometric polynomial fitted to samples on a uniform period-2pi grid.
 
-    Supports pointwise evaluation and the exact antiderivative from 0,
-    which is what turns grid data into spectrally accurate arclength and
-    Lazutkin coordinate maps. Modes past the roundoff plateau of the
-    spectrum are dropped, so evaluation cost follows the resolved bandwidth
-    rather than the grid size.
+    Supports the exact antiderivative from 0, which is what turns grid data
+    into spectrally accurate arclength and Lazutkin coordinate maps. Modes
+    past the roundoff plateau of the spectrum are dropped, so evaluation cost
+    follows the resolved bandwidth rather than the grid size.
     """
 
     def __init__(self, samples: np.ndarray):
@@ -218,13 +217,6 @@ class _FourierSeries:
             (self.k == 0) | (self.k == n // 2), 1.0, 2.0
         )
         self.mean = spec[0].real
-
-    def eval(self, t):
-        t = np.asarray(t, dtype=float)
-        phase = np.multiply.outer(t, self.k[1:])
-        a = self.weight[1:] * self.coeffs[1:].real
-        b = self.weight[1:] * self.coeffs[1:].imag
-        return self.mean + np.cos(phase) @ a - np.sin(phase) @ b
 
     def antideriv(self, t):
         """Integral of the series from 0 to t."""

@@ -22,10 +22,10 @@ from typing import Mapping
 
 import numpy as np
 
-from .billiards import AlphaBetaFit, PeriodicOrbit
+from .billiards import LADDER, AlphaBetaFit, PeriodicOrbit, compute_orbits, fit_alpha_beta
 from .errors import NotContractiveError
 from .functionals import CosineSeries, sigma_p, tilde_sigma_table
-from .geometry import BoundaryFrame, LazutkinChart
+from .geometry import BoundaryFrame, LazutkinChart, build_frame, build_profile, closeness_report
 
 #: B_2j / (2j)! for j = 1..10, the Euler-Maclaurin weights through B_20
 _EM_WEIGHTS = tuple(
@@ -93,7 +93,6 @@ class OperatorMatrix:
     entries: np.ndarray
     row_q: np.ndarray
     col_j: np.ndarray
-    kind: str
     row_tail_coeff: np.ndarray | None = None
     extras: dict = field(default_factory=dict)
 
@@ -127,7 +126,6 @@ def assemble_T(
         entries=entries,
         row_q=np.array(rows),
         col_j=cols,
-        kind="T",
     )
 
 
@@ -140,7 +138,6 @@ def assemble_delta(params: GammaSpaceParams) -> OperatorMatrix:
         entries=entries,
         row_q=rows,
         col_j=cols,
-        kind="delta",
         row_tail_coeff=np.ones(len(rows)),
     )
 
@@ -152,7 +149,6 @@ def identity_matrix(params: GammaSpaceParams) -> OperatorMatrix:
         entries=(rows[:, None] == cols[None, :]).astype(float),
         row_q=rows,
         col_j=cols,
-        kind="identity",
         row_tail_coeff=np.zeros(len(rows)),
     )
 
@@ -176,6 +172,11 @@ def script_L_star_star_table(chart: LazutkinChart, fit: AlphaBetaFit, jmax: int)
     return out
 
 
+def divisor_weight(chart: LazutkinChart, fit: AlphaBetaFit, qs) -> np.ndarray:
+    """Weight ``1 + sigma_0(q) - beta_0/q^2`` of the divisor part on the multiples of each q."""
+    return np.array([1.0 + sigma_p(chart, int(q), 0).real - fit.beta0 / q**2 for q in qs])
+
+
 def assemble_T_star_R(
     frame: BoundaryFrame,
     chart: LazutkinChart,
@@ -186,31 +187,21 @@ def assemble_T_star_R(
     """The divisor-plus-remainder part: full rows minus the rank-one piece.
 
     Row 1 equals the all-ones divisor row exactly; rows q >= 2 subtract
-    ``Lss_j / q^2`` from the exact entries. Tail coefficients carry the
-    size of the diagonal divisor weight for analytic completion.
+    ``Lss_j / q^2`` from the exact entries. ``extras`` keeps ``lss`` and the
+    signed divisor ``weight`` per row (1 on row 1); its size is the tail
+    coefficient for analytic completion.
     """
     full = assemble_T(frame, chart, orbits, params)
-    qs = [q for q in full.row_q if q >= 2]
+    qs = full.row_q[2:]
     lss = script_L_star_star_table(chart, fit, params.J)
-    rows = np.array([1] + qs)
-    cols = np.arange(1, params.J + 1)
-    entries = np.zeros((len(rows), len(cols)))
-    entries[0] = 1.0
-    sigma0 = np.zeros(len(rows))
-    for i, q in enumerate(qs, start=1):
-        entries[i] = full.row(q)[1:] - lss[1:] / q**2
-        sigma0[i] = sigma_p(chart, q, 0).real
-    beta0 = fit.beta0
-    tail = np.abs(1.0 + sigma0 - beta0 / np.maximum(rows, 2) ** 2)
-    tail[0] = 1.0
+    weight = np.concatenate([[1.0], divisor_weight(chart, fit, qs)])
+    entries = np.vstack([np.ones(params.J), full.entries[2:, 1:] - lss[1:] / qs[:, None] ** 2])
     return OperatorMatrix(
         entries=entries,
-        row_q=rows,
-        col_j=cols,
-        kind="T_star_R",
-        row_tail_coeff=tail,
-        extras={"sigma0": dict(zip(map(int, rows), sigma0)), "beta0": beta0,
-                "lss": lss},
+        row_q=np.concatenate([[1], qs]),
+        col_j=np.arange(1, params.J + 1),
+        row_tail_coeff=np.abs(weight),
+        extras={"lss": lss, "weight": weight},
     )
 
 
@@ -220,39 +211,22 @@ def assemble_delta_prime(
     """Divisor matrix scaled per row by sigma_0(q) - beta_0/q^2 (zero on row 1)."""
     rows = np.arange(1, params.Q + 1)
     cols = np.arange(1, params.J + 1)
-    coeffs = np.zeros(len(rows))
-    for i, q in enumerate(rows):
-        if q >= 2:
-            coeffs[i] = sigma_p(chart, int(q), 0).real - fit.beta0 / q**2
-    entries = (cols[None, :] % rows[:, None] == 0) * coeffs[:, None]
+    coeffs = np.concatenate([[0.0], divisor_weight(chart, fit, rows[1:]) - 1.0])
     return OperatorMatrix(
-        entries=entries,
+        entries=(cols[None, :] % rows[:, None] == 0) * coeffs[:, None],
         row_q=rows,
         col_j=cols,
-        kind="delta_prime",
         row_tail_coeff=np.abs(coeffs),
     )
 
 
-def assemble_remainder(
-    T_star_R: OperatorMatrix,
-    chart: LazutkinChart,
-    fit: AlphaBetaFit,
-) -> OperatorMatrix:
-    """What is left after both divisor parts: rows q >= 2 of T_*R minus
-    (1 + sigma_0(q) - beta_0/q^2) on the multiples of q."""
-    qs = np.array([q for q in T_star_R.row_q if q >= 2])
-    cols = T_star_R.col_j
-    rows = []
-    for q in qs:
-        coeff = 1.0 + sigma_p(chart, int(q), 0).real - fit.beta0 / q**2
-        rows.append(T_star_R.row(int(q)) - (cols % q == 0) * coeff)
-    return OperatorMatrix(
-        entries=np.array(rows),
-        row_q=qs,
-        col_j=cols,
-        kind="remainder",
-    )
+def assemble_remainder(T_star_R: OperatorMatrix) -> OperatorMatrix:
+    """What is left after both divisor parts: rows q >= 2 of T_*R minus their
+    divisor weight on the multiples of q."""
+    sel = T_star_R.row_q >= 2
+    qs, cols = T_star_R.row_q[sel], T_star_R.col_j
+    divisor = (cols[None, :] % qs[:, None] == 0) * T_star_R.extras["weight"][sel, None]
+    return OperatorMatrix(entries=T_star_R.entries[sel] - divisor, row_q=qs, col_j=cols)
 
 
 def subtract_identity(mat: OperatorMatrix) -> OperatorMatrix:
@@ -266,7 +240,6 @@ def subtract_identity(mat: OperatorMatrix) -> OperatorMatrix:
         entries=entries,
         row_q=mat.row_q,
         col_j=mat.col_j,
-        kind=mat.kind + "-Id",
         row_tail_coeff=mat.row_tail_coeff,
         extras=dict(mat.extras),
     )
@@ -313,27 +286,19 @@ def calibrate_remainder_constant(
     a2_values=(0.005, 0.01, 0.02),
     params: GammaSpaceParams | None = None,
     n_samples: int = 512,
-    ladder=(8, 16, 32, 64),
 ) -> float:
     """Fit the remainder-norm constant over a second-harmonic domain sweep.
 
     Returns max over the sweep of (weighted remainder norm)/(C0 weight
     offset); DEFAULT_C_CONSTANT is this value rounded up.
     """
-    from .billiards import compute_orbits, fit_alpha_beta
-    from .geometry import build_frame, build_profile, closeness_report
-
     params = params or GammaSpaceParams()
     worst = 0.0
     for a2 in a2_values:
         frame = build_frame(build_profile([0.0, 0.0, float(a2)]), n_samples)
-        chart = frame.chart
-        orbits = compute_orbits(frame, sorted(set(range(2, params.Q + 1)) | set(ladder)))
-        fit = fit_alpha_beta(chart, {q: orbits[q] for q in ladder})
-        tsr = assemble_T_star_R(frame, chart, orbits, params, fit)
-        rem_norm = gamma_norm(assemble_remainder(tsr, chart, fit), params.gamma).truncated
-        eps = closeness_report(frame).eps
-        worst = max(worst, rem_norm / eps)
+        cert = contraction_certificate(frame, frame.chart, params)
+        rem_norm = gamma_norm(assemble_remainder(cert.T_star_R), params.gamma).truncated
+        worst = max(worst, rem_norm / cert.epsilon)
     return worst
 
 
@@ -357,6 +322,8 @@ class ContractionCertificate:
     numeric_norm: float | None        # truncated weighted norm of T_*R - Id
     numeric_norm_completed: float | None
     passed: bool
+    # the T_*R whose norm was measured: the block a plan inverts
+    T_star_R: OperatorMatrix | None = field(default=None, compare=False, repr=False)
 
     @property
     def inversion_certified(self) -> bool:
@@ -393,17 +360,14 @@ def contraction_certificate(
     orbits: Mapping[int, PeriodicOrbit] | None = None,
     fit: AlphaBetaFit | None = None,
     c_constant: float = DEFAULT_C_CONSTANT,
-    ladder=(8, 16, 32, 64),
 ) -> ContractionCertificate:
     """Evaluate both the analytic bound and the truncated numerical norm.
 
     Passes only when every computed bound is below 1. Without a frame the
     certificate is analytic-only (eps must then be given). A failing
-    certificate is reported, not raised.
+    certificate is reported, not raised. Missing orbits (periods 2..Q when
+    none are given, ladder rungs when no fit is) are solved in one batch.
     """
-    from .billiards import compute_orbits, fit_alpha_beta
-    from .geometry import closeness_report
-
     if frame is None:
         if eps is None:
             raise ValueError("analytic-only certificate needs an explicit eps")
@@ -421,14 +385,14 @@ def contraction_certificate(
     chart = chart if chart is not None else frame.chart
     if eps is None:
         eps = closeness_report(frame).eps
-    if orbits is None:
-        orbits = compute_orbits(frame, range(2, params.Q + 1))
+    need = set(range(2, params.Q + 1)) if orbits is None else set()
     if fit is None:
-        ladder_orbits = {q: orbits[q] for q in ladder if q in orbits}
-        for q in ladder:
-            if q not in ladder_orbits:
-                ladder_orbits[q] = compute_orbits(frame, [q])[q]
-        fit = fit_alpha_beta(chart, ladder_orbits)
+        need |= set(LADDER) - set(orbits or ())
+    solved = compute_orbits(frame, sorted(need)) if need else {}
+    orbits = solved if orbits is None else orbits
+    if fit is None:
+        rungs = {**orbits, **solved}
+        fit = fit_alpha_beta(chart, {q: rungs[q] for q in LADDER})
 
     tsr = assemble_T_star_R(frame, chart, orbits, params, fit)
     norm = gamma_norm(subtract_identity(tsr), params.gamma)
@@ -441,6 +405,7 @@ def contraction_certificate(
         numeric_norm=norm.truncated,
         numeric_norm_completed=norm.tail_completed,
         passed=bool(bound < 1.0 and norm.tail_completed < 1.0),
+        T_star_R=tsr,
     )
 
 
@@ -457,7 +422,6 @@ def square_block(mat: OperatorMatrix, n: int) -> OperatorMatrix:
         entries=mat.entries[np.ix_(rsel, csel)],
         row_q=mat.row_q[rsel],
         col_j=mat.col_j[csel],
-        kind=mat.kind + f"[1..{n}]",
         extras=dict(mat.extras),
     )
 
@@ -555,31 +519,19 @@ class DecompositionReport:
 
 
 def decompose_T(
-    T: OperatorMatrix,
-    chart: LazutkinChart,
-    fit: AlphaBetaFit,
+    T_star_R: OperatorMatrix,
     test_functions=None,
     seed: int = 0,
 ) -> DecompositionReport:
     """Measure the remainder after stripping the rank-one and divisor parts.
 
-    For each row q >= 2 forms ``T_qj - Lss_j/q^2 - (1 + sigma_0(q) -
-    beta_0/q^2) delta_{q|j}`` and reports its size; applied to mean-zero
-    test functions the residual should shrink like q^(-4).
+    On columns 1..J of each row q >= 2 this is ``assemble_remainder``:
+    ``T_qj - Lss_j/q^2 - (1 + sigma_0(q) - beta_0/q^2) delta_{q|j}``. Applied
+    to mean-zero test functions the residual should shrink like q^(-4).
     """
-    qs = np.array([q for q in T.row_q if q >= 2])
-    cols = T.col_j
+    rem = assemble_remainder(T_star_R)
+    qs, cols, remainder = rem.row_q, rem.col_j, rem.entries
     jmax = int(cols[-1])
-    lss = T.extras.get("lss")
-    if lss is None or len(lss) < jmax + 1:
-        lss = script_L_star_star_table(chart, fit, jmax)
-    beta0 = fit.beta0
-    rows = []
-    for q in qs:
-        coeff = 1.0 + sigma_p(chart, int(q), 0).real - beta0 / q**2
-        divisor = (cols % q == 0).astype(float) * coeff
-        rows.append(T.row(int(q))[np.isin(T.col_j, cols)] - lss[cols] / q**2 - divisor)
-    remainder = np.array(rows)
     max_abs = np.max(np.abs(remainder), axis=1)
 
     if test_functions is None:

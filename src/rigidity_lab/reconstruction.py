@@ -31,7 +31,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .billiards import PeriodicOrbit, compute_orbits, fit_alpha_beta
+from .billiards import LADDER, PeriodicOrbit, compute_orbits, fit_alpha_beta
 from .errors import (
     NotContractiveError,
     ResidualTooLargeError,
@@ -43,7 +43,6 @@ from .operator import (
     ContractionCertificate,
     GammaSpaceParams,
     assemble_T,
-    assemble_T_star_R,
     build_b_star,
     contraction_certificate,
     lstsq_invert,
@@ -53,18 +52,16 @@ from .operator import (
 from .traces import heat_defect
 
 
+NORM_JMAX = 48  # column truncation of the certificate norm
+
+
 @dataclass(frozen=True)
 class RecoveryOptions:
     gamma: float = 3.5
     jmax: int | None = None          # square-system size; default min(q_max - 4, 16), >= 8
-    norm_jmax: int = 48              # column truncation for the certificate norm
-    neumann_order: int = 40
-    neumann_tol: float = 0.0         # 0 disables early stopping (fixed order)
+    neumann_order: int = 40          # fixed order: the Neumann solves never stop early
     residual_tol: float = 1e-6       # held-out data rows beyond this raise
     override_certificate: bool = False
-    c_constant: float = 17.0
-    ladder: tuple = (8, 16, 32, 64)
-    output_jmax: int | None = None   # projection order of K_hat (default 2n)
     use_extrapolated_d0: bool = False
     strict_residual: bool = True
 
@@ -118,20 +115,15 @@ class RecoveryPlan:
         n = opt.jmax if opt.jmax is not None else max(8, min(q_max - 4, 16))
         if n > q_max:
             raise ValueError(f"square block size {n} exceeds data depth q_max={q_max}")
-        need = [q for q in range(2, n + 1) if q not in orbits]
+        # holdout rows are the caller's; rungs solved here only feed the fit
+        hold = [q for q in range(n + 1, q_max + 1) if q in orbits]
+        need = sorted({*range(2, n + 1), *LADDER} - set(orbits))
         if need:
             orbits = dict(orbits) | compute_orbits(frame, need)
 
-        params = GammaSpaceParams(gamma=opt.gamma, J=max(opt.norm_jmax, n), Q=n)
-        ladder_orbits = dict(orbits)
-        for q in opt.ladder:
-            if q not in ladder_orbits:
-                ladder_orbits[q] = compute_orbits(frame, [q])[q]
-        fit = fit_alpha_beta(chart, {q: ladder_orbits[q] for q in opt.ladder})
-        cert = contraction_certificate(
-            frame, chart, params,
-            orbits=orbits, fit=fit, c_constant=opt.c_constant, ladder=opt.ladder,
-        )
+        params = GammaSpaceParams(gamma=opt.gamma, J=max(NORM_JMAX, n), Q=n)
+        fit = fit_alpha_beta(chart, {q: orbits[q] for q in LADDER})
+        cert = contraction_certificate(frame, chart, params, orbits=orbits, fit=fit)
         certified = cert.inversion_certified or opt.override_certificate
         if not certified:
             raise NotContractiveError(
@@ -139,17 +131,16 @@ class RecoveryPlan:
                 "and no override requested"
             )
 
-        tsr = assemble_T_star_R(frame, chart, orbits, params, fit)
-        A = square_block(tsr, n)
-        lss = tsr.extras["lss"][1 : n + 1]
+        # invert exactly the block whose norm was certified
+        A = square_block(cert.T_star_R, n)
+        lss = cert.T_star_R.extras["lss"][1 : n + 1]
 
         # full-depth rows (up to q_max) feed the limit-entry column and holdout checks
         T_full = assemble_T(frame, chart, orbits, GammaSpaceParams(opt.gamma, n, q_max))
         col0 = {int(q): T_full.row(int(q))[0] for q in T_full.row_q if q >= 2}
 
         b = build_b_star(np.arange(1, n + 1))
-        w_b, _ = neumann_invert(A, b, order=opt.neumann_order,
-                                tol=opt.neumann_tol, certified=certified,
+        w_b, _ = neumann_invert(A, b, order=opt.neumann_order, tol=0.0, certified=certified,
                                 gamma=opt.gamma)
         ls_b = lstsq_invert(A, b).coeffs[1:]
 
@@ -158,7 +149,7 @@ class RecoveryPlan:
         self.certificate, self.certified = cert, certified
         self.block, self.lss, self.col0 = A, lss, col0
         self.b, self.w_b, self.ls_b = b, w_b.coeffs[1:], ls_b
-        self.hold_rows = [(q, T_full.row(q)) for q in range(n + 1, q_max + 1) if q in orbits]
+        self.hold_rows = [(q, T_full.row(q)) for q in hold]
 
     def solve(self, data: InvariantVector, K0_at_marked: float) -> RecoveryResult:
         """Recover the Robin function from one invariant vector and marked value."""
@@ -184,9 +175,8 @@ class RecoveryPlan:
             g[q - 1] = data.d[q] / q**2 - v0 * self.col0[q]
 
         # the Neumann solve of g is the certified audit; lstsq cross-checks it
-        w_g, info_g = neumann_invert(A, g, order=opt.neumann_order,
-                                     tol=opt.neumann_tol, certified=self.certified,
-                                     gamma=opt.gamma)
+        w_g, info_g = neumann_invert(A, g, order=opt.neumann_order, tol=0.0,
+                                     certified=self.certified, gamma=opt.gamma)
         lam = float(lss @ w_g.coeffs[1:]) / (1.0 + float(lss @ self.w_b))
         w = w_g.coeffs[1:] - lam * self.w_b
 
@@ -196,7 +186,7 @@ class RecoveryPlan:
         lstsq_diff = float(np.max(np.abs(w - w_ls)))
 
         v = CosineSeries(np.concatenate([[v0], w]))
-        out_j = opt.output_jmax if opt.output_jmax is not None else min(2 * n, chart.n_grid // 4)
+        out_j = min(2 * n, chart.n_grid // 4)
         K_hat = CosineSeries(cosine_coeffs(chart.mu_at_x_nodes * v.on_grid(chart.n_grid), out_j))
 
         solve_residual = float(np.max(np.abs(A.entries @ w - (g - lam * b))))
@@ -473,7 +463,7 @@ def rigidity_suite(
         profile = build_profile(list(coeffs))
         frame = build_frame(profile, opt.frame_samples)
         chart = frame.chart
-        qs = sorted(set(range(2, opt.q_max + 1)) | set(opt.recovery.ladder))
+        qs = sorted(set(range(2, opt.q_max + 1)) | set(LADDER))
         orbits = compute_orbits(frame, qs)
         eps = closeness_report(frame).eps
         if K_list is None:

@@ -263,8 +263,9 @@ def test_sigma_p_real_for_even_weight(perturbed_frame):
 
 def test_tilde_sigma_circle(circle_frame):
     chart = circle_frame.chart
-    assert_allclose(fn.tilde_sigma(chart, 0).real, np.pi**2 / 6.0, rtol=0, atol=1e-12)
-    assert abs(fn.tilde_sigma(chart, 2)) < 1e-12
+    ts = fn.tilde_sigma_table(chart, 2)
+    assert_allclose(ts[0].real, np.pi**2 / 6.0, rtol=0, atol=1e-12)
+    assert abs(ts[2]) < 1e-12
 
 
 def test_sigma_j_limit_rate(perturbed_frame):

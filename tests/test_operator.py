@@ -105,7 +105,7 @@ def test_gamma_norm_submultiplicative(rng):
     for _ in range(5):
         A = rng.standard_normal((8, 8))
         B = rng.standard_normal((8, 8))
-        mk = lambda M: op.OperatorMatrix(M, labels, labels, "random")
+        mk = lambda M: op.OperatorMatrix(M, labels, labels)
         na = op.gamma_norm(mk(A), 3.5).truncated
         nb = op.gamma_norm(mk(B), 3.5).truncated
         nab = op.gamma_norm(mk(A @ B), 3.5).truncated
@@ -231,7 +231,7 @@ def test_certificate_triangle_inequality(perturbed_frame, perturbed_orbits, pert
     dp_bound = ((np.pi + eps) ** 3 / (48 * np.cos(eps)) + c * eps / 4.0) * op.ZETA3
     assert norm_dp <= dp_bound
 
-    rem = op.assemble_remainder(tsr, chart, fit)
+    rem = op.assemble_remainder(tsr)
     norm_rem = op.gamma_norm(rem, 3.5).truncated
     assert norm_rem <= c * eps
     assert norm_total <= norm_dmi + norm_dp + norm_rem + 1e-9
@@ -298,24 +298,44 @@ def test_square_block_validation(circle_frame, circle_orbits, circle_fit):
 
 def test_decompose_circle_basis_vector(circle_frame, circle_orbits, circle_fit):
     params = op.GammaSpaceParams(3.5, 48, 16)
-    T = op.assemble_T(circle_frame, circle_frame.chart,
-                      {q: circle_orbits[q] for q in range(2, 17)}, params)
-    rep = op.decompose_T(T, circle_frame.chart, circle_fit,
-                         test_functions=[fn.CosineSeries.basis(5, 9)])
+    tsr = op.assemble_T_star_R(circle_frame, circle_frame.chart,
+                               {q: circle_orbits[q] for q in range(2, 17)}, params, circle_fit)
+    rep = op.decompose_T(tsr, test_functions=[fn.CosineSeries.basis(5, 9)])
     assert np.max(rep.per_u_residuals) < 1e-6
-    zeros = op.decompose_T(T, circle_frame.chart, circle_fit,
-                           test_functions=[fn.CosineSeries(np.zeros(9))])
+    zeros = op.decompose_T(tsr, test_functions=[fn.CosineSeries(np.zeros(9))])
     assert np.max(zeros.per_u_residuals) == 0.0
 
 
 def test_decompose_remainder_decays_on_ladder(perturbed_frame, perturbed_orbits,
                                               perturbed_fit):
     params = op.GammaSpaceParams(3.5, 48, 64)
-    T = op.assemble_T(perturbed_frame, perturbed_frame.chart,
-                      {q: perturbed_orbits[q] for q in LADDER}, params)
-    rep = op.decompose_T(T, perturbed_frame.chart, perturbed_fit, seed=5)
+    tsr = op.assemble_T_star_R(perturbed_frame, perturbed_frame.chart,
+                               {q: perturbed_orbits[q] for q in LADDER}, params, perturbed_fit)
+    rep = op.decompose_T(tsr, seed=5)
     assert -8.0 < rep.decay_slope < -3.5
     assert np.all(np.diff(rep.max_abs_per_row) < 0)
+
+
+def test_decompose_circle_remainder_is_roundoff(circle_frame, circle_orbits, circle_fit):
+    """On the circle T_*R is its divisor part: the remainder is roundoff on every
+    row, and it is exactly what assemble_remainder leaves."""
+    tsr = op.assemble_T_star_R(circle_frame, circle_frame.chart,
+                               {q: circle_orbits[q] for q in range(2, 17)}, PARAMS, circle_fit)
+    rep = op.decompose_T(tsr)
+    assert np.max(rep.max_abs_per_row) < 1e-10
+    assert np.array_equal(rep.remainder, op.assemble_remainder(tsr).entries)
+
+
+def test_T_star_R_divisor_weight(perturbed_frame, perturbed_orbits, perturbed_fit):
+    """The signed weight is 1 + sigma_0(q) - beta_0/q^2 (1 on row 1); its size
+    is the tail coefficient."""
+    chart, fit = perturbed_frame.chart, perturbed_fit
+    tsr = op.assemble_T_star_R(perturbed_frame, chart,
+                               {q: perturbed_orbits[q] for q in range(2, 17)}, PARAMS, fit)
+    expect = [1.0] + [1.0 + fn.sigma_p_table(chart, q, 0)[0].real - fit.beta0 / q**2
+                      for q in range(2, 17)]
+    assert_allclose(tsr.extras["weight"], expect, rtol=0, atol=1e-15)
+    assert np.array_equal(tsr.row_tail_coeff, np.abs(tsr.extras["weight"]))
 
 
 def test_T_star_R_marked_row_is_divisor_row(perturbed_frame, perturbed_orbits,

@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
 from rigidity_lab import billiards, functionals as fn, geometry, traces
+from rigidity_lab import operator as op
 from rigidity_lab import reconstruction as rec
 from rigidity_lab.errors import (
     NotContractiveError,
@@ -200,6 +201,38 @@ def test_suite_builds_one_plan_per_domain(monkeypatch):
     summary = rec.rigidity_suite([[0.0, 0.0, 0.01]], None, rec.SuiteOptions(n_random_K=5))
     assert len(summary.rows) == 5
     assert calls == {"contraction_certificate": 1, "fit_alpha_beta": 1}
+
+
+def _count_calls(monkeypatch, module, name):
+    """Count calls of ``module.name`` through every name the package binds it by."""
+    original, calls = getattr(module, name), []
+
+    def wrapper(*args, **kwargs):
+        calls.append(name)
+        return original(*args, **kwargs)
+
+    for mod in (billiards, op, rec):
+        for attr, value in list(vars(mod).items()):
+            if value is original:
+                monkeypatch.setattr(mod, attr, wrapper)
+    return calls
+
+
+def test_plan_assembles_once_and_solves_missing_rungs_in_one_batch(
+        perturbed_frame, perturbed_orbits, perturbed_plan, monkeypatch):
+    tsr_calls = _count_calls(monkeypatch, op, "assemble_T_star_R")
+    orbit_calls = _count_calls(monkeypatch, billiards, "compute_orbits")
+    orbits = {q: perturbed_orbits[q] for q in range(2, 17)}  # lacks rungs 32 and 64
+    plan = rec.RecoveryPlan(perturbed_frame, perturbed_frame.chart, orbits, 16)
+    assert len(tsr_calls) == 1
+    assert len(orbit_calls) == 1
+    assert np.array_equal(plan.block.entries, perturbed_plan.block.entries)
+    assert np.array_equal(plan.w_b, perturbed_plan.w_b)
+
+
+def test_plan_inverts_its_certified_block(perturbed_plan):
+    certified = op.square_block(perturbed_plan.certificate.T_star_R, perturbed_plan.n)
+    assert np.array_equal(perturbed_plan.block.entries, certified.entries)
 
 
 @settings(max_examples=100, deadline=None)
