@@ -23,9 +23,10 @@ O(sum q) with no dense matrix:
 
 A geometric shooting map (`billiard_map`) provides an independent route to
 the same orbits and to finite-difference return-map Jacobians; it shares no
-code with the variational solver beyond the boundary parametrization. Strict
-convexity brackets each bounce by the whole boundary, and a safeguarded
-Newton solve from the circle's chord angle polishes it.
+code with the variational solver beyond the boundary parametrization, which
+both read from `DomainProfile.point_jet`. Strict convexity brackets each
+bounce by the whole boundary, and a safeguarded Newton solve from the
+circle's chord angle polishes it.
 """
 
 from __future__ import annotations
@@ -110,15 +111,6 @@ def orbit_length(frame: BoundaryFrame, thetas) -> float:
     return float(np.sum(chords))
 
 
-def _bounce_jet(profile, thetas):
-    """Position, velocity and acceleration at each bounce as ``(x, y)`` pairs."""
-    r, r1, r2, c, s = profile.jet(thetas)
-    pos = (profile.center_offset + r * c, r * s)
-    vel = (r1 * c - r * s, r1 * s + r * c)
-    acc = ((r2 - r) * c - 2.0 * r1 * s, (r2 - r) * s + 2.0 * r1 * c)
-    return pos, vel, acc
-
-
 class _Periods:
     """Index arrays for the bounces of the periods ``qs`` laid end to end.
 
@@ -174,7 +166,7 @@ def _length_grad_hess(profile, thetas, lay=None):
     """
     lay = lay or _periods((len(thetas),))
     nxt, prv = lay.nxt, lay.prv
-    (px, py), (vx, vy), (ax, ay) = _bounce_jet(profile, thetas)
+    (px, py), (vx, vy), (ax, ay) = profile.point_jet(thetas)
 
     dx, dy = px[nxt] - px, py[nxt] - py
     ell = np.hypot(dx, dy)
@@ -434,7 +426,7 @@ def compute_orbits(
 
     theta = MARKED_THETA + t
     nxt, prv = lay.nxt, lay.prv
-    (px, py), (vx, vy), _ = _bounce_jet(profile, theta)
+    (px, py), (vx, vy), _ = profile.point_jet(theta)
     speed = np.hypot(vx, vy)
     tx, ty = vx / speed, vy / speed
     ux, uy = (px[nxt] - px) / chords, (py[nxt] - py) / chords
@@ -543,11 +535,10 @@ def billiard_map(frame: BoundaryFrame, theta: float, direction):
 
 
 def _point_and_tangent(profile, theta):
-    """Boundary point and unit tangent at one parameter, from one jet."""
-    r, r1, _, c, s = (float(v) for v in profile.jet(theta))
-    vx, vy = r1 * c - r * s, r1 * s + r * c
+    """Boundary point and unit tangent at one parameter."""
+    (px, py), (vx, vy), _ = profile.point_jet(theta)
     speed = math.hypot(vx, vy)
-    return np.array([profile.center_offset + r * c, r * s]), np.array([vx / speed, vy / speed])
+    return np.array([px, py]), np.array([vx / speed, vy / speed])
 
 
 def _polish_crossing(profile, theta, p0, d, lo, hi, f_lo, f_hi, start=None):
@@ -558,18 +549,18 @@ def _polish_crossing(profile, theta, p0, d, lo, hi, f_lo, f_hi, start=None):
     any step that leaves the current bracket is replaced by bisection. Stops
     once a step is below 1e-14 + 8.9e-16 |t|.
     """
-    x0, y0 = float(p0[0]) - profile.center_offset, float(p0[1])
+    x0, y0 = float(p0[0]), float(p0[1])
     dx, dy = float(d[0]), float(d[1])
     t = lo - f_lo * (hi - lo) / (f_hi - f_lo) if start is None else start
     for _ in range(MAX_SHOOT_ITER):
         th = theta + t
-        r, r1, _, c, s = (float(v) for v in profile.jet(th))
-        f = dx * (r * s - y0) - dy * (r * c - x0)
+        (px, py), (vx, vy), _ = profile.point_jet(th)
+        f = dx * (py - y0) - dy * (px - x0)
         if (f > 0.0) == (f_lo > 0.0):
             lo, f_lo = t, f
         else:
             hi = t
-        slope = dx * (r1 * s + r * c) - dy * (r1 * c - r * s)
+        slope = dx * vy - dy * vx
         tol = 1e-14 + 8.9e-16 * abs(t)
         step = f / slope if slope != 0.0 else math.inf
         if abs(step) > tol and not lo < t - step < hi:

@@ -75,20 +75,33 @@ def _csv_text(columns: dict) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _apply_config(args, parser_dests):
-    path = getattr(args, "config", None)
-    if not path:
-        return args
+def _config_defaults(path, sub: argparse.ArgumentParser) -> dict:
+    """The --config file as defaults for the subcommand parser ``sub``: explicit flags win.
+
+    A value goes in command-line form (a list joined by commas), so argparse
+    converts it by the flag's own type. A switch takes a JSON bool, a flag
+    with choices one of them, and null keeps the built-in default.
+    """
     with open(path) as fh:
         payload = json.load(fh)
-    unknown = set(payload) - parser_dests
+    if not isinstance(payload, dict):
+        raise _UsageError("config file must hold a JSON object")
+    actions = {a.dest: a for a in sub._actions}
+    unknown = set(payload) - set(actions)
     if unknown:
         raise _UsageError(f"unknown config keys: {sorted(unknown)}")
+    defaults = {}
     for key, val in payload.items():
-        current = getattr(args, key, None)
-        if current is None or current is False:  # not `in (None, False)`: 0 == False
-            setattr(args, key, val)
-    return args
+        action = actions[key]
+        if isinstance(val, list):
+            val = ",".join(map(str, val))
+        if val is None:
+            continue
+        if (action.nargs == 0 and not isinstance(val, bool)) or (
+                action.choices and val not in action.choices):
+            raise _UsageError(f"config key {key!r} has an invalid value {val!r}")
+        defaults[key] = val if action.nargs == 0 else str(val)
+    return defaults
 
 
 # -- subcommands ----------------------------------------------------------------
@@ -337,9 +350,10 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        dests = {a.dest for sp in parser._subparsers._group_actions
-                 for a in getattr(sp.choices.get(args.command), "_actions", [])}
-        args = _apply_config(args, dests)
+        if args.config:
+            sub = parser._subparsers._group_actions[0].choices[args.command]
+            sub.set_defaults(**_config_defaults(args.config, sub))
+            args = parser.parse_args(argv)
         return args.fn(args)
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

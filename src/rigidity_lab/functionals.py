@@ -22,7 +22,7 @@ import numpy as np
 
 from .billiards import SIN_PHI_TOL, PeriodicOrbit
 from .errors import InsufficientLadderError, SingularAngleError
-from .geometry import BoundaryFrame, LazutkinChart
+from .geometry import BoundaryFrame, LazutkinChart, float_list, json_value
 
 
 @dataclass
@@ -282,15 +282,15 @@ class InvariantVector:
         }
 
     @classmethod
-    def from_json_dict(cls, payload: dict) -> "InvariantVector":
-        return cls(
-            d=np.asarray(payload["d"], dtype=float),
-            H0=float(payload["H0"]),
-            H1=float(payload["H1"]),
-            q_max=int(payload["q_max"]),
-            normalization=payload.get("normalization", "C_gamma=1"),
-            provenance=payload.get("provenance", {}),
-        )
+    def from_json_dict(cls, payload) -> "InvariantVector":
+        """Parse a JSON object; a missing or malformed key raises ValueError naming it."""
+        def value(key, convert):
+            return json_value(payload, key, convert, source="invariant vector")
+
+        return cls(d=value("d", float_list), H0=value("H0", float), H1=value("H1", float),
+                   q_max=value("q_max", int),
+                   normalization=payload.get("normalization", "C_gamma=1"),
+                   provenance=payload.get("provenance", {}))
 
     def save(self, path) -> None:
         with open(path, "w") as fh:

@@ -5,13 +5,16 @@ A domain is a radial cosine perturbation of the unit circle,
 horizontal axis and translated so the marked boundary point (at
 ``theta = pi``) sits at the origin with the domain in ``{x >= 0}``.
 
-All boundary quantities (curvature, arclength, Lazutkin coordinate) are
-evaluated through closed-form derivatives of the cosine series plus
-FFT-based antiderivatives of smooth periodic integrands, so evaluations
-are spectrally accurate at arbitrary points, not just grid nodes. Each
-integrand's Fourier series is chopped where its spectrum reaches the
-roundoff plateau (Aurentz & Trefethen's rule), so an evaluation costs the
-resolved bandwidth, a few dozen modes, whatever the grid size.
+The polar parametrization lives here only. One evaluation of the series
+and its first two derivatives, `DomainProfile.jet`, feeds every boundary
+quantity: position, velocity and acceleration (`DomainProfile.point_jet`,
+which the orbit solvers read), speed and curvature. Arclength and the
+Lazutkin coordinate add FFT-based antiderivatives of smooth periodic
+integrands, so evaluations are spectrally accurate at arbitrary points, not
+just grid nodes. Each integrand's Fourier series is chopped where its
+spectrum reaches the roundoff plateau (Aurentz & Trefethen's rule), so an
+evaluation costs the resolved bandwidth, a few dozen modes, whatever the
+grid size.
 """
 
 from __future__ import annotations
@@ -43,35 +46,14 @@ class DomainProfile:
     smoothness_order: int
     center_offset: float
 
-    def radius(self, theta):
-        theta = np.asarray(theta, dtype=float)
-        r = np.ones_like(theta)
-        for n, a in enumerate(self.radial_coeffs):
-            r = r + a * np.cos(n * theta)
-        return r
-
-    def radius_d1(self, theta):
-        theta = np.asarray(theta, dtype=float)
-        out = np.zeros_like(theta)
-        for n, a in enumerate(self.radial_coeffs):
-            out = out - a * n * np.sin(n * theta)
-        return out
-
-    def radius_d2(self, theta):
-        theta = np.asarray(theta, dtype=float)
-        out = np.zeros_like(theta)
-        for n, a in enumerate(self.radial_coeffs):
-            out = out - a * n * n * np.cos(n * theta)
-        return out
-
     def jet(self, theta):
         """``(r, r', r'', cos theta, sin theta)`` from one evaluation of cos/sin(n theta).
 
-        The orbit solver's hot path: one ``cos`` and one ``sin`` over all
-        modes in place of a transcendental per mode per derivative.
+        The one sum of the radial series, which every boundary quantity below
+        is built on: one ``cos`` and one ``sin`` over all modes.
         """
         n, a, na, nna = self._jet_weights
-        phase = np.multiply.outer(np.asarray(theta, dtype=float), n)
+        phase = np.asarray(theta, dtype=float)[..., None] * n
         cos, sin = np.cos(phase), np.sin(phase)
         return 1.0 + cos @ a, -(sin @ na), -(cos @ nna), cos[..., 1], sin[..., 1]
 
@@ -81,28 +63,34 @@ class DomainProfile:
         a = np.zeros(max(len(self.radial_coeffs), 2))
         a[: len(self.radial_coeffs)] = self.radial_coeffs
         n = np.arange(len(a))
-        return n, a, n * a, n * n * a
+        return n, a, n * a, n * (n * a)  # not n^2 a: rounds as a per-mode (a n) n
+
+    def point_jet(self, theta):
+        """Position ``(center_offset + r cos theta, r sin theta)``, velocity and
+        acceleration in theta, each an ``(x, y)`` pair; Python floats for a
+        scalar theta, as numpy scalar arithmetic would double a shooting step.
+        """
+        r, r1, r2, c, s = self.jet(theta)
+        if r.ndim == 0:
+            r, r1, r2, c, s = float(r), float(r1), float(r2), float(c), float(s)
+        pos = (self.center_offset + r * c, r * s)
+        vel = (r1 * c - r * s, r1 * s + r * c)
+        acc = ((r2 - r) * c - 2.0 * r1 * s, (r2 - r) * s + 2.0 * r1 * c)
+        return pos, vel, acc
+
+    def radius(self, theta):
+        return self.jet(theta)[0]
 
     def position(self, theta):
         """Boundary point(s) as (..., 2) array, marked point at the origin."""
-        theta = np.asarray(theta, dtype=float)
-        r = self.radius(theta)
-        return np.stack(
-            [self.center_offset + r * np.cos(theta), r * np.sin(theta)], axis=-1
-        )
+        return np.stack(self.point_jet(theta)[0], axis=-1)
 
     def velocity(self, theta):
         """d(position)/d(theta)."""
-        theta = np.asarray(theta, dtype=float)
-        r = self.radius(theta)
-        r1 = self.radius_d1(theta)
-        c, s = np.cos(theta), np.sin(theta)
-        return np.stack([r1 * c - r * s, r1 * s + r * c], axis=-1)
+        return np.stack(self.point_jet(theta)[1], axis=-1)
 
     def speed(self, theta):
-        theta = np.asarray(theta, dtype=float)
-        r = self.radius(theta)
-        r1 = self.radius_d1(theta)
+        r, r1, _, _, _ = self.jet(theta)
         return np.sqrt(r * r + r1 * r1)
 
     def tangent(self, theta):
@@ -111,15 +99,8 @@ class DomainProfile:
 
     def curvature(self, theta):
         """Signed curvature, positive for a counter-clockwise convex boundary."""
-        theta = np.asarray(theta, dtype=float)
-        r = self.radius(theta)
-        r1 = self.radius_d1(theta)
-        r2 = self.radius_d2(theta)
+        r, r1, r2, _, _ = self.jet(theta)
         return (r * r + 2.0 * r1 * r1 - r * r2) / (r * r + r1 * r1) ** 1.5
-
-    @property
-    def is_circle(self):
-        return all(a == 0.0 for a in self.radial_coeffs)
 
 
 def build_profile(
@@ -363,7 +344,6 @@ class BoundaryFrame:
     n_samples: int
     theta: np.ndarray
     position: np.ndarray
-    tangent: np.ndarray
     sigma: np.ndarray
     kappa: np.ndarray
     x: np.ndarray
@@ -394,7 +374,6 @@ def build_frame(profile: DomainProfile, n_samples: int = DEFAULT_FRAME_SAMPLES) 
         n_samples=n_samples,
         theta=theta,
         position=profile.position(theta),
-        tangent=profile.tangent(theta),
         sigma=chart.sigma_of_theta(theta),
         kappa=profile.curvature(theta),
         x=chart.x_of_theta(theta),
@@ -403,8 +382,7 @@ def build_frame(profile: DomainProfile, n_samples: int = DEFAULT_FRAME_SAMPLES) 
         lazutkin_const=chart.lazutkin_const,
         chart=chart,
     )
-    for arr in (frame.theta, frame.position, frame.tangent, frame.sigma,
-                frame.kappa, frame.x, frame.mu):
+    for arr in (frame.theta, frame.position, frame.sigma, frame.kappa, frame.x, frame.mu):
         arr.setflags(write=False)
     return frame
 
@@ -455,18 +433,42 @@ def closeness_report(frame: BoundaryFrame, order: int | None = None) -> Closenes
 # -- domain spec files -------------------------------------------------------
 
 
+def json_value(payload, key: str, convert: Callable, default=None, source: str = "input"):
+    """``convert(payload[key])``, or ``convert(default)`` for an absent key with a default.
+
+    A non-object payload, a missing key or a value ``convert`` rejects raises
+    ValueError naming it, so a malformed input file ends in a message.
+    """
+    if not isinstance(payload, dict):
+        raise ValueError(f"{source} must be a JSON object")
+    if key not in payload and default is None:
+        raise ValueError(f"{source} lacks the key {key!r}")
+    value = payload.get(key, default)
+    try:
+        return convert(value)
+    except (TypeError, ValueError):
+        raise ValueError(f"{source} key {key!r} has a malformed value {value!r}") from None
+
+
+def float_list(value) -> np.ndarray:
+    """A JSON list of numbers as a float vector; anything else raises ValueError."""
+    vec = np.asarray(value, dtype=float)
+    if vec.ndim != 1:
+        raise ValueError("expected a list of numbers")
+    return vec
+
+
 def load_domain_spec(path) -> tuple[DomainProfile, int]:
     """Read a domain spec JSON file; returns (profile, frame_samples)."""
     with open(path) as fh:
         payload = json.load(fh)
-    known = {"radial_cosine_coeffs", "smoothness_order", "frame_samples"}
-    unknown = set(payload) - known
+    coeffs = json_value(payload, "radial_cosine_coeffs", float_list, [], "domain spec")
+    order = json_value(payload, "smoothness_order", int, DEFAULT_SMOOTHNESS, "domain spec")
+    n = json_value(payload, "frame_samples", int, DEFAULT_FRAME_SAMPLES, "domain spec")
+    unknown = set(payload) - {"radial_cosine_coeffs", "smoothness_order", "frame_samples"}
     if unknown:
         raise ValueError(f"unknown domain spec keys: {sorted(unknown)}")
-    coeffs = payload.get("radial_cosine_coeffs", [])
-    order = payload.get("smoothness_order", DEFAULT_SMOOTHNESS)
-    n = payload.get("frame_samples", DEFAULT_FRAME_SAMPLES)
-    return build_profile(coeffs, order), int(n)
+    return build_profile(coeffs, order), n
 
 
 def save_domain_spec(path, profile: DomainProfile, frame_samples: int) -> None:

@@ -38,7 +38,7 @@ from .errors import (
     SymmetryViolationError,
 )
 from .functionals import CosineSeries, InvariantVector, bounce_sums, cosine_coeffs, robin_data
-from .geometry import BoundaryFrame, LazutkinChart, build_frame, build_profile, closeness_report
+from .geometry import BoundaryFrame, LazutkinChart, build_frame, build_profile
 from .operator import (
     ContractionCertificate,
     GammaSpaceParams,
@@ -465,7 +465,6 @@ def rigidity_suite(
         chart = frame.chart
         qs = sorted(set(range(2, opt.q_max + 1)) | set(LADDER))
         orbits = compute_orbits(frame, qs)
-        eps = closeness_report(frame).eps
         if K_list is None:
             rng = np.random.default_rng(opt.seed)
             ks = [(f"random_{i}", draw_random_K(rng, opt.k_jmax)) for i in range(opt.n_random_K)]
@@ -481,7 +480,7 @@ def rigidity_suite(
             rows.append(
                 {
                     "domain": repr(list(coeffs)),
-                    "epsilon": eps,
+                    "epsilon": plan.certificate.epsilon,
                     "K_label": label,
                     "K0": K.at_zero,
                     "recovery_error_sup": float(np.max(np.abs(diff.on_grid(2048)))),

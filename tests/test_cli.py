@@ -153,6 +153,29 @@ def test_reconstruct_rejects_malformed_invariants(tmp_path, capsys):
         assert not (rc_dir / "reconstruction.json").exists()
 
 
+@pytest.mark.parametrize("flag, payload, message", [
+    ("--data", {"d": [0, 0, 0], "q_max": 2}, "lacks the key 'H0'"),
+    ("--data", {"d": 5, "q_max": 2, "H0": 0, "H1": 0}, "key 'd'"),
+    ("--data", [1, 2, 3], "JSON object"),
+    ("--domain", {"radial_cosine_coeffs": [0, 0, 0.01], "frame_samples": None},
+     "key 'frame_samples'"),
+    ("--domain", {"radial_cosine_coeffs": [0, 0, 0.01], "smoothness_order": "x"},
+     "key 'smoothness_order'"),
+])
+def test_malformed_input_file_is_an_error_not_a_traceback(tmp_path, capsys, flag, payload, message):
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(payload))
+    out = tmp_path / "out"
+    if flag == "--data":
+        argv = ["reconstruct", "--coeffs", "0,0,0.01", "--data", str(path), "--k0", "0"]
+    else:
+        argv = ["domain", "dump", "--domain", str(path)]
+    assert run([*argv, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and message in err and "Traceback" not in err
+    assert not out.exists()
+
+
 def test_suite_deterministic_outputs(tmp_path):
     d1, d2 = tmp_path / "a", tmp_path / "b"
     args = ["suite", "acceptance", "--grid", "small", "--n-random", "2",
@@ -193,6 +216,27 @@ def test_config_file_merging(tmp_path, capsys):
     bad.write_text(json.dumps({"coeffs": "", "bogus_key": 1}))
     assert run(["domain", "dump", "--config", str(bad)]) == 1
     assert "unknown config keys" in capsys.readouterr().err
+
+
+def test_config_values_are_defaults_that_flags_override(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"q_max": 8, "q_ladder": [64], "frame": None}))
+    base = ["orbits", "--coeffs", "0,0,0.01", "--config", str(cfg), "--out", str(tmp_path)]
+    assert run(base) == 0
+    assert "(8 orbits)" in capsys.readouterr().out  # q = 2..8 and 64
+    assert run([*base, "--q-max", "5", "--q-ladder", "8,16"]) == 0
+    assert "(6 orbits)" in capsys.readouterr().out
+    cfg.write_text(json.dumps({"q_max": 8}))
+    assert run(base) == 0
+    assert "(10 orbits)" in capsys.readouterr().out  # q = 2..8 and the ladder 16, 32, 64
+    for bad in ({"q_max": 2.5}, {"q_ladder": [64, "x"]}, {"format": "xml"}, [8]):
+        cfg.write_text(json.dumps(bad))
+        assert run(base) == 1
+        assert "usage error" in capsys.readouterr().err
+    cfg.write_text(json.dumps({"no_strict": "false"}))  # a string would read as true
+    assert run(["reconstruct", "--coeffs", "0,0,0.01", "--config", str(cfg), "--data",
+                str(tmp_path / "missing.json"), "--k0", "0", "--out", str(tmp_path)]) == 1
+    assert "invalid value 'false'" in capsys.readouterr().err
 
 
 def test_threads_env_fallback(tmp_path, monkeypatch):

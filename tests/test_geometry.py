@@ -1,7 +1,8 @@
 import mpmath
 import numpy as np
 import pytest
-from numpy.testing import assert_allclose
+from hypothesis import given, settings, strategies as st
+from numpy.testing import assert_allclose, assert_array_equal
 from scipy.integrate import quad
 from scipy.optimize import brentq
 
@@ -44,6 +45,92 @@ def test_curvature_against_finite_difference_oracle():
     cross = vel[:, 0] * acc[:, 1] - vel[:, 1] * acc[:, 0]
     kappa_fd = cross / np.linalg.norm(vel, axis=1) ** 3
     assert_allclose(profile.curvature(theta), kappa_fd, rtol=0, atol=1e-6)
+
+
+def _per_mode_sums(coeffs, theta):
+    """The radial series summed one mode at a time: r, r', r'' as separate loops."""
+    r, r1, r2 = np.ones_like(theta), np.zeros_like(theta), np.zeros_like(theta)
+    for n, a in enumerate(coeffs):
+        r = r + a * np.cos(n * theta)
+        r1 = r1 - a * n * np.sin(n * theta)
+        r2 = r2 - a * n * n * np.cos(n * theta)
+    return r, r1, r2
+
+
+def _per_mode_quantities(profile, theta):
+    """Boundary quantities from the per-mode sums and the polar parametrization."""
+    r, r1, r2 = _per_mode_sums(profile.radial_coeffs, theta)
+    c, s = np.cos(theta), np.sin(theta)
+    return {
+        "radius": r,
+        "position": np.stack([profile.center_offset + r * c, r * s], axis=-1),
+        "velocity": np.stack([r1 * c - r * s, r1 * s + r * c], axis=-1),
+        "acceleration": np.stack([(r2 - r) * c - 2.0 * r1 * s, (r2 - r) * s + 2.0 * r1 * c],
+                                 axis=-1),
+        "speed": np.sqrt(r * r + r1 * r1),
+        "curvature": (r * r + 2.0 * r1 * r1 - r * r2) / (r * r + r1 * r1) ** 1.5,
+    }
+
+
+def _one_evaluator_quantities(profile, theta):
+    return {
+        "radius": profile.jet(theta)[0],
+        "position": profile.position(theta),
+        "velocity": profile.velocity(theta),
+        "acceleration": np.stack(profile.point_jet(theta)[2], axis=-1),
+        "speed": profile.speed(theta),
+        "curvature": profile.curvature(theta),
+    }
+
+
+# convex by a margin: sum n^2 |a_n| <= 0.3 keeps r'' and r' small against r ~ 1
+_convex_modes = st.lists(st.floats(-1.0, 1.0), min_size=1, max_size=8).map(
+    lambda w: [0.3 * v / (len(w) * max(n * n, 1)) for n, v in enumerate(w)]
+)
+_thetas = TWO_PI * np.arange(64) / 64 + 0.05
+
+
+@settings(max_examples=60, deadline=None)
+@given(_convex_modes)
+def test_one_evaluator_matches_per_mode_sums(coeffs):
+    """jet and every quantity built on it agree with the radial series summed
+    mode by mode, to a few ulp of the largest term scale 1 + sum n^2 |a_n|."""
+    profile = geometry.build_profile(coeffs)
+    scale = 1.0 + sum(n * n * abs(a) for n, a in enumerate(coeffs))
+    got = _one_evaluator_quantities(profile, _thetas)
+    for name, want in _per_mode_quantities(profile, _thetas).items():
+        assert_allclose(got[name], want, rtol=0, atol=8 * np.finfo(float).eps * scale,
+                        err_msg=name)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 8), st.floats(-0.3 / 64, 0.3 / 64))
+def test_one_evaluator_is_exact_on_single_mode_tables(n, a):
+    """With one nonzero mode both routes round the same products in the same
+    order, so every quantity is equal bit for bit."""
+    profile = geometry.build_profile([0.0] * n + [a])
+    got = _one_evaluator_quantities(profile, _thetas)
+    for name, want in _per_mode_quantities(profile, _thetas).items():
+        assert_array_equal(got[name], want, err_msg=name)
+
+
+def test_point_jet_derivatives_against_central_differences():
+    profile = geometry.build_profile([0.0, 0.0, 0.01, 0.0, 0.002])
+    theta = np.linspace(0.0, TWO_PI, 101)
+    h = 1e-4
+    (px, py), (vx, vy), (ax, ay) = profile.point_jet(theta)
+    (px_p, py_p), (vx_p, vy_p), _ = profile.point_jet(theta + h)
+    (px_m, py_m), (vx_m, vy_m), _ = profile.point_jet(theta - h)
+    # O(h^2) truncation against O(eps/h) roundoff in the first differences
+    assert_allclose(vx, (px_p - px_m) / (2 * h), rtol=0, atol=1e-8)
+    assert_allclose(vy, (py_p - py_m) / (2 * h), rtol=0, atol=1e-8)
+    assert_allclose(ax, (vx_p - vx_m) / (2 * h), rtol=0, atol=1e-8)
+    assert_allclose(ay, (vy_p - vy_m) / (2 * h), rtol=0, atol=1e-8)
+    # one point gives Python floats that agree with the vectorized values
+    (qx, qy), (wx, wy), (bx, by) = profile.point_jet(float(theta[17]))
+    assert all(type(v) is float for v in (qx, qy, wx, wy, bx, by))
+    assert_allclose([qx, qy, wx, wy, bx, by], [px[17], py[17], vx[17], vy[17], ax[17], ay[17]],
+                    rtol=0, atol=1e-15)
 
 
 def test_small_perturbation_accepted_large_rejected():

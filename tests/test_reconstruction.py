@@ -211,11 +211,19 @@ def _count_calls(monkeypatch, module, name):
         calls.append(name)
         return original(*args, **kwargs)
 
-    for mod in (billiards, op, rec):
+    for mod in (billiards, geometry, op, rec):
         for attr, value in list(vars(mod).items()):
             if value is original:
                 monkeypatch.setattr(mod, attr, wrapper)
     return calls
+
+
+def test_suite_measures_closeness_once_per_domain(monkeypatch):
+    """The rows' epsilon is the one the plan's certificate measured."""
+    calls = _count_calls(monkeypatch, geometry, "closeness_report")
+    summary = rec.rigidity_suite([[], [0.0, 0.0, 0.01]], None, rec.SuiteOptions(n_random_K=2))
+    assert len(summary.rows) == 4
+    assert len(calls) == 2
 
 
 def test_plan_assembles_once_and_solves_missing_rungs_in_one_batch(
