@@ -256,6 +256,9 @@ def cmd_reconstruct(args) -> int:
 
 
 def cmd_suite(args) -> int:
+    if args.n_random < 1:
+        # an empty run would report max_error 0.0, a perfect score for no work
+        raise _UsageError(f"--n-random must be >= 1, got {args.n_random}")
     if args.grid == "default":
         domains = [[], [0.0, 0.0, 0.005], [0.0, 0.0, 0.01]]
     else:

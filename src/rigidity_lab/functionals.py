@@ -7,9 +7,12 @@ normalized sums weighted by ``mu/(q^2 sin(phi))`` whose large-q limit is
 the mean of u. Fourier data of the angle-correction function S_q feeds the
 operator certificates.
 
-Series are evaluated by one ``irfft`` on uniform grids (``on_grid``), by the
-direct cosine sum at scattered points, and in one batch over all bounce
-points for the bounce sums (``bounce_sums``).
+A ``CosineSeries`` holds one series or a batch of them: a coefficient matrix
+of shape (m, J+1) is m series of one length, and every evaluation acts along
+the last axis, so one series is the batch of one. Series are evaluated by one
+``irfft`` on uniform grids (``on_grid``), by the direct cosine sum at
+scattered points, and in one product over all bounce points for the bounce
+sums (``bounce_sums``); ``cosine_coeffs`` projects back with one ``rfft``.
 """
 
 from __future__ import annotations
@@ -27,12 +30,24 @@ from .geometry import BoundaryFrame, LazutkinChart, float_list, json_value
 
 @dataclass
 class CosineSeries:
-    """Even function on the boundary as coefficients against cos(2 pi j x)."""
+    """Even function on the boundary as coefficients against cos(2 pi j x).
+
+    ``coeffs`` of shape (m, J+1) is a batch of m series; evaluations return
+    the batch axis first.
+    """
 
     coeffs: np.ndarray
 
     def __post_init__(self):
         self.coeffs = np.atleast_1d(np.asarray(self.coeffs, dtype=float))
+
+    @classmethod
+    def stack(cls, series: Sequence["CosineSeries"]) -> "CosineSeries":
+        """One batch of single series, zero-padded to the longest."""
+        out = np.zeros((len(series), max(len(s.coeffs) for s in series)))
+        for row, s in zip(out, series):
+            row[: len(s.coeffs)] = s.coeffs
+        return cls(out)
 
     @classmethod
     def basis(cls, j: int, size: int | None = None) -> "CosineSeries":
@@ -51,13 +66,14 @@ class CosineSeries:
 
     @property
     def jmax(self) -> int:
-        return len(self.coeffs) - 1
+        return self.coeffs.shape[-1] - 1
 
     def __call__(self, x):
-        """Values at scattered points, by the direct cosine sum."""
+        """Values at scattered points, by the direct cosine sum: one product of
+        the cosine table of x with the coefficients."""
         x = np.asarray(x, dtype=float)
-        j = np.arange(len(self.coeffs))
-        return np.cos(2.0 * np.pi * np.multiply.outer(x, j)) @ self.coeffs
+        j = np.arange(self.coeffs.shape[-1])
+        return np.inner(self.coeffs, np.cos(2.0 * np.pi * np.multiply.outer(x, j)))
 
     def on_grid(self, n: int) -> np.ndarray:
         """Values at x = k/n, k = 0..n-1, from one ``irfft``; inverse of `cosine_coeffs`.
@@ -65,27 +81,32 @@ class CosineSeries:
         Frequencies above n/2 are folded onto |j mod n|, the frequency they
         take at these points.
         """
-        c = self.coeffs
-        if len(c) > n // 2 + 1:
-            j = np.arange(len(c)) % n
-            c = np.bincount(np.minimum(j, n - j), weights=c, minlength=n // 2 + 1)
-        spec = np.zeros(n // 2 + 1)
-        spec[: len(c)] = 0.5 * n * c
-        spec[0] *= 2.0
+        c, half = self.coeffs, n // 2 + 1
+        if c.shape[-1] > half:
+            j = np.arange(c.shape[-1]) % n
+            folded = np.zeros(c.shape[:-1] + (half,))
+            np.add.at(folded, (..., np.minimum(j, n - j)), c)
+            c = folded
+        spec = np.zeros(c.shape[:-1] + (half,))
+        spec[..., : c.shape[-1]] = 0.5 * n * c
+        spec[..., 0] *= 2.0
         if n % 2 == 0:
-            spec[-1] *= 2.0  # the Nyquist bin is not split between +j and -j
+            spec[..., -1] *= 2.0  # the Nyquist bin is not split between +j and -j
         return np.fft.irfft(spec, n)
 
     @property
-    def at_zero(self) -> float:
-        return float(np.sum(self.coeffs))
+    def at_zero(self):
+        """Value at the marked point x = 0: a float, or an array over a batch."""
+        total = np.sum(self.coeffs, axis=-1)
+        return float(total) if self.coeffs.ndim == 1 else total
 
     def _binop(self, other, sign):
-        n = max(len(self.coeffs), len(other.coeffs))
-        a = np.zeros(n)
-        a[: len(self.coeffs)] = self.coeffs
-        a[: len(other.coeffs)] += sign * other.coeffs
-        return CosineSeries(a)
+        a, b = self.coeffs, other.coeffs
+        out = np.zeros(np.broadcast_shapes(a.shape[:-1], b.shape[:-1])
+                       + (max(a.shape[-1], b.shape[-1]),))
+        out[..., : a.shape[-1]] = a
+        out[..., : b.shape[-1]] += sign * b
+        return CosineSeries(out)
 
     def __add__(self, other):
         return self._binop(other, 1.0)
@@ -103,19 +124,21 @@ class CosineSeries:
 
 
 def _fourier_coeffs(values, jmax: int) -> np.ndarray:
-    """``integral f(x) exp(-2 pi i j x) dx`` for j = 0..jmax from samples at x = k/n."""
+    """``integral f(x) exp(-2 pi i j x) dx`` for j = 0..jmax from samples at x = k/n,
+    along the last axis."""
     vals = np.asarray(values, dtype=float)
-    n = len(vals)
+    n = vals.shape[-1]
     if jmax > n // 4:
         raise ValueError(f"jmax={jmax} above anti-alias cap {n // 4} for {n} samples")
-    return np.fft.rfft(vals)[: jmax + 1] / n
+    return np.fft.rfft(vals)[..., : jmax + 1] / n
 
 
 def cosine_coeffs(values, jmax: int) -> np.ndarray:
-    """Cosine coefficients 0..jmax of an even function sampled at x = k/n."""
+    """Cosine coefficients 0..jmax of an even function sampled at x = k/n, along
+    the last axis."""
     spec = _fourier_coeffs(values, jmax)
     coeffs = 2.0 * spec.real
-    coeffs[0] = spec[0].real
+    coeffs[..., 0] = spec[..., 0].real
     return coeffs
 
 
@@ -130,7 +153,8 @@ def series_from_arclength(fn_sigma, chart: LazutkinChart, jmax: int) -> CosineSe
 
 def bounce_sums(u, orbits: Sequence[PeriodicOrbit]) -> np.ndarray:
     """``sum_k u(x_k) / sin(phi_k)`` per orbit, in order: one evaluation of u over
-    all bounce points, split with ``np.add.reduceat``. A grazing bounce raises."""
+    all bounce points, split with ``np.add.reduceat`` along the last axis. For a
+    batch u the result is (m, orbits). A grazing bounce raises."""
     if not orbits:
         return np.zeros(0)
     x = np.concatenate([orb.x for orb in orbits])
@@ -142,7 +166,7 @@ def bounce_sums(u, orbits: Sequence[PeriodicOrbit]) -> np.ndarray:
         raise SingularAngleError(
             f"bounce angle too close to grazing at q={q} (sin phi = {sin_phi[i]:.3g})"
         )
-    return np.add.reduceat(u(x) / sin_phi, starts)
+    return np.add.reduceat(u(x) / sin_phi, starts, axis=-1)
 
 
 def ell_q(u, orbit: PeriodicOrbit) -> float:
@@ -244,6 +268,9 @@ def riemann_limit_check(u, orbits: Mapping[int, PeriodicOrbit], chart: LazutkinC
 # -- invariant data vector -----------------------------------------------------
 
 
+NORMALIZATION = "C_gamma=1"  # the wave-trace normalization the data model implements
+
+
 @dataclass
 class InvariantVector:
     """Spectral data: bounce sums of K/sin(phi) per period plus heat coefficients.
@@ -257,10 +284,13 @@ class InvariantVector:
     H0: float
     H1: float
     q_max: int
-    normalization: str = "C_gamma=1"
+    normalization: str = NORMALIZATION
     provenance: dict = field(default_factory=dict)
 
     def __post_init__(self):
+        if self.normalization != NORMALIZATION:
+            raise ValueError(f"invariant vector key 'normalization' has the value "
+                             f"{self.normalization!r}; only {NORMALIZATION!r} is implemented")
         if self.q_max < 2:
             raise ValueError(f"invariant vector needs q_max >= 2, got {self.q_max}")
         if len(self.d) != self.q_max + 1:
@@ -289,7 +319,7 @@ class InvariantVector:
 
         return cls(d=value("d", float_list), H0=value("H0", float), H1=value("H1", float),
                    q_max=value("q_max", int),
-                   normalization=payload.get("normalization", "C_gamma=1"),
+                   normalization=payload.get("normalization", NORMALIZATION),
                    provenance=payload.get("provenance", {}))
 
     def save(self, path) -> None:
@@ -309,18 +339,21 @@ def robin_data(
     K: CosineSeries,
     orbits: Mapping[int, PeriodicOrbit],
     heat: tuple,
-) -> InvariantVector:
-    """Forward-synthesize the invariant vector of a Robin function from orbits."""
+) -> InvariantVector | list[InvariantVector]:
+    """Forward-synthesize the invariant vector of a Robin function from orbits.
+
+    A batch K (with ``heat`` a pair of arrays, as `traces.heat_defect` returns
+    it for a batch) is synthesized in one pass and gives a list of vectors.
+    """
     qs = sorted(orbits)
     q_max = max(qs)
-    d = np.zeros(q_max + 1)
-    d[0] = chart.integrate_dx(K.on_grid(chart.n_grid) / chart.mu_at_x_nodes)
-    d[1] = K.at_zero
-    d[qs] = bounce_sums(K, [orbits[q] for q in qs])
-    return InvariantVector(
-        d=d,
-        H0=float(heat[0]),
-        H1=float(heat[1]),
-        q_max=q_max,
-        provenance={"orbit_periods": qs},
-    )
+    d = np.zeros(K.coeffs.shape[:-1] + (q_max + 1,))
+    d[..., 0] = chart.integrate_dx(K.on_grid(chart.n_grid) / chart.mu_at_x_nodes)
+    d[..., 1] = K.at_zero
+    d[..., qs] = bounce_sums(K, [orbits[q] for q in qs])
+    vectors = [
+        InvariantVector(d=row, H0=float(h0), H1=float(h1), q_max=q_max,
+                        provenance={"orbit_periods": list(qs)})
+        for row, h0, h1 in zip(d.reshape(-1, q_max + 1), np.ravel(heat[0]), np.ravel(heat[1]))
+    ]
+    return vectors if d.ndim == 2 else vectors[0]

@@ -321,19 +321,31 @@ class LazutkinChart:
         """Arclength density ``dsigma/dx = 1/(C_L kappa^(2/3))`` at the x nodes."""
         return 1.0 / (self.lazutkin_const * self.kappa_at_x_nodes ** (2.0 / 3.0))
 
-    def integrate_dx(self, values) -> float:
-        """Integral over one period of x of values at the x nodes (periodic trapezoid)."""
-        return float(np.mean(self._x_node_values(values)))
+    def integrate_dx(self, values):
+        """Integral over one period of x of values at the x nodes (periodic trapezoid).
 
-    def integrate_dsigma(self, values) -> float:
-        """Arclength integral of values at the x nodes: the trapezoid in x against dsigma/dx."""
-        return float(np.mean(self._x_node_values(values) * self.dsigma_dx_at_x_nodes))
+        Acts along the last axis: a float for one row of node values, an array
+        for a stack of rows.
+        """
+        return self._node_mean(self._x_node_values(values))
+
+    def integrate_dsigma(self, values):
+        """Arclength integral of values at the x nodes: the trapezoid in x against dsigma/dx.
+
+        Acts along the last axis, like `integrate_dx`.
+        """
+        return self._node_mean(self._x_node_values(values) * self.dsigma_dx_at_x_nodes)
 
     def _x_node_values(self, values) -> np.ndarray:
         vals = np.asarray(values, dtype=float)
-        if vals.shape != (self.n_grid,):
+        if vals.shape[-1:] != (self.n_grid,):
             raise ValueError("values must match the chart grid")
         return vals
+
+    @staticmethod
+    def _node_mean(vals: np.ndarray):
+        mean = np.mean(vals, axis=-1)
+        return float(mean) if vals.ndim == 1 else mean
 
 
 @dataclass

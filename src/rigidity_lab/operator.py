@@ -429,6 +429,7 @@ def square_block(mat: OperatorMatrix, n: int) -> OperatorMatrix:
 @dataclass
 class NeumannInfo:
     iterations: int
+    # one row per term, and one column per system for an (n, m) right-hand side
     update_norms: np.ndarray           # sup norm of coefficient updates
     weighted_update_norms: np.ndarray  # max_j j^gamma |update_j|; ratios <= ||Id - T||_gamma
     converged: bool
@@ -449,8 +450,10 @@ def neumann_invert(
 ) -> tuple:
     """Solve T w = rhs by the series w = sum (Id - T)^k rhs on a square block.
 
-    Returns (CosineSeries with zero mean part, NeumannInfo). Iteration stops
-    at `order` terms or when the sup-norm update falls below tol; successive
+    Returns (CosineSeries with zero mean part, NeumannInfo). An (n, m)
+    right-hand side is m systems solved together: the series is a batch of m
+    and the update norms get one column per system. Iteration stops at `order`
+    terms or when every column's sup-norm update falls below tol; successive
     weighted update norms contract at least as fast as the certified norm of
     Id - T.
     """
@@ -469,21 +472,20 @@ def neumann_invert(
     rhs = np.asarray(rhs, dtype=float)
     weights = np.arange(1, n + 1, dtype=float) ** gamma
     B = np.eye(n) - A
-    w = np.zeros(n)
+    w = np.zeros_like(rhs)
     updates, weighted = [], []
     converged = False
     for _ in range(order):
         w_next = rhs + B @ w
         abs_delta = np.abs(w_next - w)
-        step = float(abs_delta.max())
+        step = abs_delta.max(axis=0)
         updates.append(step)
-        weighted.append(float((weights * abs_delta).max()))
+        weighted.append((abs_delta.T * weights).max(axis=-1))
         w = w_next
-        if tol > 0.0 and step < tol:
+        if tol > 0.0 and np.all(step < tol):
             converged = True
             break
-    coeffs = np.concatenate([[0.0], w])
-    return CosineSeries(coeffs), NeumannInfo(
+    return _series_of_block_solution(w), NeumannInfo(
         iterations=len(updates),
         update_norms=np.array(updates),
         weighted_update_norms=np.array(weighted),
@@ -492,9 +494,18 @@ def neumann_invert(
 
 
 def lstsq_invert(T_star_R: OperatorMatrix, rhs) -> CosineSeries:
-    """Direct least-squares solve of the same square system, for cross-checks."""
+    """Direct least-squares solve of the same square system, for cross-checks.
+
+    An (n, m) right-hand side is solved in one call and gives a batch of m.
+    """
     sol, *_ = np.linalg.lstsq(T_star_R.entries, np.asarray(rhs, dtype=float), rcond=None)
-    return CosineSeries(np.concatenate([[0.0], sol]))
+    return _series_of_block_solution(sol)
+
+
+def _series_of_block_solution(w: np.ndarray) -> CosineSeries:
+    """Coefficients 1..n solved on the square block, as series with zero mean part;
+    the columns of an (n, m) solution become a batch of m."""
+    return CosineSeries(np.concatenate([np.zeros((1,) + w.shape[1:]), w]).T)
 
 
 # -- structural decomposition check --------------------------------------------

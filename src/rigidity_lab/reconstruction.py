@@ -11,10 +11,12 @@ solves), then K = mu * v.
 The work splits at the Robin function: `RecoveryPlan` builds, once per table
 and data depth, everything that depends only on the domain (ladder fit,
 contraction certificate, the square block, the full-depth rows and the solves
-of the K-independent right-hand side b*), and `RecoveryPlan.solve` does the
-per-K rest (right-hand side, its Neumann solve with the lstsq cross-check,
-projection and residual gates). `recover_robin` is a one-shot plan, and
-`rigidity_suite` builds one plan per domain for all of its K.
+of the K-independent right-hand side b*), and `RecoveryPlan.solve_many` does
+the K-dependent rest for a batch of K at once: their right-hand sides are the
+columns of one matrix, inverted by one Neumann series and cross-checked by one
+lstsq call, then projected and gated per K. `RecoveryPlan.solve` is the batch
+of one and `recover_robin` a one-shot plan; `rigidity_suite` synthesizes the
+data of all K of a domain in one batch and inverts them with one `solve_many`.
 
 `triple_disambiguate` replays the three-function argument as a numerical
 audit, and `two_symmetry_pin` replays the doubly-symmetric marked-value
@@ -137,7 +139,6 @@ class RecoveryPlan:
 
         # full-depth rows (up to q_max) feed the limit-entry column and holdout checks
         T_full = assemble_T(frame, chart, orbits, GammaSpaceParams(opt.gamma, n, q_max))
-        col0 = {int(q): T_full.row(int(q))[0] for q in T_full.row_q if q >= 2}
 
         b = build_b_star(np.arange(1, n + 1))
         w_b, _ = neumann_invert(A, b, order=opt.neumann_order, tol=0.0, certified=certified,
@@ -147,90 +148,116 @@ class RecoveryPlan:
         self.frame, self.chart, self.options = frame, chart, opt
         self.q_max, self.n = q_max, n
         self.certificate, self.certified = cert, certified
-        self.block, self.lss, self.col0 = A, lss, col0
+        self.block, self.lss = A, lss
+        self.col0 = np.array([T_full.row(q)[0] for q in range(2, n + 1)])  # limit-entry column
         self.b, self.w_b, self.ls_b = b, w_b.coeffs[1:], ls_b
-        self.hold_rows = [(q, T_full.row(q)) for q in hold]
+        self.hold_q = np.array(hold, dtype=int)
+        self.hold_rows = np.array([T_full.row(q) for q in hold]).reshape(len(hold), n + 1)
 
     def solve(self, data: InvariantVector, K0_at_marked: float) -> RecoveryResult:
-        """Recover the Robin function from one invariant vector and marked value."""
-        opt, chart, n, A, lss, b = self.options, self.chart, self.n, self.block, self.lss, self.b
-        if data.q_max != self.q_max:
-            raise ValueError(f"data depth q_max={data.q_max} does not match the plan's "
-                             f"q_max={self.q_max}")
-        if not np.isfinite(K0_at_marked):
-            raise ValueError(f"marked value K0 must be finite, got {K0_at_marked!r}")
-        v0_data = float(data.d[0])
-        d0_gap = None
-        if opt.use_extrapolated_d0:
-            est = estimate_limit_entry(data, [q for q in range(2, self.q_max + 1)])
-            d0_gap = abs(est - v0_data)
-            v0 = est
-        else:
-            v0 = v0_data
+        """Recover the Robin function from one invariant vector and marked value:
+        `solve_many` on a batch of one."""
+        return self.solve_many([data], [K0_at_marked])[0]
 
+    def solve_many(
+        self, data_list: Sequence[InvariantVector], K0s: Sequence[float]
+    ) -> list[RecoveryResult]:
+        """Recover one Robin function per invariant vector and marked value.
+
+        The pairs share every solve: their right-hand sides are the columns of
+        one (n, m) matrix, inverted by one Neumann series and cross-checked by
+        one lstsq call. Every input is validated before any work starts; the
+        residual gates are checked per pair, and the first pair in input order
+        that fails raises.
+        """
+        opt, chart, A, lss, b = self.options, self.chart, self.block, self.lss, self.b
+        if len(data_list) != len(K0s):
+            raise ValueError(f"{len(data_list)} invariant vectors for {len(K0s)} marked values")
+        for data in data_list:
+            if data.q_max != self.q_max:
+                raise ValueError(f"data depth q_max={data.q_max} does not match the plan's "
+                                 f"q_max={self.q_max}")
+        for K0 in K0s:
+            if not np.isfinite(K0):
+                raise ValueError(f"marked value K0 must be finite, got {K0!r}")
+        if not data_list:
+            return []
+        d = np.stack([data.d for data in data_list])      # one row per pair
+        K0 = np.array(K0s, dtype=float)
+        v0 = d[:, 0]
+        d0_gaps = [None] * len(data_list)
+        if opt.use_extrapolated_d0:
+            est = np.array([estimate_limit_entry(data, range(2, self.q_max + 1))
+                            for data in data_list])
+            d0_gaps = np.abs(est - v0).tolist()
+            v0 = est
+
+        # right-hand sides, one column per pair: the marked row, then the period rows
         mu0 = chart.mu_at_marked
-        g = np.zeros(n)
-        g[0] = K0_at_marked / mu0 - v0
-        for q in range(2, n + 1):
-            g[q - 1] = data.d[q] / q**2 - v0 * self.col0[q]
+        qs = np.arange(2, self.n + 1)
+        g = np.empty((self.n, len(data_list)))
+        g[0] = K0 / mu0 - v0
+        g[1:] = d[:, qs].T / qs[:, None] ** 2 - np.outer(self.col0, v0)
 
         # the Neumann solve of g is the certified audit; lstsq cross-checks it
-        w_g, info_g = neumann_invert(A, g, order=opt.neumann_order, tol=0.0,
-                                     certified=self.certified, gamma=opt.gamma)
-        lam = float(lss @ w_g.coeffs[1:]) / (1.0 + float(lss @ self.w_b))
-        w = w_g.coeffs[1:] - lam * self.w_b
+        series_g, info_g = neumann_invert(A, g, order=opt.neumann_order, tol=0.0,
+                                          certified=self.certified, gamma=opt.gamma)
+        w_g = series_g.coeffs[:, 1:]                       # one row per pair from here on
+        lam = (w_g @ lss) / (1.0 + float(lss @ self.w_b))
+        w = w_g - np.outer(lam, self.w_b)
 
-        ls_g = lstsq_invert(A, g).coeffs[1:]
-        lam_ls = float(lss @ ls_g) / (1.0 + float(lss @ self.ls_b))
-        w_ls = ls_g - lam_ls * self.ls_b
-        lstsq_diff = float(np.max(np.abs(w - w_ls)))
+        ls_g = lstsq_invert(A, g).coeffs[:, 1:]
+        lam_ls = (ls_g @ lss) / (1.0 + float(lss @ self.ls_b))
+        lstsq_diff = np.max(np.abs(w - (ls_g - np.outer(lam_ls, self.ls_b))), axis=1)
 
-        v = CosineSeries(np.concatenate([[v0], w]))
-        out_j = min(2 * n, chart.n_grid // 4)
+        v = CosineSeries(np.column_stack([v0, w]))
+        out_j = min(2 * self.n, chart.n_grid // 4)
         K_hat = CosineSeries(cosine_coeffs(chart.mu_at_x_nodes * v.on_grid(chart.n_grid), out_j))
 
-        solve_residual = float(np.max(np.abs(A.entries @ w - (g - lam * b))))
-        marked_residual = abs(mu0 * (v0 + float(np.sum(w))) - K0_at_marked)
+        solve_residual = np.max(np.abs(w @ A.entries.T - (g.T - np.outer(lam, b))), axis=1)
+        marked_residual = np.abs(mu0 * (v0 + np.sum(w, axis=1)) - K0)
 
         # the period rows alone cannot see the marked value (which is exactly why
         # it must be supplied); consistency with the data's own marked entry and
         # with the quadratic heat coefficient is what flags a wrong pin
-        data_marked_gap = abs(K0_at_marked - float(data.d[1]))
+        data_marked_gap = np.abs(K0 - d[:, 1])
         h0_hat, h1_hat = heat_defect(self.frame, K_hat)
-        heat_residual = (abs(h0_hat - data.H0), abs(h1_hat - data.H1))
 
-        holdout = None
-        if self.hold_rows:
-            vals = []
-            for q, row in self.hold_rows:
-                vals.append(abs(row[0] * v0 + row[1 : n + 1] @ w - data.d[q] / q**2))
-            holdout = float(np.max(vals))
-        if opt.strict_residual:
-            # written as "not <=" so that a NaN residual fails the gate
-            bad_holdout = holdout is not None and not (holdout <= opt.residual_tol)
-            if bad_holdout or not (data_marked_gap <= opt.residual_tol):
-                raise ResidualTooLargeError(
-                    f"data inconsistent at this truncation: marked-entry gap "
-                    f"{data_marked_gap:.3e}, held-out row residual "
-                    f"{holdout if holdout is not None else float('nan'):.3e} "
-                    f"(tolerance {opt.residual_tol:.1e})"
-                )
+        holdout = [None] * len(data_list)
+        if len(self.hold_q):
+            rows = self.hold_rows
+            resid = (np.outer(v0, rows[:, 0]) + w @ rows[:, 1:].T
+                     - d[:, self.hold_q] / self.hold_q ** 2)
+            holdout = np.max(np.abs(resid), axis=1).tolist()
 
-        return RecoveryResult(
-            K_hat=K_hat,
-            v=v,
-            second_order_value=lam,
-            certificate=self.certificate,
-            neumann_iterations=info_g.iterations,
-            neumann_update_norms=info_g.update_norms,
-            lstsq_max_diff=lstsq_diff,
-            solve_residual=solve_residual,
-            holdout_residual=holdout,
-            marked_residual=marked_residual,
-            data_marked_gap=data_marked_gap,
-            heat_residual=heat_residual,
-            d0_extrapolation_gap=d0_gap,
-        )
+        results = []
+        for i, data in enumerate(data_list):
+            if opt.strict_residual:
+                # written as "not <=" so that a NaN residual fails the gate
+                bad_holdout = holdout[i] is not None and not (holdout[i] <= opt.residual_tol)
+                if bad_holdout or not (data_marked_gap[i] <= opt.residual_tol):
+                    raise ResidualTooLargeError(
+                        f"data inconsistent at this truncation: marked-entry gap "
+                        f"{data_marked_gap[i]:.3e}, held-out row residual "
+                        f"{holdout[i] if holdout[i] is not None else float('nan'):.3e} "
+                        f"(tolerance {opt.residual_tol:.1e})"
+                    )
+            results.append(RecoveryResult(
+                K_hat=CosineSeries(K_hat.coeffs[i]),
+                v=CosineSeries(v.coeffs[i]),
+                second_order_value=float(lam[i]),
+                certificate=self.certificate,
+                neumann_iterations=info_g.iterations,
+                neumann_update_norms=info_g.update_norms[:, i],
+                lstsq_max_diff=float(lstsq_diff[i]),
+                solve_residual=float(solve_residual[i]),
+                holdout_residual=holdout[i],
+                marked_residual=float(marked_residual[i]),
+                data_marked_gap=float(data_marked_gap[i]),
+                heat_residual=(float(abs(h0_hat[i] - data.H0)), float(abs(h1_hat[i] - data.H1))),
+                d0_extrapolation_gap=d0_gaps[i],
+            ))
+        return results
 
 
 def recover_robin(
@@ -470,27 +497,31 @@ def rigidity_suite(
             ks = [(f"random_{i}", draw_random_K(rng, opt.k_jmax)) for i in range(opt.n_random_K)]
         else:
             ks = [(f"K_{i}", k) for i, k in enumerate(K_list)]
-        if ks:
-            plan = RecoveryPlan(frame, chart, orbits, opt.q_max, opt.recovery)
-        for label, K in ks:
-            heat = heat_defect(frame, K)
-            data = robin_data(frame, chart, K, {q: orbits[q] for q in range(2, opt.q_max + 1)}, heat)
-            rec = plan.solve(data, K.at_zero)
-            diff = rec.K_hat - K
+        if not ks:
+            continue
+        plan = RecoveryPlan(frame, chart, orbits, opt.q_max, opt.recovery)
+        batch = CosineSeries.stack([K for _, K in ks])
+        data = robin_data(frame, chart, batch, {q: orbits[q] for q in range(2, opt.q_max + 1)},
+                          heat_defect(frame, batch))
+        results = plan.solve_many(data, [K.at_zero for _, K in ks])
+        diff = CosineSeries.stack([res.K_hat for res in results]) - batch
+        errors = np.max(np.abs(diff.on_grid(2048)), axis=1)
+        coeff_errors = np.max(np.abs(diff.coeffs), axis=1)
+        for (label, K), res, err, coeff_err in zip(ks, results, errors, coeff_errors):
             rows.append(
                 {
                     "domain": repr(list(coeffs)),
                     "epsilon": plan.certificate.epsilon,
                     "K_label": label,
                     "K0": K.at_zero,
-                    "recovery_error_sup": float(np.max(np.abs(diff.on_grid(2048)))),
-                    "coeff_error_sup": float(np.max(np.abs(diff.coeffs))),
-                    "lstsq_max_diff": rec.lstsq_max_diff,
-                    "holdout_residual": rec.holdout_residual,
-                    "certificate_numeric": rec.certificate.numeric_norm_completed,
-                    "certificate_analytic": rec.certificate.analytic_bound,
-                    "certified": rec.certificate.inversion_certified,
-                    "passed": rec.certificate.passed,
+                    "recovery_error_sup": float(err),
+                    "coeff_error_sup": float(coeff_err),
+                    "lstsq_max_diff": res.lstsq_max_diff,
+                    "holdout_residual": res.holdout_residual,
+                    "certificate_numeric": res.certificate.numeric_norm_completed,
+                    "certificate_analytic": res.certificate.analytic_bound,
+                    "certified": res.certificate.inversion_certified,
+                    "passed": res.certificate.passed,
                 }
             )
     return SuiteSummary(

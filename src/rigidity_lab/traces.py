@@ -4,6 +4,7 @@ small-time heat defect coefficients, and the length spectrum."""
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from typing import Mapping
 
@@ -23,13 +24,14 @@ def heat_defect(frame: BoundaryFrame, K: CosineSeries) -> tuple:
     """Leading heat-trace defect coefficients (H0, H1).
 
     H0 = (1/2pi) int K dsigma and H1 = (1/(8 sqrt(pi))) int (K kappa + 2 K^2) dsigma,
-    both on the chart's uniform x nodes.
+    both on the chart's uniform x nodes. Floats for one K; for a batch K, one
+    pass gives two arrays over the batch.
     """
     chart = frame.chart
     k_vals = K.on_grid(chart.n_grid)
-    h0 = chart.integrate_dsigma(k_vals) / (2.0 * np.pi)
+    h0 = chart.integrate_dsigma(k_vals) / (2.0 * math.pi)
     h1 = chart.integrate_dsigma(k_vals * chart.kappa_at_x_nodes + 2.0 * k_vals**2)
-    return float(h0), float(h1 / (8.0 * np.sqrt(np.pi)))
+    return h0, h1 / (8.0 * math.sqrt(math.pi))
 
 
 @dataclass

@@ -91,6 +91,15 @@ def test_invariants_q_max_below_two_is_a_usage_error(tmp_path, capsys, q_max):
     assert not (tmp_path / "invariants.json").exists()
 
 
+@pytest.mark.parametrize("n_random", ["0", "-2"])
+def test_suite_n_random_below_one_is_a_usage_error(tmp_path, capsys, n_random):
+    """An empty suite would report max_error 0.0: refused, not scored."""
+    assert run(["suite", "acceptance", "--grid", "small", "--n-random", n_random,
+                "--out", str(tmp_path)]) == 1
+    assert f"usage error: --n-random must be >= 1, got {n_random}" in capsys.readouterr().err
+    assert not (tmp_path / "suite.json").exists()
+
+
 def test_certificate_analytic_only(tmp_path, capsys):
     code = run(["operator", "certify", "--gamma", "3.5", "--epsilon", "0",
                 "--out", str(tmp_path)])
@@ -142,8 +151,11 @@ def test_reconstruct_rejects_malformed_invariants(tmp_path, capsys):
     good = json.loads((inv_dir / "invariants.json").read_text())
     nan_entry = dict(good, d=good["d"][:5] + [float("nan")] + good["d"][6:])
     short_d = dict(good, d=good["d"][:8])
+    other_normalization = dict(good, normalization="C_gamma=2")
     for name, payload, message in (("nan", nan_entry, "finite"),
-                                   ("short", short_d, "entries")):
+                                   ("short", short_d, "entries"),
+                                   ("normalization", other_normalization,
+                                    "'normalization' has the value 'C_gamma=2'")):
         path = tmp_path / f"{name}.json"
         path.write_text(json.dumps(payload))
         rc_dir = tmp_path / f"rc_{name}"

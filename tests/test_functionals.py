@@ -345,6 +345,22 @@ def test_robin_data_circle_values(circle_frame, circle_orbits):
     assert_allclose(d_e0.d[0], 1.0 / np.pi, rtol=0, atol=1e-12)
 
 
+def test_robin_data_batch_matches_single(perturbed_frame, perturbed_orbits, rng):
+    """A batch of K (of unequal lengths) is synthesized in one pass, as each K alone."""
+    chart, orbits = perturbed_frame.chart, {q: perturbed_orbits[q] for q in range(2, 17)}
+    Ks = [fn.CosineSeries(rng.standard_normal(size)) for size in (1, 7, 4, 12)]
+    batch = fn.CosineSeries.stack(Ks)
+    heat = traces.heat_defect(perturbed_frame, batch)
+    vectors = fn.robin_data(perturbed_frame, chart, batch, orbits, heat)
+    assert len(vectors) == len(Ks)
+    for i, (K, got) in enumerate(zip(Ks, vectors)):
+        h0, h1 = traces.heat_defect(perturbed_frame, K)
+        alone = fn.robin_data(perturbed_frame, chart, K, orbits, (h0, h1))
+        assert (heat[0][i], heat[1][i]) == (h0, h1)
+        assert (got.H0, got.H1, got.q_max) == (alone.H0, alone.H1, alone.q_max)
+        assert np.max(np.abs(got.d - alone.d)) <= 1e-14 * np.max(np.abs(alone.d))
+
+
 def test_invariant_vector_json_roundtrip(tmp_path, circle_frame, circle_orbits):
     orbits = {q: circle_orbits[q] for q in range(2, 6)}
     data = fn.robin_data(circle_frame, circle_frame.chart,

@@ -204,11 +204,12 @@ def test_suite_builds_one_plan_per_domain(monkeypatch):
 
 
 def _count_calls(monkeypatch, module, name):
-    """Count calls of ``module.name`` through every name the package binds it by."""
+    """Record the positional arguments of every call of ``module.name``, through
+    every name the package binds it by."""
     original, calls = getattr(module, name), []
 
     def wrapper(*args, **kwargs):
-        calls.append(name)
+        calls.append(args)
         return original(*args, **kwargs)
 
     for mod in (billiards, geometry, op, rec):
@@ -224,6 +225,17 @@ def test_suite_measures_closeness_once_per_domain(monkeypatch):
     summary = rec.rigidity_suite([[], [0.0, 0.0, 0.01]], None, rec.SuiteOptions(n_random_K=2))
     assert len(summary.rows) == 4
     assert len(calls) == 2
+
+
+def test_suite_solves_all_k_of_a_domain_in_one_batch(monkeypatch):
+    """Beyond the plan's two solves of b*, one Neumann series and one lstsq take
+    the stacked right-hand side of all five K."""
+    neumann = _count_calls(monkeypatch, op, "neumann_invert")
+    lstsq = _count_calls(monkeypatch, op, "lstsq_invert")
+    summary = rec.rigidity_suite([[0.0, 0.0, 0.01]], None, rec.SuiteOptions(n_random_K=5))
+    assert len(summary.rows) == 5
+    for calls in (neumann, lstsq):
+        assert [np.shape(args[1]) for args in calls] == [(12,), (12, 5)]
 
 
 def test_plan_assembles_once_and_solves_missing_rungs_in_one_batch(
@@ -251,6 +263,56 @@ def test_plan_round_trip_property(perturbed_frame, perturbed_orbits, perturbed_p
     res = perturbed_plan.solve(_forward(perturbed_frame, perturbed_orbits, K), K.at_zero)
     assert np.max(np.abs(res.K_hat(XS) - K(XS))) <= 1e-5
     assert res.holdout_residual <= 1e-6
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.lists(st.floats(-1.0, 1.0), min_size=1, max_size=7), min_size=1, max_size=8))
+def test_solve_many_matches_single_solves(perturbed_frame, perturbed_orbits, perturbed_plan,
+                                         coeff_lists):
+    """Each result of a batch is the solve of its K alone, marked values included."""
+    Ks = [fn.CosineSeries(c) for c in coeff_lists]
+    data = [_forward(perturbed_frame, perturbed_orbits, K) for K in Ks]
+    batch = perturbed_plan.solve_many(data, [K.at_zero for K in Ks])
+    assert len(batch) == len(Ks)
+    for got, d, K in zip(batch, data, Ks):
+        alone = perturbed_plan.solve(d, K.at_zero)
+        for name in ("K_hat", "v"):
+            a, b = getattr(got, name).coeffs, getattr(alone, name).coeffs
+            assert a.shape == b.shape and np.max(np.abs(a - b)) <= 1e-13, name
+        assert abs(got.second_order_value - alone.second_order_value) <= 1e-13
+        assert abs(got.lstsq_max_diff - alone.lstsq_max_diff) <= 1e-15
+        assert abs(got.holdout_residual - alone.holdout_residual) <= 1e-15
+        assert got.neumann_iterations == alone.neumann_iterations
+        assert got.neumann_update_norms.shape == alone.neumann_update_norms.shape
+
+
+def test_solve_many_gates_per_pair(perturbed_frame, perturbed_orbits, perturbed_plan,
+                                   monkeypatch, rng):
+    Ks = [rec.draw_random_K(rng, 6) for _ in range(4)]
+    data = [_forward(perturbed_frame, perturbed_orbits, K) for K in Ks]
+    K0s = [K.at_zero for K in Ks]
+    data[2].d[16] = np.nan    # past construction-time validation, e.g. mutated in place
+    with pytest.raises(ResidualTooLargeError) as alone:
+        perturbed_plan.solve(data[2], K0s[2])
+    with pytest.raises(ResidualTooLargeError) as batch:
+        perturbed_plan.solve_many(data, K0s)
+    assert str(batch.value) == str(alone.value)
+    # the first failing pair in input order raises: here a wrong marked value
+    with pytest.raises(ResidualTooLargeError, match="marked-entry gap 1.000e"):
+        perturbed_plan.solve_many(data, [K0s[0], K0s[1] + 1.0, *K0s[2:]])
+
+    neumann = _count_calls(monkeypatch, op, "neumann_invert")
+    for bad in (float("nan"), float("inf"), -float("inf")):
+        for i in range(len(Ks)):
+            with pytest.raises(ValueError, match="finite"):
+                perturbed_plan.solve_many(data, [*K0s[:i], bad, *K0s[i + 1:]])
+    short = fn.InvariantVector(d=np.zeros(13), H0=0.0, H1=0.0, q_max=12)
+    with pytest.raises(ValueError, match="q_max"):
+        perturbed_plan.solve_many([*data, short], [*K0s, 0.0])
+    with pytest.raises(ValueError, match="marked values"):
+        perturbed_plan.solve_many(data, K0s[:3])
+    assert neumann == []
+    assert perturbed_plan.solve_many([], []) == []
 
 
 # -- three-function audit -----------------------------------------------------------
