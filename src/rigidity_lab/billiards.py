@@ -668,10 +668,12 @@ def fit_alpha_beta(chart: LazutkinChart, orbits: Mapping[int, PeriodicOrbit]) ->
             raise ValueError("ladder periods must divide each other (use a dyadic ladder)")
 
     alpha_hat, beta_hat = {}, {}
-    for q in qs:
+    # the weight at every rung's bounces in one evaluation
+    mus = np.split(chart.mu_of_theta(np.concatenate([orbits[q].theta for q in qs])),
+                   np.cumsum(qs[:-1]))
+    for q, mu in zip(qs, mus):
         orb = orbits[q]
         k_over_q = np.arange(q) / q
-        mu = chart.mu_of_theta(orb.theta)
         alpha_hat[q] = q * q * (orb.x - k_over_q)
         beta_hat[q] = q * q * (q * orb.phi / mu - 1.0)
 

@@ -193,12 +193,12 @@ def cmd_operator(args) -> int:
         orbits = billiards.compute_orbits(
             frame, sorted(set(range(2, args.q_max + 1)) | set(billiards.LADDER))
         )
+        T = operator_mod.assemble_T(frame, frame.chart, orbits, params)
         cert = operator_mod.contraction_certificate(
             frame, frame.chart, params, eps=args.epsilon,
-            orbits=orbits, c_constant=args.c_constant,
+            orbits=orbits, c_constant=args.c_constant, full=T,
         )
         if args.action == "assemble":
-            T = operator_mod.assemble_T(frame, frame.chart, orbits, params)
             lines = ["q\\j," + ",".join(str(int(j)) for j in T.col_j)]
             for i, q in enumerate(T.row_q):
                 lines.append(

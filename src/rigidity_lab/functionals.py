@@ -217,15 +217,20 @@ def S_q_eval(chart: LazutkinChart, q: int, x):
     return y / np.sin(y) - 1.0
 
 
-def _s_q_node_values(chart: LazutkinChart, q: int) -> np.ndarray:
-    y = chart.mu_at_x_nodes / q
+def _s_q_node_values(chart: LazutkinChart, q) -> np.ndarray:
+    """S_q at the x nodes; an array of periods gives one row per period."""
+    y = chart.mu_at_x_nodes / np.asarray(q)[..., None]
     return y / np.sin(y) - 1.0
 
 
-def sigma_p(chart: LazutkinChart, q: int, p: int) -> complex:
-    """Fourier coefficient of the angle-correction function at frequency p."""
-    spec = _fourier_coeffs(_s_q_node_values(chart, q), abs(int(p)))
-    return complex(spec[abs(int(p))])
+def sigma_p(chart: LazutkinChart, q, p: int):
+    """Fourier coefficient of the angle-correction function at frequency p.
+
+    An array of periods gives an array of coefficients, one per period, from
+    one batched transform.
+    """
+    spec = _fourier_coeffs(_s_q_node_values(chart, q), abs(int(p)))[..., abs(int(p))]
+    return complex(spec) if spec.ndim == 0 else spec
 
 
 def sigma_p_table(chart: LazutkinChart, q: int, pmax: int) -> np.ndarray:

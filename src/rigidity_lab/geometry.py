@@ -14,7 +14,12 @@ integrands, so evaluations are spectrally accurate at arbitrary points, not
 just grid nodes. Each integrand's Fourier series is chopped where its
 spectrum reaches the roundoff plateau (Aurentz & Trefethen's rule), so an
 evaluation costs the resolved bandwidth, a few dozen modes, whatever the
-grid size.
+grid size; it is summed by Horner's rule in one complex exponential per
+point, with no table of harmonics.
+
+The chart evaluates its uniform theta grid once: speed, curvature, weight,
+arclength and Lazutkin coordinate there are the frame's table, and the
+inverse maps start Newton from linear interpolation in that table.
 """
 
 from __future__ import annotations
@@ -50,7 +55,8 @@ class DomainProfile:
         """``(r, r', r'', cos theta, sin theta)`` from one evaluation of cos/sin(n theta).
 
         The one sum of the radial series, which every boundary quantity below
-        is built on: one ``cos`` and one ``sin`` over all modes.
+        is built on: the table of ``cos(n theta)`` and ``sin(n theta)`` over the
+        profile's few modes, contracted with the three weight vectors.
         """
         n, a, na, nna = self._jet_weights
         phase = np.asarray(theta, dtype=float)[..., None] * n
@@ -78,9 +84,6 @@ class DomainProfile:
         acc = ((r2 - r) * c - 2.0 * r1 * s, (r2 - r) * s + 2.0 * r1 * c)
         return pos, vel, acc
 
-    def radius(self, theta):
-        return self.jet(theta)[0]
-
     def position(self, theta):
         """Boundary point(s) as (..., 2) array, marked point at the origin."""
         return np.stack(self.point_jet(theta)[0], axis=-1)
@@ -89,18 +92,26 @@ class DomainProfile:
         """d(position)/d(theta)."""
         return np.stack(self.point_jet(theta)[1], axis=-1)
 
+    def speed_curvature(self, theta):
+        """Speed ``|d position/d theta|`` and signed curvature (positive for a
+        counter-clockwise convex boundary) from one `jet`."""
+        r, r1, r2, _, _ = self.jet(theta)
+        return _speed_curvature(r, r1, r2)
+
     def speed(self, theta):
-        r, r1, _, _, _ = self.jet(theta)
-        return np.sqrt(r * r + r1 * r1)
+        return self.speed_curvature(theta)[0]
 
     def tangent(self, theta):
         v = self.velocity(theta)
         return v / np.linalg.norm(v, axis=-1, keepdims=True)
 
     def curvature(self, theta):
-        """Signed curvature, positive for a counter-clockwise convex boundary."""
-        r, r1, r2, _, _ = self.jet(theta)
-        return (r * r + 2.0 * r1 * r1 - r * r2) / (r * r + r1 * r1) ** 1.5
+        return self.speed_curvature(theta)[1]
+
+
+def _speed_curvature(r, r1, r2):
+    s2 = r * r + r1 * r1
+    return np.sqrt(s2), (r * r + 2.0 * r1 * r1 - r * r2) / s2 ** 1.5
 
 
 def build_profile(
@@ -124,12 +135,12 @@ def build_profile(
     profile = DomainProfile(coeffs, int(smoothness_order), offset)
 
     theta = TWO_PI * np.arange(check_samples) / check_samples
-    r = profile.radius(theta)
+    r, r1, r2, _, _ = profile.jet(theta)
     if np.min(r) <= 0.0:
         raise NonPositiveRadiusError(
             f"radius reaches {np.min(r):.6g} <= 0 at theta={theta[np.argmin(r)]:.6g}"
         )
-    kappa = profile.curvature(theta)
+    kappa = _speed_curvature(r, r1, r2)[1]
     if np.min(kappa) <= 0.0:
         raise NonConvexError(
             f"curvature reaches {np.min(kappa):.6g} <= 0 at theta={theta[np.argmin(kappa)]:.6g}"
@@ -198,16 +209,27 @@ class _FourierSeries:
             (self.k == 0) | (self.k == n // 2), 1.0, 2.0
         )
         self.mean = spec[0].real
+        # mode k of the antiderivative is Re(w_k (exp(i k t) - 1)), w_k = c_k / (i k);
+        # Horner's rule runs over the tail sums W_m = w_{m+1} + ... + w_kmax
+        k = self.k[1:]
+        w = -1j * self.weight[1:] * self.coeffs[1:] / k
+        self._tail_sums = np.cumsum(w[::-1])[::-1]
 
     def antideriv(self, t):
-        """Integral of the series from 0 to t."""
+        """Integral of the series from 0 to t.
+
+        With ``z = exp(i t)`` the periodic part ``sum_k Re(w_k (z^k - 1))`` is
+        ``Re((z - 1) sum_m W_m z^m)``, summed by Horner's rule: one complex
+        exponential per point and one multiply-add per mode. Every point is
+        evaluated on its own, so a value does not depend on the batch it is in,
+        and it is exactly 0 at t = 0.
+        """
         t = np.asarray(t, dtype=float)
-        k = self.k[1:]
-        phase = np.multiply.outer(t, k)
-        a = self.weight[1:] * self.coeffs[1:].real / k
-        b = self.weight[1:] * self.coeffs[1:].imag / k
-        periodic = np.sin(phase) @ a + (np.cos(phase) - 1.0) @ b
-        return self.mean * t + periodic
+        z = np.exp(1j * t)
+        poly = np.zeros_like(z)
+        for tail in self._tail_sums[::-1]:
+            poly = poly * z + tail
+        return self.mean * t + ((z - 1.0) * poly).real
 
 
 class LazutkinChart:
@@ -228,15 +250,18 @@ class LazutkinChart:
         self.n_grid = n_grid
         self.marked_theta = MARKED_THETA
 
-        t = TWO_PI * np.arange(n_grid) / n_grid
-        theta = MARKED_THETA + t
-        speed = profile.speed(theta)
-        kappa = profile.curvature(theta)
+        theta = MARKED_THETA + TWO_PI * np.arange(n_grid) / n_grid
+        speed, kappa = profile.speed_curvature(theta)
         self._speed_series = _FourierSeries(speed)
         self._density_series = _FourierSeries(kappa ** (2.0 / 3.0) * speed)
 
         self.perimeter = float(self._speed_series.mean * TWO_PI)
         self.lazutkin_const = float(1.0 / (self._density_series.mean * TWO_PI))
+
+        # the grid table: the frame's columns and the inverse maps' Newton start
+        self.theta_grid, self.kappa_grid, self.mu_grid = theta, kappa, self._mu(kappa)
+        self.sigma_grid = self.sigma_of_theta(theta)
+        self.x_grid = self.x_of_theta(theta)
 
     # -- forward maps ---------------------------------------------------
 
@@ -253,14 +278,22 @@ class LazutkinChart:
         return self.profile.speed(theta)
 
     def dx_dtheta(self, theta):
-        p = self.profile
-        return self.lazutkin_const * p.curvature(theta) ** (2.0 / 3.0) * p.speed(theta)
+        speed, kappa = self.profile.speed_curvature(theta)
+        return self.lazutkin_const * kappa ** (2.0 / 3.0) * speed
 
     # -- inverse maps (vectorized Newton on the monotone forward maps) ---
 
-    def _invert(self, forward: Callable, deriv: Callable, target, period: float):
+    def _invert(self, forward: Callable, deriv: Callable, target, period: float, table=None):
+        """Newton on ``forward(theta) = target`` modulo ``period``.
+
+        It starts from linear interpolation in ``table``, the values of
+        ``forward`` on the chart grid (evaluated here when not given).
+        """
         target = np.mod(np.asarray(target, dtype=float), period)
-        theta = MARKED_THETA + TWO_PI * target / period
+        if table is None:
+            table = forward(self.theta_grid)
+        theta = np.interp(target, np.append(table, period),
+                          np.append(self.theta_grid, MARKED_THETA + TWO_PI))
         for _ in range(50):
             resid = forward(theta) - target
             # wrap residual branch jumps from crossings of the cut at the marked point
@@ -276,19 +309,19 @@ class LazutkinChart:
         return theta
 
     def theta_of_x(self, x):
-        return self._invert(self.x_of_theta, self.dx_dtheta, x, 1.0)
+        return self._invert(self.x_of_theta, self.dx_dtheta, x, 1.0, self.x_grid)
 
     def theta_of_sigma(self, sigma):
-        return self._invert(
-            self.sigma_of_theta, self.dsigma_dtheta, sigma, self.perimeter
-        )
+        return self._invert(self.sigma_of_theta, self.dsigma_dtheta, sigma, self.perimeter,
+                            self.sigma_grid)
 
     # -- weight ----------------------------------------------------------
 
+    def _mu(self, kappa):
+        return kappa ** (1.0 / 3.0) / (2.0 * self.lazutkin_const)
+
     def mu_of_theta(self, theta):
-        return self.profile.curvature(theta) ** (1.0 / 3.0) / (
-            2.0 * self.lazutkin_const
-        )
+        return self._mu(self.profile.curvature(theta))
 
     def mu_of_x(self, x):
         return self.mu_of_theta(self.theta_of_x(x))
@@ -314,7 +347,7 @@ class LazutkinChart:
 
     @cached_property
     def mu_at_x_nodes(self) -> np.ndarray:
-        return self.mu_of_theta(self.theta_at_x_nodes)
+        return self._mu(self.kappa_at_x_nodes)
 
     @cached_property
     def dsigma_dx_at_x_nodes(self) -> np.ndarray:
@@ -376,20 +409,20 @@ class BoundaryFrame:
 
 
 def build_frame(profile: DomainProfile, n_samples: int = DEFAULT_FRAME_SAMPLES) -> BoundaryFrame:
-    """Tabulate boundary data on a uniform grid starting at the marked point."""
+    """Tabulate boundary data on a uniform grid starting at the marked point:
+    the chart's grid table plus the boundary positions."""
     if n_samples < 256 or n_samples % 2:
         raise ValueError(f"n_samples must be even and >= 256, got {n_samples}")
     chart = LazutkinChart(profile, n_samples)
-    theta = MARKED_THETA + TWO_PI * np.arange(n_samples) / n_samples
     frame = BoundaryFrame(
         profile=profile,
         n_samples=n_samples,
-        theta=theta,
-        position=profile.position(theta),
-        sigma=chart.sigma_of_theta(theta),
-        kappa=profile.curvature(theta),
-        x=chart.x_of_theta(theta),
-        mu=chart.mu_of_theta(theta),
+        theta=chart.theta_grid,
+        position=profile.position(chart.theta_grid),
+        sigma=chart.sigma_grid,
+        kappa=chart.kappa_grid,
+        x=chart.x_grid,
+        mu=chart.mu_grid,
         perimeter=chart.perimeter,
         lazutkin_const=chart.lazutkin_const,
         chart=chart,

@@ -110,7 +110,9 @@ def assemble_T(
 
     Entries are exact functional evaluations on the computed orbits: row 0
     is the mean functional (delta_{j0}), row 1 the marked-point row (all
-    ones), and row q the bounce sum weighted by mu/(q^2 sin phi).
+    ones), and row q the bounce sum weighted by mu/(q^2 sin phi). All periods
+    are evaluated in one pass over their concatenated bounces (one weight
+    evaluation, one cosine table), split into rows with ``np.add.reduceat``.
     """
     qs = [q for q in sorted(orbits) if 2 <= q <= params.Q]
     cols = np.arange(params.J + 1)
@@ -118,10 +120,13 @@ def assemble_T(
     entries = np.zeros((len(rows), len(cols)))
     entries[0, 0] = 1.0
     entries[1, :] = 1.0
-    for i, q in enumerate(qs, start=2):
-        orb = orbits[q]
-        w = chart.mu_of_theta(orb.theta) / (orb.sin_phi * q * q)
-        entries[i] = np.cos(2.0 * np.pi * np.outer(cols, orb.x)) @ w
+    if qs:
+        orbs = [orbits[q] for q in qs]
+        q = np.repeat(qs, qs)  # a period-q orbit has q bounces
+        w = chart.mu_of_theta(np.concatenate([orb.theta for orb in orbs])) / (
+            np.concatenate([orb.sin_phi for orb in orbs]) * q * q)
+        cos = np.cos(2.0 * np.pi * np.multiply.outer(np.concatenate([orb.x for orb in orbs]), cols))
+        entries[2:] = np.add.reduceat(cos * w[:, None], np.cumsum([0] + qs[:-1]), axis=0)
     return OperatorMatrix(
         entries=entries,
         row_q=np.array(rows),
@@ -161,20 +166,19 @@ def script_L_star_star_table(chart: LazutkinChart, fit: AlphaBetaFit, jmax: int)
     through its sine coefficient as pi*j*A_j. Frequencies beyond the fit
     grid's resolution contribute only their (machine-small) weight term.
     """
-    ts = tilde_sigma_table(chart, jmax).real
-    out = np.array(ts)
-    nb = len(fit.beta_cos)
-    na = len(fit.alpha_sine)
-    for j in range(jmax + 1):
-        beta_j = fit.beta_cos[j] * (0.5 if j else 1.0) if j < nb else 0.0
-        alpha_j = fit.alpha_sine[j] if j < na else 0.0
-        out[j] -= beta_j + np.pi * j * alpha_j
-    return out
+    j = np.arange(jmax + 1)
+    beta, alpha = np.zeros(jmax + 1), np.zeros(jmax + 1)
+    beta[: len(fit.beta_cos)] = fit.beta_cos[: jmax + 1]
+    beta[1:] *= 0.5
+    alpha[: len(fit.alpha_sine)] = fit.alpha_sine[: jmax + 1]
+    return tilde_sigma_table(chart, jmax).real - (beta + np.pi * j * alpha)
 
 
 def divisor_weight(chart: LazutkinChart, fit: AlphaBetaFit, qs) -> np.ndarray:
-    """Weight ``1 + sigma_0(q) - beta_0/q^2`` of the divisor part on the multiples of each q."""
-    return np.array([1.0 + sigma_p(chart, int(q), 0).real - fit.beta0 / q**2 for q in qs])
+    """Weight ``1 + sigma_0(q) - beta_0/q^2`` of the divisor part on the multiples of each q,
+    with the means sigma_0 of all q in one batched transform."""
+    qs = np.asarray(qs, dtype=int)
+    return 1.0 + sigma_p(chart, qs, 0).real - fit.beta0 / qs**2
 
 
 def assemble_T_star_R(
@@ -183,19 +187,27 @@ def assemble_T_star_R(
     orbits: Mapping[int, PeriodicOrbit],
     params: GammaSpaceParams,
     fit: AlphaBetaFit,
+    full: OperatorMatrix | None = None,
 ) -> OperatorMatrix:
     """The divisor-plus-remainder part: full rows minus the rank-one piece.
 
     Row 1 equals the all-ones divisor row exactly; rows q >= 2 subtract
     ``Lss_j / q^2`` from the exact entries. ``extras`` keeps ``lss`` and the
     signed divisor ``weight`` per row (1 on row 1); its size is the tail
-    coefficient for analytic completion.
+    coefficient for analytic completion. The exact entries are read from
+    ``full``, an `assemble_T` with at least columns 0..J, when one is given
+    (rows past Q are left out), and assembled here otherwise.
     """
-    full = assemble_T(frame, chart, orbits, params)
-    qs = full.row_q[2:]
+    if full is None:
+        full = assemble_T(frame, chart, orbits, params)
+    elif full.col_j[-1] < params.J:
+        raise ValueError(f"assembled T has columns up to {full.col_j[-1]}, need {params.J}")
+    sel = (full.row_q >= 2) & (full.row_q <= params.Q)
+    qs = full.row_q[sel]
     lss = script_L_star_star_table(chart, fit, params.J)
     weight = np.concatenate([[1.0], divisor_weight(chart, fit, qs)])
-    entries = np.vstack([np.ones(params.J), full.entries[2:, 1:] - lss[1:] / qs[:, None] ** 2])
+    rows = full.entries[sel, 1 : params.J + 1]
+    entries = np.vstack([np.ones(params.J), rows - lss[1:] / qs[:, None] ** 2])
     return OperatorMatrix(
         entries=entries,
         row_q=np.concatenate([[1], qs]),
@@ -231,13 +243,8 @@ def assemble_remainder(T_star_R: OperatorMatrix) -> OperatorMatrix:
 
 def subtract_identity(mat: OperatorMatrix) -> OperatorMatrix:
     """Entrywise difference with the identity on matching labels."""
-    entries = mat.entries.copy()
-    for i, q in enumerate(mat.row_q):
-        hit = np.nonzero(mat.col_j == q)[0]
-        if len(hit):
-            entries[i, hit[0]] -= 1.0
     return OperatorMatrix(
-        entries=entries,
+        entries=mat.entries - (mat.row_q[:, None] == mat.col_j[None, :]),
         row_q=mat.row_q,
         col_j=mat.col_j,
         row_tail_coeff=mat.row_tail_coeff,
@@ -360,6 +367,7 @@ def contraction_certificate(
     orbits: Mapping[int, PeriodicOrbit] | None = None,
     fit: AlphaBetaFit | None = None,
     c_constant: float = DEFAULT_C_CONSTANT,
+    full: OperatorMatrix | None = None,
 ) -> ContractionCertificate:
     """Evaluate both the analytic bound and the truncated numerical norm.
 
@@ -367,6 +375,8 @@ def contraction_certificate(
     certificate is analytic-only (eps must then be given). A failing
     certificate is reported, not raised. Missing orbits (periods 2..Q when
     none are given, ladder rungs when no fit is) are solved in one batch.
+    ``full`` is an `assemble_T` of these orbits already made by the caller,
+    which `assemble_T_star_R` then reads instead of assembling again.
     """
     if frame is None:
         if eps is None:
@@ -384,7 +394,7 @@ def contraction_certificate(
 
     chart = chart if chart is not None else frame.chart
     if eps is None:
-        eps = closeness_report(frame).eps
+        eps = closeness_report(frame, order=0).eps  # the C0 distance; no derivative norms
     need = set(range(2, params.Q + 1)) if orbits is None else set()
     if fit is None:
         need |= set(LADDER) - set(orbits or ())
@@ -394,7 +404,7 @@ def contraction_certificate(
         rungs = {**orbits, **solved}
         fit = fit_alpha_beta(chart, {q: rungs[q] for q in LADDER})
 
-    tsr = assemble_T_star_R(frame, chart, orbits, params, fit)
+    tsr = assemble_T_star_R(frame, chart, orbits, params, fit, full)
     norm = gamma_norm(subtract_identity(tsr), params.gamma)
     bound = analytic_contraction_bound(eps, c_constant)
     return ContractionCertificate(

@@ -123,9 +123,12 @@ class RecoveryPlan:
         if need:
             orbits = dict(orbits) | compute_orbits(frame, need)
 
+        # one assembly of T: its rows up to n are the certified block, and its rows
+        # up to q_max feed the limit-entry column and the holdout check
         params = GammaSpaceParams(gamma=opt.gamma, J=max(NORM_JMAX, n), Q=n)
+        T = assemble_T(frame, chart, orbits, GammaSpaceParams(opt.gamma, params.J, q_max))
         fit = fit_alpha_beta(chart, {q: orbits[q] for q in LADDER})
-        cert = contraction_certificate(frame, chart, params, orbits=orbits, fit=fit)
+        cert = contraction_certificate(frame, chart, params, orbits=orbits, fit=fit, full=T)
         certified = cert.inversion_certified or opt.override_certificate
         if not certified:
             raise NotContractiveError(
@@ -137,9 +140,6 @@ class RecoveryPlan:
         A = square_block(cert.T_star_R, n)
         lss = cert.T_star_R.extras["lss"][1 : n + 1]
 
-        # full-depth rows (up to q_max) feed the limit-entry column and holdout checks
-        T_full = assemble_T(frame, chart, orbits, GammaSpaceParams(opt.gamma, n, q_max))
-
         b = build_b_star(np.arange(1, n + 1))
         w_b, _ = neumann_invert(A, b, order=opt.neumann_order, tol=0.0, certified=certified,
                                 gamma=opt.gamma)
@@ -149,10 +149,10 @@ class RecoveryPlan:
         self.q_max, self.n = q_max, n
         self.certificate, self.certified = cert, certified
         self.block, self.lss = A, lss
-        self.col0 = np.array([T_full.row(q)[0] for q in range(2, n + 1)])  # limit-entry column
+        self.col0 = T.entries[2:n + 1, 0]  # limit-entry column, rows q = 2..n
         self.b, self.w_b, self.ls_b = b, w_b.coeffs[1:], ls_b
         self.hold_q = np.array(hold, dtype=int)
-        self.hold_rows = np.array([T_full.row(q) for q in hold]).reshape(len(hold), n + 1)
+        self.hold_rows = T.entries[np.isin(T.row_q, hold), : n + 1]
 
     def solve(self, data: InvariantVector, K0_at_marked: float) -> RecoveryResult:
         """Recover the Robin function from one invariant vector and marked value:

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from rigidity_lab import billiards, geometry
+from rigidity_lab import operator as op
 
 LADDER = (8, 16, 32, 64)
 
@@ -44,3 +45,24 @@ def circle_fit(circle_frame, circle_orbits):
 @pytest.fixture()
 def rng():
     return np.random.default_rng(20240809)
+
+
+def _per_row_T(frame, chart, orbits, params):
+    """`operator.assemble_T` one row at a time: per period, one weight evaluation
+    and one product of its own cosine table with the weights."""
+    qs = [q for q in sorted(orbits) if 2 <= q <= params.Q]
+    cols = np.arange(params.J + 1)
+    entries = np.zeros((len(qs) + 2, len(cols)))
+    entries[0, 0] = 1.0
+    entries[1, :] = 1.0
+    for i, q in enumerate(qs, start=2):
+        orb = orbits[q]
+        w = chart.mu_of_theta(orb.theta) / (orb.sin_phi * q * q)
+        entries[i] = np.cos(2.0 * np.pi * np.outer(cols, orb.x)) @ w
+    return op.OperatorMatrix(entries=entries, row_q=np.array([0, 1] + qs), col_j=cols)
+
+
+@pytest.fixture(scope="session")
+def per_row_T():
+    """Oracle for the batched operator assembly: the per-row loop it replaced."""
+    return _per_row_T

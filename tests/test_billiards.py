@@ -305,7 +305,10 @@ def test_band_solve_inertia_and_max_eig_against_dense(drawn, data):
     band, definite = drawn
     hess = _dense(band)
     n = len(band[0])
-    eig = np.linalg.eigvalsh(hess)
+    # eigh, not eigvalsh: with d = (0, 1, 0), e = (2.7e-81, 0.09375) the root-free QR
+    # behind eigvalsh puts the top eigenvalue 1.7e-6 low, where eigh and a 50-digit
+    # mpmath solve agree with the band's own value
+    eig = np.linalg.eigh(hess)[0]
     scale = max(np.max(np.abs(eig)), 1e-300)
     if definite:
         b = np.array(data.draw(st.lists(st.floats(-1.0, 1.0), min_size=n, max_size=n)))

@@ -287,6 +287,65 @@ def test_chopped_chart_against_mpmath_quadrature(coeffs):
             assert len(chart._density_series.k) <= 64
 
 
+MULTI_MODE = (0.0, 0.0, 0.01, 0.0, 0.002)
+
+
+@pytest.mark.parametrize("n", [256, 2048])
+def test_multi_mode_chart_against_30_digit_quadrature(n):
+    """The Horner-summed antiderivatives of a two-mode table against mpmath at
+    30 digits, on the coarsest grid and a fine one."""
+    speed, density = _mp_speed_and_density(MULTI_MODE)
+    theta = np.pi + TWO_PI * np.array([0.0, 0.013, 0.21, 0.5, 0.66, 0.93, 0.999])
+    with mpmath.workdps(30):
+        ends = [mpmath.mpf(t) for t in theta] + [3 * mpmath.pi]
+        arc = np.cumsum([mpmath.quad(speed, ends[i : i + 2]) for i in range(len(theta))])
+        mass = np.cumsum([mpmath.quad(density, ends[i : i + 2]) for i in range(len(theta))])
+        sigma_ref = np.array([0.0] + [float(v) for v in arc[:-1]])
+        x_ref = np.array([0.0] + [float(v / mass[-1]) for v in mass[:-1]])
+    chart = geometry.build_frame(geometry.build_profile(MULTI_MODE), n).chart
+    assert_allclose(chart.sigma_of_theta(theta), sigma_ref, rtol=0, atol=1e-13)
+    assert_allclose(chart.x_of_theta(theta), x_ref, rtol=0, atol=1e-13)
+    assert_allclose(chart.perimeter, float(arc[-1]), rtol=0, atol=1e-13)
+    # every point is summed on its own: a value does not depend on its batch
+    t = TWO_PI * np.random.default_rng(n).uniform(size=37)
+    series = chart._density_series
+    whole = series.antideriv(t)
+    assert all(series.antideriv(t[i : i + k])[0] == whole[i] for i in range(37) for k in (1, 5))
+
+
+_CHARTS = {}
+
+
+def _chart(coeffs, n):
+    if (coeffs, n) not in _CHARTS:
+        _CHARTS[coeffs, n] = geometry.build_frame(geometry.build_profile(coeffs), n).chart
+    return _CHARTS[coeffs, n]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from([(MULTI_MODE, 256), (MULTI_MODE, 512), ((0.0, 0.0, 0.01), 512),
+                     ((0.0, 0.0, 0.005), 256), ((0.0,) * 5 + (0.005,), 256)]),
+    st.lists(st.floats(0.0, 1.0, exclude_max=True), min_size=1, max_size=40),
+)
+def test_inverse_from_table_start_property(table, xs):
+    """theta_of_x inverts x_of_theta to 1e-14 modulo 1 (x_of_theta maps into
+    [0, 1), so an x a rounding step below 1 comes back as 0), and from linear
+    interpolation in the chart's grid table Newton needs at most three forward
+    evaluations."""
+    chart, x = _chart(*table), np.array(xs)
+    gap = np.mod(chart.x_of_theta(chart.theta_of_x(x)) - x + 0.5, 1.0) - 0.5
+    assert np.max(np.abs(gap)) <= 1e-14
+    evaluations = []
+
+    def forward(theta):
+        evaluations.append(theta)
+        return chart.x_of_theta(theta)
+
+    chart._invert(forward, chart.dx_dtheta, x, 1.0, chart.x_grid)
+    assert len(evaluations) <= 3
+
+
 def test_standard_chop_plateau_rules():
     k = np.arange(200)
     noisy = 0.5**k + 1e-16 * np.random.default_rng(0).standard_normal(200)

@@ -140,6 +140,52 @@ def test_matrix_perturbation_scales_linearly(circle_frame, circle_orbits):
     assert diffs[0.01] < 20 * 0.0326  # entrywise O(eps), frame offset ~0.0326
 
 
+@pytest.mark.parametrize("periods, Q", [((2, 3, 5, 9), 16), (tuple(range(2, 17)) + LADDER, 64)])
+def test_batched_assembly_matches_per_row_loop(perturbed_frame, perturbed_orbits, per_row_T,
+                                               periods, Q):
+    """One pass over all bounces gives the rows of the per-period loop, also
+    for a period set with gaps and rows past the ladder's first rungs."""
+    orbits = {q: perturbed_orbits[q] for q in periods}
+    params = op.GammaSpaceParams(3.5, 48, Q)
+    T = op.assemble_T(perturbed_frame, perturbed_frame.chart, orbits, params)
+    expect = per_row_T(perturbed_frame, perturbed_frame.chart, orbits, params)
+    assert np.array_equal(T.row_q, expect.row_q)
+    assert np.array_equal(T.col_j, expect.col_j)
+    assert_allclose(T.entries, expect.entries, rtol=0, atol=1e-15)
+
+
+def test_T_star_R_reads_a_given_assembly(perturbed_frame, perturbed_orbits, perturbed_fit):
+    """Rows past Q and columns past J of a larger assembly are left out; a
+    narrower one is refused."""
+    chart, orbits = perturbed_frame.chart, perturbed_orbits
+    own = op.assemble_T_star_R(perturbed_frame, chart, orbits, PARAMS, perturbed_fit)
+    wide = op.assemble_T(perturbed_frame, chart, orbits, op.GammaSpaceParams(3.5, 64, 64))
+    read = op.assemble_T_star_R(perturbed_frame, chart, orbits, PARAMS, perturbed_fit, wide)
+    assert np.array_equal(read.row_q, own.row_q)
+    assert np.array_equal(read.col_j, own.col_j)
+    assert_allclose(read.entries, own.entries, rtol=0, atol=1e-15)
+    narrow = op.assemble_T(perturbed_frame, chart, orbits, op.GammaSpaceParams(3.5, 32, 16))
+    with pytest.raises(ValueError, match="columns"):
+        op.assemble_T_star_R(perturbed_frame, chart, orbits, PARAMS, perturbed_fit, narrow)
+
+
+def test_certificate_measures_only_the_weight_offset(perturbed_frame, perturbed_orbits,
+                                                     perturbed_fit, monkeypatch):
+    """The certificate consumes the C0 distance alone, so it asks for no
+    derivative norms."""
+    orders, report = [], geometry.closeness_report
+
+    def recording(frame, order=None):
+        orders.append(order)
+        return report(frame, order)
+
+    monkeypatch.setattr(op, "closeness_report", recording)
+    cert = op.contraction_certificate(perturbed_frame, perturbed_frame.chart, PARAMS,
+                                      orbits=perturbed_orbits, fit=perturbed_fit)
+    assert orders == [0]
+    assert cert.epsilon == report(perturbed_frame).eps
+
+
 # -- second-order column functional --------------------------------------------------
 
 

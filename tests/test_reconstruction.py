@@ -250,6 +250,34 @@ def test_plan_assembles_once_and_solves_missing_rungs_in_one_batch(
     assert np.array_equal(plan.w_b, perturbed_plan.w_b)
 
 
+def test_plan_assembles_T_once(perturbed_frame, perturbed_orbits, monkeypatch):
+    """One assembly at J = max(NORM_JMAX, n) and Q = q_max feeds the certificate,
+    the limit-entry column and the holdout rows."""
+    calls = _count_calls(monkeypatch, op, "assemble_T")
+    plan = rec.RecoveryPlan(perturbed_frame, perturbed_frame.chart, perturbed_orbits, 16)
+    assert [(args[3].J, args[3].Q) for args in calls] == [(max(rec.NORM_JMAX, plan.n), 16)]
+
+
+def test_plan_rows_match_two_per_row_assemblies(perturbed_frame, perturbed_orbits,
+                                                perturbed_plan, per_row_T, monkeypatch):
+    """The one assembly gives what the certificate's own assembly (J = 48, Q = n)
+    and a second full-depth one (J = n, Q = q_max), each row by row, gave."""
+    plan, chart = perturbed_plan, perturbed_frame.chart
+    n, orbits = plan.n, perturbed_orbits
+    assert len(plan.hold_q) > 0
+    monkeypatch.setattr(op, "assemble_T", per_row_T)
+    fit = billiards.fit_alpha_beta(chart, {q: orbits[q] for q in billiards.LADDER})
+    cert = op.contraction_certificate(perturbed_frame, chart,
+                                      op.GammaSpaceParams(3.5, rec.NORM_JMAX, n),
+                                      orbits=orbits, fit=fit)
+    full = per_row_T(perturbed_frame, chart, orbits, op.GammaSpaceParams(3.5, n, 16))
+    for got, expect in ((plan.certificate.numeric_norm, cert.numeric_norm),
+                        (plan.certificate.numeric_norm_completed, cert.numeric_norm_completed)):
+        assert abs(got - expect) <= 1e-15 * abs(expect)
+    assert_allclose(plan.col0, [full.row(q)[0] for q in range(2, n + 1)], rtol=0, atol=1e-15)
+    assert_allclose(plan.hold_rows, [full.row(q) for q in plan.hold_q], rtol=0, atol=1e-15)
+
+
 def test_plan_inverts_its_certified_block(perturbed_plan):
     certified = op.square_block(perturbed_plan.certificate.T_star_R, perturbed_plan.n)
     assert np.array_equal(perturbed_plan.block.entries, certified.entries)
