@@ -19,14 +19,23 @@ O(sum q) with no dense matrix:
   not bound the error in theta; its size is kept as ``final_step``;
 - the orbit is maximal when every LDL^T pivot of ``H - HESSIAN_POS_TOL*I``
   is negative (Sylvester's inertia), and its largest Hessian eigenvalue
-  comes from Laguerre's iteration on the same pivot recurrence.
+  comes from Laguerre's iteration on the same pivot recurrence; the bands of
+  all periods are set up for both in one array pass (`_band_blocks`), and
+  only the pivot loops run per period.
+
+The linearized return maps of many orbits come from one pass
+(`_return_maps`): one curvature evaluation over all bounces, one stack of
+transfer matrices and one segmented pairwise product tree, each orbit's
+product associated as it would be alone. `genericity_report`, the CLI's
+`orbits` table and `linearized_poincare` (a batch of one) read it.
 
 A geometric shooting map (`billiard_map`) provides an independent route to
 the same orbits and to finite-difference return-map Jacobians; it shares no
 code with the variational solver beyond the boundary parametrization, which
 both read from `DomainProfile.point_jet`. Strict convexity brackets each
-bounce by the whole boundary, and a safeguarded Newton solve from the
-circle's chord angle polishes it.
+bounce by the whole boundary, and a safeguarded Halley solve from the
+circle's chord angle polishes it. `shoot_orbit` iterates the same float
+bounce (`_bounce`), carrying each landing point and tangent into the next.
 """
 
 from __future__ import annotations
@@ -34,7 +43,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
 import numpy as np
 
@@ -245,19 +254,61 @@ def _band_solve(band, b):
     return np.array(x)
 
 
-def _band_inertia(band, shift: float) -> int:
-    """Number of eigenvalues of the band below ``shift``.
+class _Block(NamedTuple):
+    """One diagonal block of a band, set up for `_band_inertia` and `_band_max_eig`."""
+
+    d: list           # diagonal
+    e2: list          # squared couplings: e2[i] couples rows i - 1 and i, e2[0] = 0
+    d_scaled: list    # d / scale
+    e2_scaled: list   # e2 / scale^2
+    pivmin: float     # stand-in for a zero pivot
+    norm: float       # Gershgorin bound on |H|
+    scale: float      # 2^k with norm / scale in [1/2, 1)
+    top: float        # Gershgorin bound on the largest eigenvalue / scale, plus 4 eps
+
+
+def _band_blocks(band, start=(0,)) -> list:
+    """The blocks of the band ``(d, e)`` that begin at rows ``start``, set up in one pass.
+
+    ``start`` rises from 0, and the couplings across block boundaries are
+    taken as zero. The Gershgorin radius, norm, power-of-two scale and
+    ``pivmin`` of every block come from whole-band array operations and one
+    ``tolist``, so the per-block Python loops of the Sturm count and of
+    Laguerre's iteration start on ready lists. The pivot arithmetic is that
+    of a band set up alone, bit for bit.
+    """
+    d, e = band
+    start = np.asarray(start, dtype=int)
+    if not len(start):
+        return []
+    e_prev = np.concatenate([[0.0], e])  # coupling of row i to row i - 1
+    e_prev[start] = 0.0
+    e_next = np.append(e_prev[1:], 0.0)
+    radius = np.abs(e_next) + np.abs(e_prev)
+    norm = np.maximum.reduceat(np.abs(d) + radius, start)
+    # work on H / 2^k with |H / 2^k| in [1/2, 1): exact, and nothing over- or underflows
+    scale = np.ldexp(1.0, np.frexp(norm)[1])
+    top = np.maximum.reduceat(d + radius, start) / scale + 4.0 * np.finfo(float).eps
+    e2 = e_prev * e_prev
+    # LAPACK dstebz's stand-in for a zero pivot: tiny, yet e^2 / pivmin stays finite
+    pivmin = np.finfo(float).tiny * np.fmax(1.0, np.maximum.reduceat(e2, start))
+    cuts = [*start.tolist(), len(d)]
+    by_row = np.repeat(scale, np.diff(cuts))
+    rows = np.stack([d, e2, d / by_row, (e_prev / by_row) ** 2]).tolist()
+    per_block = np.stack([pivmin, norm, scale, top], axis=1).tolist()
+    return [_Block(*(r[lo:hi] for r in rows), *s) for lo, hi, s in zip(cuts, cuts[1:], per_block)]
+
+
+def _band_inertia(block: _Block, shift: float) -> int:
+    """Number of eigenvalues of the block below ``shift``.
 
     By Sylvester's law of inertia it is the number of negative LDL^T pivots
     of ``H - shift*I`` (a Sturm count; Barth, Martin & Wilkinson, Numer.
     Math. 1967). A zero pivot counts as a tiny negative one, and a NaN pivot
     as non-negative, so a NaN band never counts as definite.
     """
-    d, e = band
-    # LAPACK dstebz's stand-in for a zero pivot: tiny, yet e^2 / pivmin stays finite
-    pivmin = float(np.finfo(float).tiny * max(1.0, float(np.max(e * e, initial=0.0))))
-    count, p = 0, 1.0
-    for di, e2 in zip(d.tolist(), [0.0] + (e * e).tolist()):
+    count, p, pivmin = 0, 1.0, block.pivmin
+    for di, e2 in zip(block.d, block.e2):
         p = di - shift - e2 / p
         if p == 0.0:
             p = -pivmin
@@ -265,8 +316,8 @@ def _band_inertia(band, shift: float) -> int:
     return count
 
 
-def _band_max_eig(band, upper: float = math.inf) -> float:
-    """Largest eigenvalue of the band, by Laguerre's iteration from above.
+def _band_max_eig(block: _Block, upper: float = math.inf) -> float:
+    """Largest eigenvalue of the block, by Laguerre's iteration from above.
 
     The logarithmic derivatives of ``det(H - x I)`` are sums over the LDL^T
     pivots of ``H - x I`` and their x-derivatives, one O(n) pass per step.
@@ -276,21 +327,14 @@ def _band_max_eig(band, upper: float = math.inf) -> float:
     band qualifies, definite or not; accuracy is absolute, about eps * |H|.
     The start is ``upper`` or the Gershgorin bound, whichever is lower.
     """
-    d, e = band
-    n = len(d)
-    radius = np.abs(np.append(e, 0.0)) + np.abs(np.insert(e, 0, 0.0))
-    norm = float(np.max(np.abs(d) + radius))
-    if not norm > 0.0:  # the zero band, or NaN
-        return norm
-    # work on H / 2^k with |H / 2^k| in [1/2, 1): exact, and nothing over- or underflows
-    scale = 2.0 ** math.frexp(norm)[1]
-    floor = 4.0 * np.finfo(float).eps
-    x = float(np.minimum(upper / scale, np.max(d + radius) / scale + floor))
-    d, e2 = (d / scale).tolist(), [0.0] + ((e / scale) ** 2).tolist()
+    if not block.norm > 0.0:  # the zero band, or NaN
+        return block.norm
+    n, scale, floor = len(block.d), block.scale, 4.0 * np.finfo(float).eps
+    x = min(upper / scale, block.top)
     for _ in range(MAX_EIG_ITER):
         # g = p'/p and h = p''/p of each pivot p; s1 = sum 1/(x - lam), s2 = sum 1/(x - lam)^2
         p, g, h, s1, s2 = 1.0, 0.0, 0.0, 0.0, 0.0
-        for di, ei2 in zip(d, e2):
+        for di, ei2 in zip(block.d_scaled, block.e2_scaled):
             w = ei2 / p
             p = di - x - w
             if not p < 0.0:  # H - xI is not negative definite: x reached the root
@@ -403,24 +447,29 @@ def compute_orbits(
     s, iterations, final_step = _solve_offsets(frame, lay, tol, max_iter, failed)
     _, t, chords, gr, d, e = _evaluate(profile, lay, ~np.isin(lay.qs, list(failed)), s, failed)
 
+    # every period's band set up at once; the per-period loops below read its lists
+    free = lay.half > 0
+    starts = lay.free[free]
+    blocks = dict(zip(lay.qs[free].tolist(), _band_blocks((d, e[:-1]), starts)))
+    grad_res = np.zeros(len(qs))
+    grad_res[free] = np.maximum.reduceat(np.abs(gr), starts)
     checked = []
-    for q, a, h in zip(qs, lay.free.tolist(), lay.half.tolist()):
+    for q, h, res in zip(qs, lay.half.tolist(), grad_res.tolist()):
         if q in failed:
             continue
         if failed and min(failed) < q:
             raise failed[min(failed)]
         if h:
             # maximal <=> every eigenvalue below HESSIAN_POS_TOL, which then bounds the largest
-            band = (d[a : a + h], e[a : a + h - 1])
-            maximal = _band_inertia(band, HESSIAN_POS_TOL) == h
-            max_eig = _band_max_eig(band, HESSIAN_POS_TOL if maximal else math.inf)
+            maximal = _band_inertia(blocks[q], HESSIAN_POS_TOL) == h
+            max_eig = _band_max_eig(blocks[q], HESSIAN_POS_TOL if maximal else math.inf)
         else:
             maximal, max_eig = True, -np.inf
         if require_maximal and not maximal:
             raise NotMaximalError(
                 f"second variation indefinite at q={q} (max eigenvalue {max_eig:.3g})"
             )
-        checked.append((maximal, max_eig, float(np.max(np.abs(gr[a : a + h]))) if h else 0.0))
+        checked.append((maximal, max_eig, res))
     if failed:
         raise failed[min(failed)]
 
@@ -465,6 +514,51 @@ def maximal_marked_orbit(
 # -- linearized return map ----------------------------------------------------
 
 
+def _return_maps(frame: BoundaryFrame, orbits, sin_phi_tol: float = SIN_PHI_TOL) -> np.ndarray:
+    """Linearized return maps of ``orbits``, a (P, 2, 2) stack, in one pass.
+
+    The bounces of all orbits are laid end to end: one curvature evaluation,
+    one stack of per-bounce transfer matrices in (arclength, angle)
+    variables, and one segmented pairwise product tree. Each level pairs
+    every orbit's matrices (0, 1), (2, 3), ... and carries an odd last one,
+    so each product is step[q-1] @ ... @ step[0] associated exactly as for
+    the orbit alone. The first orbit, in the given order, with a bounce
+    closer to grazing than ``sin_phi_tol`` raises SingularTransferError.
+    """
+    if not orbits:
+        return np.empty((0, 2, 2))
+    lay = _periods(tuple(orbit.q for orbit in orbits))
+    sin_phi = np.concatenate([orbit.sin_phi for orbit in orbits])
+    low = np.minimum.reduceat(sin_phi, lay.start)
+    grazing = np.flatnonzero(low < sin_phi_tol)
+    if grazing.size:
+        raise SingularTransferError(
+            f"bounce angle too close to grazing (sin phi = {low[grazing[0]]:.3g})"
+        )
+    kappa = frame.profile.curvature(np.concatenate([orbit.theta for orbit in orbits]))
+    tau = np.concatenate([orbit.chords for orbit in orbits])
+    k0c, k1c = kappa, kappa[lay.nxt]
+    s0, s1 = sin_phi, sin_phi[lay.nxt]
+    # transfer matrix of bounce k -> k+1, stacked over all bounces
+    steps = np.empty((len(tau), 2, 2))
+    steps[:, 0, 0] = k0c * tau - s0
+    steps[:, 0, 1] = tau
+    steps[:, 1, 0] = k0c * k1c * tau - k0c * s1 - k1c * s0
+    steps[:, 1, 1] = k1c * tau - s1
+    steps /= s1[:, None, None]
+    # log2(max q) batched passes; ``count`` is each orbit's number of matrices left
+    count = lay.qs
+    while len(steps) > len(count):
+        pos = np.arange(len(steps)) - np.repeat(np.cumsum(count) - count, count)
+        head = pos % 2 == 0  # the first matrix of a pair, or an odd last one carried
+        pair = (pos + 1 < np.repeat(count, count))[head]
+        k = np.flatnonzero(head)[pair]
+        merged = steps[head]
+        merged[pair] = steps[k + 1] @ steps[k]
+        steps, count = merged, (count + 1) // 2
+    return steps
+
+
 def linearized_poincare(
     frame: BoundaryFrame,
     orbit: PeriodicOrbit,
@@ -472,28 +566,7 @@ def linearized_poincare(
     unit_eigen_tol: float = 1e-8,
 ) -> PoincareData:
     """Product of per-bounce transfer matrices in (arclength, angle) variables."""
-    kappa = frame.profile.curvature(orbit.theta)
-    sin_phi = orbit.sin_phi
-    if np.min(sin_phi) < sin_phi_tol:
-        raise SingularTransferError(
-            f"bounce angle too close to grazing (sin phi = {np.min(sin_phi):.3g})"
-        )
-    nxt = np.arange(1, orbit.q + 1) % orbit.q
-    tau = orbit.chords
-    k0c, k1c = kappa, kappa[nxt]
-    s0, s1 = sin_phi, sin_phi[nxt]
-    # transfer matrix of bounce k -> k+1, stacked over k
-    steps = np.empty((orbit.q, 2, 2))
-    steps[:, 0, 0] = k0c * tau - s0
-    steps[:, 0, 1] = tau
-    steps[:, 1, 0] = k0c * k1c * tau - k0c * s1 - k1c * s0
-    steps[:, 1, 1] = k1c * tau - s1
-    steps /= s1[:, None, None]
-    # step[q-1] @ ... @ step[0] by a pairwise tree, log2(q) batched passes
-    while len(steps) > 1:
-        odd = steps[-1:] if len(steps) % 2 else steps[:0]
-        steps = np.concatenate([steps[1::2] @ steps[0:-1:2], odd])
-    mat = steps[0]
+    mat = _return_maps(frame, [orbit], sin_phi_tol)[0]
     eig = np.linalg.eigvals(mat)
     trace = float(np.trace(mat))
     # unit eigenvalue of an area-preserving map <=> det(M - I) = 2 - trace = 0;
@@ -517,44 +590,63 @@ def billiard_map(frame: BoundaryFrame, theta: float, direction):
     For an inward ray at angle phi from the tangent, strict convexity splits
     the boundary at the next bounce t*: the side function (the ray direction
     crossed with the chord to ``theta + t``) is negative on (0, t*) and
-    positive on (t*, 2 pi). A safeguarded Newton solve on that bracket starts
+    positive on (t*, 2 pi). A safeguarded Halley solve on that bracket starts
     from the circle's ``t = 2 phi``.
     """
-    profile = frame.profile
-    p0, t0 = _point_and_tangent(profile, theta)
-    d = np.asarray(direction, dtype=float)
-    d = d / np.linalg.norm(d)
-    phi = math.atan2(t0[0] * d[1] - t0[1] * d[0], t0 @ d)
-    if not phi > 0.0:  # an outward ray: the bracket needs the boundary ahead of it
-        raise NoConvergenceError("shooting failed to bracket the next bounce")
-    theta1 = theta + _polish_crossing(profile, theta, p0, d, 0.0, TWO_PI, -1.0, 1.0, 2.0 * phi)
-    p1, t1 = _point_and_tangent(profile, theta1)
-    if not np.dot(p1 - p0, d) > 0.0:  # the crossing found lies behind the start
-        raise NoConvergenceError("shooting failed to bracket the next bounce")
-    return float(theta1), 2.0 * np.dot(d, t1) * t1 - d
+    theta = float(theta)
+    point, tangent = _point_and_tangent(frame.profile, theta)
+    theta1, _, _, d1 = _bounce(frame.profile, theta, point, tangent, direction)
+    return theta1, np.array(d1)
 
 
-def _point_and_tangent(profile, theta):
-    """Boundary point and unit tangent at one parameter."""
+def _point_and_tangent(profile, theta: float):
+    """Boundary point and unit tangent at one parameter, as pairs of floats."""
     (px, py), (vx, vy), _ = profile.point_jet(theta)
     speed = math.hypot(vx, vy)
-    return np.array([px, py]), np.array([vx / speed, vy / speed])
+    return (px, py), (vx / speed, vy / speed)
+
+
+def _bounce(profile, theta: float, point, tangent, direction):
+    """The body of `billiard_map` on floats.
+
+    From the boundary point and unit tangent at ``theta`` along
+    ``direction`` (renormalized here), returns the next parameter, its point
+    and unit tangent, and the reflected unit direction, so that the next
+    bounce starts from them without evaluating the boundary again.
+    """
+    (x0, y0), (tx, ty) = point, tangent
+    norm = math.hypot(direction[0], direction[1])
+    dx, dy = float(direction[0]) / norm, float(direction[1]) / norm
+    phi = math.atan2(tx * dy - ty * dx, tx * dx + ty * dy)
+    if not phi > 0.0:  # an outward ray: the bracket needs the boundary ahead of it
+        raise NoConvergenceError("shooting failed to bracket the next bounce")
+    theta1 = theta + _polish_crossing(profile, theta, point, (dx, dy), 0.0, TWO_PI, -1.0, 1.0,
+                                      2.0 * phi)
+    point1, tangent1 = _point_and_tangent(profile, theta1)
+    (x1, y1), (tx1, ty1) = point1, tangent1
+    if not dx * (x1 - x0) + dy * (y1 - y0) > 0.0:  # the crossing found lies behind the start
+        raise NoConvergenceError("shooting failed to bracket the next bounce")
+    along = 2.0 * (dx * tx1 + dy * ty1)
+    return theta1, point1, tangent1, (along * tx1 - dx, along * ty1 - dy)
 
 
 def _polish_crossing(profile, theta, p0, d, lo, hi, f_lo, f_hi, start=None):
     """Root of side(t) = d x (position(theta + t) - p0) inside the bracket [lo, hi].
 
-    Newton with side'(t) = d x velocity, started at ``start`` or else at the
-    secant point (only the sign of ``f_lo`` is read once ``start`` is given);
-    any step that leaves the current bracket is replaced by bisection. Stops
-    once a step is below 1e-14 + 8.9e-16 |t|.
+    Halley's iteration with side'(t) = d x velocity and side''(t) = d x
+    acceleration, all from one `point_jet`, started at ``start`` or else at
+    the secant point (only the sign of ``f_lo`` is read once ``start`` is
+    given). Where Halley's correction to the Newton step exceeds half of it,
+    the Newton step is taken instead, and any step that leaves the current
+    bracket is replaced by bisection. Stops once a step is below
+    1e-14 + 8.9e-16 |t|.
     """
     x0, y0 = float(p0[0]), float(p0[1])
     dx, dy = float(d[0]), float(d[1])
     t = lo - f_lo * (hi - lo) / (f_hi - f_lo) if start is None else start
     for _ in range(MAX_SHOOT_ITER):
         th = theta + t
-        (px, py), (vx, vy), _ = profile.point_jet(th)
+        (px, py), (vx, vy), (ax, ay) = profile.point_jet(th)
         f = dx * (py - y0) - dy * (px - x0)
         if (f > 0.0) == (f_lo > 0.0):
             lo, f_lo = t, f
@@ -562,9 +654,15 @@ def _polish_crossing(profile, theta, p0, d, lo, hi, f_lo, f_hi, start=None):
             hi = t
         slope = dx * vy - dy * vx
         tol = 1e-14 + 8.9e-16 * abs(t)
-        step = f / slope if slope != 0.0 else math.inf
+        step = math.inf
+        if slope != 0.0:
+            step = f / slope
+            # Halley: the Newton step over 1 - step * side'' / (2 side')
+            bend = 0.5 * step * (dx * ay - dy * ax) / slope
+            if abs(bend) < 0.5:
+                step /= 1.0 - bend
         if abs(step) > tol and not lo < t - step < hi:
-            step = t - 0.5 * (lo + hi)  # the Newton step leaves the bracket: bisect
+            step = t - 0.5 * (lo + hi)  # the step leaves the bracket: bisect
         t -= step
         if abs(step) <= tol:
             return t
@@ -572,15 +670,21 @@ def _polish_crossing(profile, theta, p0, d, lo, hi, f_lo, f_hi, start=None):
 
 
 def shoot_orbit(frame: BoundaryFrame, q: int, phi0: float, theta0: float = MARKED_THETA):
-    """Iterate the shooting map q times from (theta0, launch angle phi0)."""
-    t0 = frame.profile.tangent(theta0)
+    """Iterate the shooting map q times from (theta0, launch angle phi0).
+
+    The same as q calls of `billiard_map`, bit for bit, but each landing
+    point and tangent is carried into the next bounce as floats.
+    """
+    profile, theta = frame.profile, float(theta0)
+    t0 = profile.tangent(theta)
     normal = np.array([-t0[1], t0[0]])  # interior side for counter-clockwise boundary
     d = np.cos(phi0) * t0 + np.sin(phi0) * normal
-    thetas = [float(theta0)]
+    point, tangent = _point_and_tangent(profile, theta)
+    thetas = [theta]
     for _ in range(q):
-        theta0, d = billiard_map(frame, theta0, d)
-        thetas.append(theta0)
-    return np.array(thetas), d
+        theta, point, tangent, d = _bounce(profile, theta, point, tangent, d)
+        thetas.append(theta)
+    return np.array(thetas), np.array(d)
 
 
 # -- diagnostics ---------------------------------------------------------------
@@ -605,26 +709,34 @@ class GenericityReport:
 def genericity_report(
     frame: BoundaryFrame, orbits: Mapping[int, PeriodicOrbit], unit_eigen_tol: float = 1e-8
 ) -> GenericityReport:
+    """Length gaps and return-map traces of ``orbits``, the maps from one `_return_maps` pass.
+
+    ``min_length_gap`` is the smallest ``|length_a - length_b|`` over pairs of
+    periods, found between neighbours in length order; ``closest_pair`` is
+    the first pair ``(qa, qb)``, qa < qb, in ascending order that attains it.
+    Fewer than two orbits leave the gap ``inf`` and the pair empty.
+    """
     qs = tuple(sorted(orbits))
     lengths = {q: orbits[q].length for q in qs}
-    gap, pair = np.inf, ()
-    for i, qa in enumerate(qs):
-        for qb in qs[i + 1 :]:
-            g = abs(lengths[qa] - lengths[qb])
-            if g < gap:
-                gap, pair = g, (qa, qb)
-    traces, flags = {}, {}
-    for q in qs:
-        pd = linearized_poincare(frame, orbits[q], unit_eigen_tol=unit_eigen_tol)
-        traces[q] = pd.trace
-        flags[q] = pd.nondegenerate
+    order = sorted(qs, key=lengths.get)
+    ell = [lengths[q] for q in order]
+    gap = min((b - a for a, b in zip(ell, ell[1:])), default=math.inf)
+    # rounding is monotone, so the pairs at the gap are runs of neighbours in length order
+    ties = []
+    for i in range(len(ell)):
+        j = i + 1
+        while j < len(ell) and ell[j] - ell[i] <= gap:
+            ties.append(tuple(sorted((order[i], order[j]))))
+            j += 1
+    maps = _return_maps(frame, [orbits[q] for q in qs])
+    traces = dict(zip(qs, (maps[:, 0, 0] + maps[:, 1, 1]).tolist()))
     return GenericityReport(
         qs=qs,
         lengths=lengths,
         min_length_gap=float(gap),
-        closest_pair=pair,
+        closest_pair=min(ties, default=()),
         traces=traces,
-        nondegenerate=flags,
+        nondegenerate={q: abs(tr - 2.0) > unit_eigen_tol for q, tr in traces.items()},
     )
 
 

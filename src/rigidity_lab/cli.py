@@ -145,11 +145,11 @@ def cmd_orbits(args) -> int:
     frame = geometry.build_frame(profile, n)
     qs = sorted(set(range(2, args.q_max + 1)) | set(args.q_ladder or []))
     orbits = billiards.compute_orbits(frame, qs)
+    rep = billiards.genericity_report(frame, orbits)  # every return map in one pass
     cols = {k: [] for k in ("q", "k", "theta_k", "sigma_k", "x_k", "phi_k",
                             "length", "poincare_trace", "nondegenerate")}
     for q in qs:
         orb = orbits[q]
-        pd = billiards.linearized_poincare(frame, orb)
         for k in range(q):
             cols["q"].append(q)
             cols["k"].append(k)
@@ -158,8 +158,8 @@ def cmd_orbits(args) -> int:
             cols["x_k"].append(orb.x[k])
             cols["phi_k"].append(orb.phi[k])
             cols["length"].append(orb.length)
-            cols["poincare_trace"].append(pd.trace)
-            cols["nondegenerate"].append(float(pd.nondegenerate))
+            cols["poincare_trace"].append(rep.traces[q])
+            cols["nondegenerate"].append(float(rep.nondegenerate[q]))
     path = _out_path(args, "orbits.csv")
     _write_text(path, _csv_text(cols))
     print(f"wrote {path} ({len(qs)} orbits)")

@@ -480,25 +480,19 @@ def neumann_invert(
     ):
         raise ValueError("neumann_invert needs the square block over labels 1..n")
     rhs = np.asarray(rhs, dtype=float)
-    weights = np.arange(1, n + 1, dtype=float) ** gamma
+    weights = (np.arange(1, n + 1, dtype=float) ** gamma).reshape((n,) + (1,) * (rhs.ndim - 1))
     B = np.eye(n) - A
-    w = np.zeros_like(rhs)
-    updates, weighted = [], []
-    converged = False
-    for _ in range(order):
-        w_next = rhs + B @ w
-        abs_delta = np.abs(w_next - w)
-        step = abs_delta.max(axis=0)
-        updates.append(step)
-        weighted.append((abs_delta.T * weights).max(axis=-1))
-        w = w_next
-        if tol > 0.0 and np.all(step < tol):
-            converged = True
-            break
-    return _series_of_block_solution(w), NeumannInfo(
-        iterations=len(updates),
-        update_norms=np.array(updates),
-        weighted_update_norms=np.array(weighted),
+    w = np.zeros((order + 1,) + rhs.shape)  # w[k]: the sum of the first k terms
+    k, converged = 0, False
+    while k < order and not converged:
+        k += 1
+        w[k] = rhs + B @ w[k - 1]
+        converged = tol > 0.0 and bool(np.all(np.abs(w[k] - w[k - 1]).max(axis=0) < tol))
+    abs_delta = np.abs(np.diff(w[: k + 1], axis=0))
+    return _series_of_block_solution(w[k]), NeumannInfo(
+        iterations=k,
+        update_norms=abs_delta.max(axis=1),
+        weighted_update_norms=(abs_delta * weights).max(axis=1),
         converged=converged,
     )
 

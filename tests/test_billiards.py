@@ -14,6 +14,7 @@ from rigidity_lab.errors import (
     InsufficientLadderError,
     NoConvergenceError,
     NotMaximalError,
+    SingularTransferError,
 )
 
 LADDER = (8, 16, 32, 64)
@@ -181,6 +182,37 @@ def test_billiard_map_launch_angles_against_brentq(coeffs, theta, phi):
     assert abs(np.linalg.norm(d_out) - 1.0) < 1e-14
 
 
+@pytest.mark.parametrize("coeffs", [(0.0, 0.0, 0.01), (0.0, 0.0, 0.0, 0.0, 0.0, 0.005)])
+def test_shoot_orbit_is_billiard_map_iterated(coeffs):
+    """Carrying each landing point and tangent into the next bounce changes no bit."""
+    frame = _frame(coeffs)
+    for q, orb in billiards.compute_orbits(frame, [8, 64]).items():
+        phi0 = float(orb.phi[0])
+        thetas, d_end = billiards.shoot_orbit(frame, q, phi0)
+        theta, d = geometry.MARKED_THETA, _launch(frame, geometry.MARKED_THETA, phi0)
+        expect = [theta]
+        for _ in range(q):
+            theta, d = billiards.billiard_map(frame, theta, d)
+            expect.append(theta)
+        assert np.array_equal(thetas, expect)
+        assert np.array_equal(d_end, d)
+
+
+def test_shooting_jet_calls_per_bounce(perturbed_frame, perturbed_orbits, monkeypatch):
+    """Each bounce evaluates the boundary in its Halley steps and once at the landing
+    point, which the next bounce starts from."""
+    calls, jet = [], geometry.DomainProfile.jet
+
+    def counted(profile, theta):
+        calls.append(theta)
+        return jet(profile, theta)
+
+    monkeypatch.setattr(geometry.DomainProfile, "jet", counted)
+    thetas, _ = billiards.shoot_orbit(perturbed_frame, 64, float(perturbed_orbits[64].phi[0]))
+    assert_allclose(thetas[:-1], perturbed_orbits[64].theta, rtol=0, atol=1e-10)
+    assert len(calls) <= 5 * 64
+
+
 def test_orbit_symmetry_multiset(perturbed_orbits):
     for q in (3, 8, 16):
         x = perturbed_orbits[q].x
@@ -317,10 +349,33 @@ def test_band_solve_inertia_and_max_eig_against_dense(drawn, data):
         assert np.max(np.abs(got - expect)) <= 1e-10 * max(np.max(np.abs(expect)), 1e-300)
     shift = billiards.HESSIAN_POS_TOL
     assume(np.min(np.abs(eig - shift)) > 1e-9 * scale)
-    assert billiards._band_inertia(band, shift) == np.sum(eig < shift)
-    assert abs(billiards._band_max_eig(band) - eig[-1]) <= 1e-10 * scale
+    [block] = billiards._band_blocks(band)
+    assert billiards._band_inertia(block, shift) == np.sum(eig < shift)
+    assert abs(billiards._band_max_eig(block) - eig[-1]) <= 1e-10 * scale
     if eig[-1] < shift:  # the start the orbit solver uses once the inertia shows maximality
-        assert abs(billiards._band_max_eig(band, shift) - eig[-1]) <= 1e-10 * scale
+        assert abs(billiards._band_max_eig(block, shift) - eig[-1]) <= 1e-10 * scale
+
+
+_zero_bands = st.integers(1, 6).map(lambda n: (np.zeros(n), np.zeros(n - 1)))
+_any_bands = st.one_of(_bands().map(lambda drawn: drawn[0]), _zero_bands)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(_any_bands, min_size=1, max_size=6))
+def test_band_blocks_match_per_block_dense(bands):
+    """Blocks set up together in one block band: each equals its own setup, and its
+    count and largest eigenvalue match numpy's dense eigenvalues of that block."""
+    d = np.concatenate([band[0] for band in bands])
+    e = np.concatenate([np.append(band[1], 0.0) for band in bands])[:-1]
+    start = np.cumsum([0] + [len(band[0]) for band in bands[:-1]])
+    shift = billiards.HESSIAN_POS_TOL
+    for block, band in zip(billiards._band_blocks((d, e), start), bands, strict=True):
+        assert block == billiards._band_blocks(band)[0]
+        eig = np.linalg.eigh(_dense(band))[0]
+        scale = max(np.max(np.abs(eig)), 1e-300)
+        if np.min(np.abs(eig - shift)) > 1e-9 * scale:
+            assert billiards._band_inertia(block, shift) == np.sum(eig < shift)
+        assert abs(billiards._band_max_eig(block) - eig[-1]) <= 1e-10 * scale
 
 
 def test_band_solve_zero_pivot_stays_in_its_block():
@@ -470,6 +525,38 @@ def test_poincare_tree_product_matches_per_bounce_loop(perturbed_frame, perturbe
         expect = loop(orbit)
         got = billiards.linearized_poincare(perturbed_frame, orbit).matrix
         assert np.max(np.abs(got - expect)) <= 1e-12 * np.max(np.abs(expect))
+
+
+def _per_orbit_tree(frame, orbit):
+    """The return map of one orbit alone: its own curvature evaluation, transfer
+    stack and pairwise tree."""
+    kappa, sin_phi = frame.profile.curvature(orbit.theta), orbit.sin_phi
+    nxt = np.arange(1, orbit.q + 1) % orbit.q
+    tau, k0c, k1c, s0, s1 = orbit.chords, kappa, kappa[nxt], sin_phi, sin_phi[nxt]
+    steps = np.empty((orbit.q, 2, 2))
+    steps[:, 0, 0] = k0c * tau - s0
+    steps[:, 0, 1] = tau
+    steps[:, 1, 0] = k0c * k1c * tau - k0c * s1 - k1c * s0
+    steps[:, 1, 1] = k1c * tau - s1
+    steps /= s1[:, None, None]
+    while len(steps) > 1:
+        odd = steps[-1:] if len(steps) % 2 else steps[:0]
+        steps = np.concatenate([steps[1::2] @ steps[0:-1:2], odd])
+    return steps[0]
+
+
+@pytest.mark.parametrize("coeffs", [(0.0, 0.0, 0.01), (0.0, 0.0, 0.01, 0.0, 0.002)])
+def test_return_maps_equal_per_orbit_trees(coeffs):
+    """All return maps in one segmented tree are bit-equal to each orbit's own tree,
+    and so is the batch of one behind `linearized_poincare`."""
+    frame = _frame(coeffs)
+    orbits = billiards.compute_orbits(frame, (2, 3, 5, 8, 64, 1024))
+    maps = billiards._return_maps(frame, list(orbits.values()))
+    assert maps.shape == (len(orbits), 2, 2)
+    for got, orbit in zip(maps, orbits.values()):
+        expect = _per_orbit_tree(frame, orbit)
+        assert np.array_equal(got, expect)
+        assert np.array_equal(billiards.linearized_poincare(frame, orbit).matrix, expect)
 
 
 def test_compute_orbits_threaded_matches_serial(perturbed_frame):
@@ -643,6 +730,53 @@ def test_genericity_deterministic():
     ]
     assert reports[0].lengths == reports[1].lengths
     assert reports[0].traces == reports[1].traces
+
+
+def test_genericity_edge_cases(perturbed_frame, perturbed_orbits):
+    empty = billiards.genericity_report(perturbed_frame, {})
+    assert empty.min_length_gap == np.inf and empty.closest_pair == ()
+    assert empty.lengths == empty.traces == empty.nondegenerate == {}
+    one = billiards.genericity_report(perturbed_frame, {5: perturbed_orbits[5]})
+    assert one.min_length_gap == np.inf and one.closest_pair == ()
+    pd = billiards.linearized_poincare(perturbed_frame, perturbed_orbits[5])
+    assert one.traces == {5: pd.trace} and one.nondegenerate == {5: pd.nondegenerate}
+    assert billiards.compute_orbits(perturbed_frame, []) == {}
+
+
+def _closest_pair_loop(lengths):
+    """Every pair in ascending (qa, qb) order; the first at the smallest gap wins."""
+    qs = sorted(lengths)
+    gap, pair = np.inf, ()
+    for i, qa in enumerate(qs):
+        for qb in qs[i + 1 :]:
+            g = abs(lengths[qa] - lengths[qb])
+            if g < gap:
+                gap, pair = g, (qa, qb)
+    return gap, pair
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.sampled_from([0.0, 0.1, 0.2, 0.3, 0.1 + 0.2, 1.0, 1.0 + 2**-52, 3.0]),
+                min_size=1, max_size=8))
+def test_closest_pair_tie_rule(perturbed_frame, perturbed_orbits, drawn):
+    """Sorted neighbours give the gap and pair of the all-pairs loop, ties included."""
+    orbits = {q: dataclasses.replace(perturbed_orbits[q], length=ell)
+              for q, ell in zip(range(2, 10), drawn)}
+    rep = billiards.genericity_report(perturbed_frame, orbits)
+    assert (rep.min_length_gap, rep.closest_pair) == _closest_pair_loop(rep.lengths)
+
+
+def test_grazing_bounce_raises_for_the_smallest_period(perturbed_frame, perturbed_orbits):
+    """The smallest period with a grazing bounce raises, quoting its own min sin phi."""
+    orbits = {q: perturbed_orbits[q] for q in range(2, 9)}
+    for q, low in ((6, 2e-12), (4, 3e-10)):
+        sin_phi = orbits[q].sin_phi.copy()
+        sin_phi[1] = low
+        orbits[q] = dataclasses.replace(orbits[q], sin_phi=sin_phi)
+    with pytest.raises(SingularTransferError, match=r"sin phi = 3e-10\)"):
+        billiards.genericity_report(perturbed_frame, orbits)
+    with pytest.raises(SingularTransferError, match=r"sin phi = 2e-12\)"):
+        billiards.linearized_poincare(perturbed_frame, orbits[6])
 
 
 # -- creeping-orbit asymptotics ----------------------------------------------------

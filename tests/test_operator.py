@@ -327,6 +327,41 @@ def test_neumann_agrees_with_lstsq(perturbed_frame, perturbed_orbits, perturbed_
     assert np.max(np.abs(w.coeffs - ls.coeffs)) < 1e-6
 
 
+def _neumann_per_term(A, rhs, order, tol, gamma=3.5):
+    """The series one term at a time, each update norm taken as the term is added."""
+    n = A.shape[0]
+    weights = np.arange(1, n + 1, dtype=float) ** gamma
+    B, w = np.eye(n) - A, np.zeros_like(rhs)
+    updates, weighted, converged = [], [], False
+    for _ in range(order):
+        w_next = rhs + B @ w
+        abs_delta = np.abs(w_next - w)
+        updates.append(abs_delta.max(axis=0))
+        weighted.append((abs_delta.T * weights).max(axis=-1))
+        w = w_next
+        if tol > 0.0 and np.all(updates[-1] < tol):
+            converged = True
+            break
+    return w, np.array(updates), np.array(weighted), converged
+
+
+@pytest.mark.parametrize("m", [None, 5])
+@pytest.mark.parametrize("order, tol", [(80, 0.0), (200, 1e-13)])
+def test_neumann_matches_per_term_loop(perturbed_frame, perturbed_orbits, perturbed_fit,
+                                       rng, m, order, tol):
+    """Iterates kept in one array, with the norms taken after the loop, are bit-equal
+    to the per-term loop, for one system and a batch, with and without the stop."""
+    A = _square_tsr(perturbed_frame, perturbed_orbits, perturbed_fit)
+    rhs = rng.standard_normal(12 if m is None else (12, m))
+    w, info = op.neumann_invert(A, rhs, order=order, tol=tol)
+    expect, updates, weighted, converged = _neumann_per_term(A.entries, rhs, order, tol)
+    assert np.array_equal(w.coeffs, op._series_of_block_solution(expect).coeffs)
+    assert type(info.iterations) is int and info.iterations == len(updates)
+    assert info.converged == converged == (tol > 0.0)
+    assert np.array_equal(info.update_norms, updates)
+    assert np.array_equal(info.weighted_update_norms, weighted)
+
+
 def test_neumann_requires_certificate(circle_frame, circle_orbits, circle_fit):
     A = _square_tsr(circle_frame, circle_orbits, circle_fit)
     with pytest.raises(NotContractiveError):
