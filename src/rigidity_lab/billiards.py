@@ -89,10 +89,6 @@ class PeriodicOrbit:
     iterations: int          # gradient checks until |grad| < tol
     final_step: float = 0.0  # size of the polishing Newton step taken after that
 
-    @property
-    def rotation_number(self) -> float:
-        return 1.0 / self.q
-
 
 @dataclass
 class PoincareData:
@@ -104,20 +100,6 @@ class PoincareData:
     det: float
     nondegenerate: bool
     unit_eigen_tol: float
-
-
-def orbit_length(frame: BoundaryFrame, thetas) -> float:
-    """Total length of the closed polygon with vertices at boundary parameters."""
-    thetas = np.asarray(thetas, dtype=float)
-    if thetas.size < 2:
-        raise ValueError("need at least two bounce parameters")
-    pts = frame.profile.position(thetas)
-    chords = np.linalg.norm(np.roll(pts, -1, axis=0) - pts, axis=1)
-    if np.min(chords) < 1e-12:
-        raise DegenerateChordError(
-            f"consecutive bounce points coincide (chord {np.min(chords):.3g})"
-        )
-    return float(np.sum(chords))
 
 
 class _Periods:
@@ -157,11 +139,6 @@ class _Periods:
 
 
 _periods = functools.lru_cache(maxsize=32)(_Periods)  # shared between callers: read only
-
-
-def _symmetric_assemble(q: int, s):
-    """Full offset vector of one period q from its free upper-half offsets ``s``."""
-    return _periods((q,)).assemble(s)
 
 
 def _length_grad_hess(profile, thetas, lay=None):
@@ -430,15 +407,13 @@ def _solve_offsets(frame, lay, tol, max_iter, failed):
 
 
 def compute_orbits(
-    frame: BoundaryFrame, qs, threads: int = 1, tol: float = GRADIENT_TOL,
+    frame: BoundaryFrame, qs, tol: float = GRADIENT_TOL,
     max_iter: int = MAX_NEWTON_ITER, require_maximal: bool = True,
 ) -> dict:
     """Solve the maximal marked orbits of every period in qs, all in one lockstep Newton.
 
     Each period gets the iterations and the result it would get alone. If
     some fail, the error of the smallest failing period is raised.
-    ``threads`` is accepted and ignored: the solves hold the GIL, so a thread
-    pool was no faster than the serial loop.
     """
     qs = tuple(sorted({int(q) for q in qs}))
     if qs and qs[0] < 2:

@@ -287,8 +287,6 @@ def build_parser() -> _Parser:
     def common(sp, domain=True):
         sp.add_argument("--config", help="JSON file with defaults for this command")
         sp.add_argument("--out", help="output directory (default: cwd)")
-        sp.add_argument("--threads", type=int,
-                        help="accepted and ignored; orbits are solved serially")
         sp.add_argument("--format", choices=["csv", "json"], default="csv",
                         help="table output format where applicable")
         if domain:

@@ -2,7 +2,7 @@
 
 Reflection-symmetric boundary functions are stored as cosine series in the
 Lazutkin coordinate, ``u(x) = sum_j u_j cos(2 pi j x)``. The functionals
-come in two families: plain bounce sums weighted by sin(phi), and the
+come in two families: plain bounce sums of u/sin(phi), and the
 normalized sums weighted by ``mu/(q^2 sin(phi))`` whose large-q limit is
 the mean of u. Fourier data of the angle-correction function S_q feeds the
 operator certificates.
@@ -58,11 +58,6 @@ class CosineSeries:
     @classmethod
     def zero(cls) -> "CosineSeries":
         return cls(np.zeros(1))
-
-    @classmethod
-    def from_function(cls, fn, jmax: int, n_grid: int = 1024) -> "CosineSeries":
-        """Project a function of x onto the cosine basis (grid transform)."""
-        return cls(cosine_coeffs(fn(np.arange(n_grid) / n_grid), jmax))
 
     @property
     def jmax(self) -> int:
@@ -142,12 +137,6 @@ def cosine_coeffs(values, jmax: int) -> np.ndarray:
     return coeffs
 
 
-def series_from_arclength(fn_sigma, chart: LazutkinChart, jmax: int) -> CosineSeries:
-    """Resample an arclength-parametrized boundary function into the x basis."""
-    sigma_vals = chart.sigma_of_theta(chart.theta_at_x_nodes)
-    return CosineSeries(cosine_coeffs(fn_sigma(sigma_vals), jmax))
-
-
 # -- plain bounce-sum functionals ---------------------------------------------
 
 
@@ -169,21 +158,6 @@ def bounce_sums(u, orbits: Sequence[PeriodicOrbit]) -> np.ndarray:
     return np.add.reduceat(u(x) / sin_phi, starts, axis=-1)
 
 
-def ell_q(u, orbit: PeriodicOrbit) -> float:
-    """Sum of u at the bounce points weighted by sin(phi)."""
-    return float(np.sum(u(orbit.x) * orbit.sin_phi))
-
-
-def ell_0(u, frame: BoundaryFrame) -> float:
-    """Boundary integral of u against (radius of curvature) d sigma."""
-    return frame.chart.integrate_dsigma(u(frame.chart.x_nodes) / frame.chart.kappa_at_x_nodes)
-
-
-def ell_1(u, chart: LazutkinChart) -> float:
-    """Marked-point evaluation weighted by the Lazutkin weight there."""
-    return chart.mu_at_marked * float(u(0.0))
-
-
 # -- normalized bounce-sum functionals ----------------------------------------
 
 
@@ -203,22 +177,12 @@ def script_L_0(u, n_grid: int = 4096) -> float:
     return float(np.mean(u(x)))
 
 
-def script_L_1(u) -> float:
-    """Evaluation at the marked point x = 0."""
-    return float(u(0.0))
-
-
 # -- angle-correction function and its Fourier data ---------------------------
 
 
-def S_q_eval(chart: LazutkinChart, q: int, x):
-    """Pointwise y/sin(y) - 1 at y = mu(x)/q; nonnegative while y < pi."""
-    y = chart.mu_of_x(x) / q
-    return y / np.sin(y) - 1.0
-
-
 def _s_q_node_values(chart: LazutkinChart, q) -> np.ndarray:
-    """S_q at the x nodes; an array of periods gives one row per period."""
+    """S_q = y/sin(y) - 1 at y = mu/q on the x nodes; an array of periods gives
+    one row per period."""
     y = chart.mu_at_x_nodes / np.asarray(q)[..., None]
     return y / np.sin(y) - 1.0
 
@@ -231,11 +195,6 @@ def sigma_p(chart: LazutkinChart, q, p: int):
     """
     spec = _fourier_coeffs(_s_q_node_values(chart, q), abs(int(p)))[..., abs(int(p))]
     return complex(spec) if spec.ndim == 0 else spec
-
-
-def sigma_p_table(chart: LazutkinChart, q: int, pmax: int) -> np.ndarray:
-    """Coefficients for p = 0..pmax in one transform."""
-    return _fourier_coeffs(_s_q_node_values(chart, q), pmax)
 
 
 def tilde_sigma_table(chart: LazutkinChart, jmax: int) -> np.ndarray:

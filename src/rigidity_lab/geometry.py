@@ -19,7 +19,8 @@ point, with no table of harmonics.
 
 The chart evaluates its uniform theta grid once: speed, curvature, weight,
 arclength and Lazutkin coordinate there are the frame's table, and the
-inverse maps start Newton from linear interpolation in that table.
+inverse map ``theta_of_x`` starts Newton from linear interpolation in that
+table.
 """
 
 from __future__ import annotations
@@ -258,7 +259,7 @@ class LazutkinChart:
         self.perimeter = float(self._speed_series.mean * TWO_PI)
         self.lazutkin_const = float(1.0 / (self._density_series.mean * TWO_PI))
 
-        # the grid table: the frame's columns and the inverse maps' Newton start
+        # the grid table: the frame's columns and the inverse map's Newton start
         self.theta_grid, self.kappa_grid, self.mu_grid = theta, kappa, self._mu(kappa)
         self.sigma_grid = self.sigma_of_theta(theta)
         self.x_grid = self.x_of_theta(theta)
@@ -273,9 +274,6 @@ class LazutkinChart:
 
     def x_of_theta(self, theta):
         return self.lazutkin_const * self._density_series.antideriv(self._t(theta))
-
-    def dsigma_dtheta(self, theta):
-        return self.profile.speed(theta)
 
     def dx_dtheta(self, theta):
         speed, kappa = self.profile.speed_curvature(theta)
@@ -311,10 +309,6 @@ class LazutkinChart:
     def theta_of_x(self, x):
         return self._invert(self.x_of_theta, self.dx_dtheta, x, 1.0, self.x_grid)
 
-    def theta_of_sigma(self, sigma):
-        return self._invert(self.sigma_of_theta, self.dsigma_dtheta, sigma, self.perimeter,
-                            self.sigma_grid)
-
     # -- weight ----------------------------------------------------------
 
     def _mu(self, kappa):
@@ -322,9 +316,6 @@ class LazutkinChart:
 
     def mu_of_theta(self, theta):
         return self._mu(self.profile.curvature(theta))
-
-    def mu_of_x(self, x):
-        return self.mu_of_theta(self.theta_of_x(x))
 
     @property
     def mu_at_marked(self) -> float:
@@ -514,14 +505,3 @@ def load_domain_spec(path) -> tuple[DomainProfile, int]:
     if unknown:
         raise ValueError(f"unknown domain spec keys: {sorted(unknown)}")
     return build_profile(coeffs, order), n
-
-
-def save_domain_spec(path, profile: DomainProfile, frame_samples: int) -> None:
-    payload = {
-        "radial_cosine_coeffs": list(profile.radial_coeffs),
-        "smoothness_order": profile.smoothness_order,
-        "frame_samples": int(frame_samples),
-    }
-    with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")

@@ -25,7 +25,7 @@ import numpy as np
 from .billiards import LADDER, AlphaBetaFit, PeriodicOrbit, compute_orbits, fit_alpha_beta
 from .errors import NotContractiveError
 from .functionals import CosineSeries, sigma_p, tilde_sigma_table
-from .geometry import BoundaryFrame, LazutkinChart, build_frame, build_profile, closeness_report
+from .geometry import BoundaryFrame, LazutkinChart, closeness_report
 
 #: B_2j / (2j)! for j = 1..10, the Euler-Maclaurin weights through B_20
 _EM_WEIGHTS = tuple(
@@ -68,6 +68,7 @@ ZETA3 = 1.2020569031595942  # zeta(3), correctly rounded
 #: remainder-norm constant, calibrated as max over an a_2 sweep
 #: {0.005, 0.01, 0.02} of (weighted remainder norm)/(C0 weight offset),
 #: which is stable near 16.2 at gamma = 3.5; rounded up for headroom
+#: (the sweep is replayed in tests/test_operator.py)
 DEFAULT_C_CONSTANT = 17.0
 
 
@@ -147,17 +148,6 @@ def assemble_delta(params: GammaSpaceParams) -> OperatorMatrix:
     )
 
 
-def identity_matrix(params: GammaSpaceParams) -> OperatorMatrix:
-    rows = np.arange(1, params.Q + 1)
-    cols = np.arange(1, params.J + 1)
-    return OperatorMatrix(
-        entries=(rows[:, None] == cols[None, :]).astype(float),
-        row_q=rows,
-        col_j=cols,
-        row_tail_coeff=np.zeros(len(rows)),
-    )
-
-
 def script_L_star_star_table(chart: LazutkinChart, fit: AlphaBetaFit, jmax: int) -> np.ndarray:
     """Second-order column functional per basis frequency, j = 0..jmax.
 
@@ -217,30 +207,6 @@ def assemble_T_star_R(
     )
 
 
-def assemble_delta_prime(
-    chart: LazutkinChart, fit: AlphaBetaFit, params: GammaSpaceParams
-) -> OperatorMatrix:
-    """Divisor matrix scaled per row by sigma_0(q) - beta_0/q^2 (zero on row 1)."""
-    rows = np.arange(1, params.Q + 1)
-    cols = np.arange(1, params.J + 1)
-    coeffs = np.concatenate([[0.0], divisor_weight(chart, fit, rows[1:]) - 1.0])
-    return OperatorMatrix(
-        entries=(cols[None, :] % rows[:, None] == 0) * coeffs[:, None],
-        row_q=rows,
-        col_j=cols,
-        row_tail_coeff=np.abs(coeffs),
-    )
-
-
-def assemble_remainder(T_star_R: OperatorMatrix) -> OperatorMatrix:
-    """What is left after both divisor parts: rows q >= 2 of T_*R minus their
-    divisor weight on the multiples of q."""
-    sel = T_star_R.row_q >= 2
-    qs, cols = T_star_R.row_q[sel], T_star_R.col_j
-    divisor = (cols[None, :] % qs[:, None] == 0) * T_star_R.extras["weight"][sel, None]
-    return OperatorMatrix(entries=T_star_R.entries[sel] - divisor, row_q=qs, col_j=cols)
-
-
 def subtract_identity(mat: OperatorMatrix) -> OperatorMatrix:
     """Entrywise difference with the identity on matching labels."""
     return OperatorMatrix(
@@ -289,30 +255,12 @@ def gamma_norm(mat: OperatorMatrix, gamma: float) -> GammaNormResult:
 # -- contraction certificate ---------------------------------------------------
 
 
-def calibrate_remainder_constant(
-    a2_values=(0.005, 0.01, 0.02),
-    params: GammaSpaceParams | None = None,
-    n_samples: int = 512,
-) -> float:
-    """Fit the remainder-norm constant over a second-harmonic domain sweep.
-
-    Returns max over the sweep of (weighted remainder norm)/(C0 weight
-    offset); DEFAULT_C_CONSTANT is this value rounded up.
-    """
-    params = params or GammaSpaceParams()
-    worst = 0.0
-    for a2 in a2_values:
-        frame = build_frame(build_profile([0.0, 0.0, float(a2)]), n_samples)
-        cert = contraction_certificate(frame, frame.chart, params)
-        rem_norm = gamma_norm(assemble_remainder(cert.T_star_R), params.gamma).truncated
-        worst = max(worst, rem_norm / cert.epsilon)
-    return worst
-
-
 def analytic_contraction_bound(eps: float, c_constant: float = DEFAULT_C_CONSTANT) -> float:
     """Closed-form norm bound: (zeta(3)-1) + ((pi+eps)^3/(48 cos eps) + C eps/4) zeta(3) + C eps."""
     if not 0.0 <= eps < np.pi / 2:
         raise ValueError(f"eps must lie in [0, pi/2) for the cosine bound, got {eps}")
+    if not (math.isfinite(c_constant) and c_constant >= 0.0):
+        raise ValueError(f"remainder constant must be finite and >= 0, got {c_constant}")
     return float(
         (ZETA3 - 1.0)
         + ((np.pi + eps) ** 3 / (48.0 * np.cos(eps)) + c_constant * eps / 4.0) * ZETA3
@@ -467,6 +415,8 @@ def neumann_invert(
     weighted update norms contract at least as fast as the certified norm of
     Id - T.
     """
+    if order < 0:
+        raise ValueError(f"Neumann order must be >= 0, got {order}")
     if not certified:
         raise NotContractiveError(
             "contraction certificate failed; pass certified=True to override "
@@ -512,9 +462,6 @@ def _series_of_block_solution(w: np.ndarray) -> CosineSeries:
     return CosineSeries(np.concatenate([np.zeros((1,) + w.shape[1:]), w]).T)
 
 
-# -- structural decomposition check --------------------------------------------
-
-
 def build_b_star(row_q) -> np.ndarray:
     """Weight vector 1/q^2 on rows with q >= 2, zero on rows 0 and 1."""
     row_q = np.asarray(row_q)
@@ -522,66 +469,3 @@ def build_b_star(row_q) -> np.ndarray:
     mask = row_q >= 2
     out[mask] = 1.0 / row_q[mask].astype(float) ** 2
     return out
-
-
-@dataclass
-class DecompositionReport:
-    row_q: np.ndarray
-    remainder: np.ndarray      # entries minus rank-one and divisor model, rows q >= 2
-    max_abs_per_row: np.ndarray
-    per_u_residuals: np.ndarray  # rows: test functions, cols: per-q residual
-    decay_slope: float
-
-
-def decompose_T(
-    T_star_R: OperatorMatrix,
-    test_functions=None,
-    seed: int = 0,
-) -> DecompositionReport:
-    """Measure the remainder after stripping the rank-one and divisor parts.
-
-    On columns 1..J of each row q >= 2 this is ``assemble_remainder``:
-    ``T_qj - Lss_j/q^2 - (1 + sigma_0(q) - beta_0/q^2) delta_{q|j}``. Applied
-    to mean-zero test functions the residual should shrink like q^(-4).
-    """
-    rem = assemble_remainder(T_star_R)
-    qs, cols, remainder = rem.row_q, rem.col_j, rem.entries
-    jmax = int(cols[-1])
-    max_abs = np.max(np.abs(remainder), axis=1)
-
-    if test_functions is None:
-        rng = np.random.default_rng(seed)
-        test_functions = []
-        for _ in range(4):
-            c = rng.standard_normal(min(9, jmax + 1))
-            c[0] = 0.0  # mean-zero
-            test_functions.append(CosineSeries(c))
-    per_u = []
-    for u in test_functions:
-        uc = np.zeros(jmax + 1)
-        uc[: len(u.coeffs)] = u.coeffs
-        per_u.append(np.abs(remainder @ uc[cols]))
-    per_u = np.array(per_u)
-
-    sup_q = np.max(per_u, axis=0)
-    slope = float(np.polyfit(np.log(qs.astype(float)), np.log(np.maximum(sup_q, 1e-300)), 1)[0])
-    return DecompositionReport(
-        row_q=qs,
-        remainder=remainder,
-        max_abs_per_row=max_abs,
-        per_u_residuals=per_u,
-        decay_slope=slope,
-    )
-
-
-def kernel_margin(T: OperatorMatrix) -> float:
-    """Smallest singular value of T on the mean-zero, vanishing-at-marked subspace."""
-    qs = np.nonzero(T.row_q >= 2)[0]
-    csel = np.nonzero(T.col_j >= 1)[0]
-    A = T.entries[np.ix_(qs, csel)]
-    m = len(csel)
-    basis = np.zeros((m, m - 1))
-    for i in range(m - 1):
-        basis[i, i] = 1.0
-        basis[i + 1, i] = -1.0
-    return float(np.linalg.svd(A @ basis, compute_uv=False)[-1])

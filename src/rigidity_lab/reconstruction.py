@@ -64,7 +64,6 @@ class RecoveryOptions:
     neumann_order: int = 40          # fixed order: the Neumann solves never stop early
     residual_tol: float = 1e-6       # held-out data rows beyond this raise
     override_certificate: bool = False
-    use_extrapolated_d0: bool = False
     strict_residual: bool = True
 
 
@@ -82,17 +81,6 @@ class RecoveryResult:
     marked_residual: float            # |mu(0) v(0) - K0|
     data_marked_gap: float            # |K0 supplied - marked entry of the data|
     heat_residual: tuple              # |heat(K_hat) - (H0, H1) of the data|
-    d0_extrapolation_gap: float | None = None
-
-
-def estimate_limit_entry(data: InvariantVector, qs: Sequence[int]) -> float:
-    """Extrapolate the limit entry from the two largest data rows: d_q/q^2 -> d_0."""
-    qs = sorted(q for q in qs if q >= 2)
-    if len(qs) < 2:
-        raise ValueError("need at least two periods to extrapolate the limit entry")
-    qa, qb = qs[-2], qs[-1]
-    va, vb = data.d[qa] / qa**2, data.d[qb] / qb**2
-    return float((qb**2 * vb - qa**2 * va) / (qb**2 - qa**2))
 
 
 class RecoveryPlan:
@@ -185,12 +173,6 @@ class RecoveryPlan:
         d = np.stack([data.d for data in data_list])      # one row per pair
         K0 = np.array(K0s, dtype=float)
         v0 = d[:, 0]
-        d0_gaps = [None] * len(data_list)
-        if opt.use_extrapolated_d0:
-            est = np.array([estimate_limit_entry(data, range(2, self.q_max + 1))
-                            for data in data_list])
-            d0_gaps = np.abs(est - v0).tolist()
-            v0 = est
 
         # right-hand sides, one column per pair: the marked row, then the period rows
         mu0 = chart.mu_at_marked
@@ -255,7 +237,6 @@ class RecoveryPlan:
                 marked_residual=float(marked_residual[i]),
                 data_marked_gap=float(data_marked_gap[i]),
                 heat_residual=(float(abs(h0_hat[i] - data.H0)), float(abs(h1_hat[i] - data.H1))),
-                d0_extrapolation_gap=d0_gaps[i],
             ))
         return results
 

@@ -11,13 +11,8 @@ from typing import Mapping
 import numpy as np
 
 from .billiards import PeriodicOrbit
-from .functionals import CosineSeries, bounce_sums
+from .functionals import NORMALIZATION, CosineSeries, bounce_sums
 from .geometry import BoundaryFrame
-
-
-def wave_c0(orbit: PeriodicOrbit, K: CosineSeries, C_gamma: float = 1.0) -> float:
-    """Leading singularity coefficient at the orbit length: C * sum K(b)/sin(phi)."""
-    return float(C_gamma) * float(bounce_sums(K, [orbit])[0])
 
 
 def heat_defect(frame: BoundaryFrame, K: CosineSeries) -> tuple:
@@ -42,13 +37,6 @@ class LengthSpectrum:
     labels: tuple           # parallel ("orbit", q, m) / ("perimeter", 0, m) tags
     min_gap: float
     closest: tuple
-
-    def collisions(self, tol: float) -> list:
-        out = []
-        for i in range(len(self.entries) - 1):
-            if self.entries[i + 1] - self.entries[i] < tol:
-                out.append((self.labels[i], self.labels[i + 1]))
-        return out
 
 
 def length_spectrum(
@@ -81,7 +69,7 @@ class TraceData:
     H0: float
     H1: float
     spectrum: LengthSpectrum
-    normalization: str = "C_gamma=1"
+    normalization: str = NORMALIZATION
 
     def to_json_dict(self) -> dict:
         return {

@@ -32,18 +32,24 @@ def test_circle_orbit_closed_forms(circle_frame, circle_orbits, q):
     assert orb.reflection_residual < 1e-12
 
 
+def _polygon_length(frame, thetas):
+    """Length of the closed polygon with vertices at the boundary parameters."""
+    pts = frame.profile.position(np.asarray(thetas, dtype=float))
+    return float(np.sum(np.linalg.norm(np.roll(pts, -1, axis=0) - pts, axis=1)))
+
+
 def test_inscribed_polygon_lengths(circle_frame):
     triangle = np.pi + 2 * np.pi * np.arange(3) / 3
-    assert_allclose(billiards.orbit_length(circle_frame, triangle),
+    assert_allclose(_polygon_length(circle_frame, triangle),
                     5.196152422706632, rtol=0, atol=1e-12)  # 3*sqrt(3)
     square = np.pi + 2 * np.pi * np.arange(4) / 4
-    assert_allclose(billiards.orbit_length(circle_frame, square),
+    assert_allclose(_polygon_length(circle_frame, square),
                     5.656854249492381, rtol=0, atol=1e-12)  # 4*sqrt(2)
 
 
 def test_degenerate_chord_rejected(circle_frame):
     with pytest.raises(DegenerateChordError):
-        billiards.orbit_length(circle_frame, [np.pi, np.pi + 1e-15, 4.0])
+        billiards._length_grad_hess(circle_frame.profile, np.array([np.pi, np.pi + 1e-15, 4.0]))
 
 
 # -- perturbed domain ------------------------------------------------------------
@@ -251,6 +257,11 @@ def _dense_cyclic(diag, off):
     return hess
 
 
+def _symmetric_assemble(q, s):
+    """Full offset vector of one period q from its free upper-half offsets s."""
+    return billiards._periods((q,)).assemble(s)
+
+
 def _reduction(q):
     """R with dt = R ds: free bounce j moves with s_j, its mirror q-j opposite."""
     half = (q - 1) // 2
@@ -268,7 +279,7 @@ def test_reduced_hessian_matches_dense_reduction(perturbed_frame, q):
     half = (q - 1) // 2
     rng = np.random.default_rng(q)
     s = 2 * np.pi * np.arange(1, half + 1) / q + 1e-3 * rng.standard_normal(half)
-    t = billiards._symmetric_assemble(q, s)
+    t = _symmetric_assemble(q, s)
     _, grad, diag, off = billiards._length_grad_hess(profile, geometry.MARKED_THETA + t)
     hess, reduction = _dense_cyclic(diag, off), _reduction(q)
 
@@ -286,12 +297,10 @@ def test_reduced_gradient_and_hessian_finite_difference(perturbed_frame):
     s = 2 * np.pi * np.arange(1, 5) / q + np.array([3e-3, -2e-3, 1e-3, 4e-3])
 
     def reduced(s):
-        return billiards._reduced_grad_hess(frame.profile, billiards._symmetric_assemble(q, s))
+        return billiards._reduced_grad_hess(frame.profile, _symmetric_assemble(q, s))
 
     def length(s):
-        return billiards.orbit_length(
-            frame, geometry.MARKED_THETA + billiards._symmetric_assemble(q, s)
-        )
+        return _polygon_length(frame, geometry.MARKED_THETA + _symmetric_assemble(q, s))
 
     _, gr, band = reduced(s)
     hr = _dense(band)
@@ -559,14 +568,6 @@ def test_return_maps_equal_per_orbit_trees(coeffs):
         assert np.array_equal(billiards.linearized_poincare(frame, orbit).matrix, expect)
 
 
-def test_compute_orbits_threaded_matches_serial(perturbed_frame):
-    serial = billiards.compute_orbits(perturbed_frame, [3, 5, 9])
-    threaded = billiards.compute_orbits(perturbed_frame, [3, 5, 9], threads=3)
-    for q in (3, 5, 9):
-        assert serial[q].length == threaded[q].length
-        assert np.array_equal(serial[q].theta, threaded[q].theta)
-
-
 def _assert_same_orbit(got, expect):
     for field in dataclasses.fields(billiards.PeriodicOrbit):
         a, b = getattr(got, field.name), getattr(expect, field.name)
@@ -681,7 +682,8 @@ def test_poincare_against_finite_difference_oracle(perturbed_frame, perturbed_or
     pd = billiards.linearized_poincare(frame, orb)
 
     def composed(s, phi):
-        theta = float(chart.theta_of_sigma(s))
+        theta = float(chart._invert(chart.sigma_of_theta, frame.profile.speed, s,
+                                    chart.perimeter, chart.sigma_grid))
         t0 = frame.profile.tangent(theta)
         normal = np.array([-t0[1], t0[0]])
         d = np.cos(phi) * t0 + np.sin(phi) * normal

@@ -251,10 +251,43 @@ def test_config_values_are_defaults_that_flags_override(tmp_path, capsys):
     assert "invalid value 'false'" in capsys.readouterr().err
 
 
-def test_threads_env_fallback(tmp_path, monkeypatch):
+def test_threads_env_fallback(tmp_path, monkeypatch, capsys):
+    """There is no thread option: --threads is a usage error, a "threads" config key
+    is unknown, and RIGIDITY_LAB_THREADS is not read."""
+    base = ["orbits", "--coeffs", "", "--q-max", "3", "--q-ladder", "8", "--out", str(tmp_path)]
+    assert run([*base, "--threads", "2"]) == 1
+    assert "usage error" in capsys.readouterr().err
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"threads": 2}))
+    assert run([*base, "--config", str(cfg)]) == 1
+    assert "unknown config keys: ['threads']" in capsys.readouterr().err
+    assert not (tmp_path / "orbits.csv").exists()
     monkeypatch.setenv("RIGIDITY_LAB_THREADS", "2")
-    assert run(["orbits", "--coeffs", "", "--q-max", "3", "--q-ladder", "8",
-                "--out", str(tmp_path)]) == 0
+    assert run(base) == 0
+
+
+def test_negative_neumann_order_is_an_error_not_a_traceback(tmp_path, capsys):
+    inv = tmp_path / "inv"
+    assert run(["invariants", "--coeffs", "0,0,0.01", "--robin-coeffs", "0,-1,1",
+                "--out", str(inv)]) == 0
+    out = tmp_path / "out"
+    for argv in (["reconstruct", "--coeffs", "0,0,0.01", "--data", str(inv / "invariants.json"),
+                  "--k0", "0"], ["suite", "acceptance", "--n-random", "1"]):
+        assert run([*argv, "--neumann-order", "-1", "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Neumann order must be >= 0, got -1" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("domain", [["--coeffs", "0,0,0.01"], ["--epsilon", "0"]])
+@pytest.mark.parametrize("value", ["-10", "nan"])
+def test_c_constant_must_be_finite_and_nonnegative(tmp_path, capsys, domain, value):
+    """A negative constant would pass a failing certificate, and NaN would write a
+    certificate that is not JSON; both are refused before anything is written."""
+    out = tmp_path / "out"
+    assert run(["operator", "certify", *domain, "--c-constant", value, "--out", str(out)]) == 1
+    assert "remainder constant must be finite and >= 0" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def _fresh_python(code, *args):

@@ -34,13 +34,13 @@ def test_series_algebra():
 def test_series_projection_roundtrip(rng):
     coeffs = rng.standard_normal(9)
     u = fn.CosineSeries(coeffs)
-    v = fn.CosineSeries.from_function(u, jmax=8, n_grid=256)
-    assert_allclose(v.coeffs, coeffs, rtol=0, atol=1e-13)
+    v = fn.cosine_coeffs(u(np.arange(256) / 256), 8)
+    assert_allclose(v, coeffs, rtol=0, atol=1e-13)
 
 
 def test_projection_alias_guard():
     with pytest.raises(ValueError, match="anti-alias"):
-        fn.CosineSeries.from_function(lambda x: x, jmax=100, n_grid=256)
+        fn.cosine_coeffs(np.arange(256) / 256, 100)
 
 
 def _grid_direct_sum(coeffs, n):
@@ -90,8 +90,9 @@ def test_cosine_coeffs_alias_guard():
 
 
 def test_series_from_arclength_circle(circle_frame):
-    u = fn.series_from_arclength(np.cos, circle_frame.chart, jmax=4)
-    assert_allclose(u.coeffs, [0.0, 1.0, 0.0, 0.0, 0.0], rtol=0, atol=1e-12)
+    chart = circle_frame.chart
+    u = fn.cosine_coeffs(np.cos(chart.sigma_of_theta(chart.theta_at_x_nodes)), 4)
+    assert_allclose(u, [0.0, 1.0, 0.0, 0.0, 0.0], rtol=0, atol=1e-12)
 
 
 # -- plain bounce sums -------------------------------------------------------------
@@ -123,7 +124,7 @@ def test_bounce_sums_match_per_orbit_loop(domain, request, a5_orbits, rng):
     assert np.array_equal(data.d[sorted(deep)], fn.bounce_sums(K, [deep[q] for q in sorted(deep)]))
     records = traces.build_trace_data(frame, K, orbits).records
     assert np.max(np.abs(np.array([r["c0_normalized"] for r in records]) - loop) / scale) <= 1e-14
-    assert traces.wave_c0(orbits[qs[-1]], K) == pytest.approx(loop[-1], rel=1e-14)
+    assert fn.bounce_sums(K, [orbits[qs[-1]]])[0] == pytest.approx(loop[-1], rel=1e-14)
 
 
 def test_bounce_sums_grazing_guard_names_the_period(circle_orbits):
@@ -139,30 +140,37 @@ def test_bounce_sums_grazing_guard_names_the_period(circle_orbits):
     assert fn.bounce_sums(fn.CosineSeries.basis(0), []).shape == (0,)
 
 
+def _ell_0(u, frame):
+    """Boundary integral of u against the radius of curvature d sigma."""
+    chart = frame.chart
+    return chart.integrate_dsigma(u(chart.x_nodes) / chart.kappa_at_x_nodes)
+
+
 def test_ell_q_circle_values(circle_orbits):
+    """The period-q bounce sum on the circle: q/sin(pi/q) for e_0, zero for e_1."""
     e0, e1 = fn.CosineSeries.basis(0), fn.CosineSeries.basis(1)
-    assert_allclose(fn.ell_q(e0, circle_orbits[4]), 2.0 * np.sqrt(2.0),
+    assert_allclose(fn.bounce_sums(e0, [circle_orbits[4]])[0], 4.0 * np.sqrt(2.0),
                     rtol=0, atol=1e-12)
-    assert_allclose(fn.ell_q(e1, circle_orbits[4]), 0.0, rtol=0, atol=1e-12)
+    assert_allclose(fn.bounce_sums(e1, [circle_orbits[4]])[0], 0.0, rtol=0, atol=1e-12)
 
 
 def test_ell_0_and_ell_1_circle(circle_frame):
     e0, e1 = fn.CosineSeries.basis(0), fn.CosineSeries.basis(1)
-    assert_allclose(fn.ell_0(e0, circle_frame), 2.0 * np.pi, rtol=0, atol=1e-12)
-    assert_allclose(fn.ell_0(e1, circle_frame), 0.0, rtol=0, atol=1e-12)
-    assert_allclose(fn.ell_1(e0, circle_frame.chart), np.pi, rtol=0, atol=1e-12)
+    assert_allclose(_ell_0(e0, circle_frame), 2.0 * np.pi, rtol=0, atol=1e-12)
+    assert_allclose(_ell_0(e1, circle_frame), 0.0, rtol=0, atol=1e-12)
+    assert_allclose(circle_frame.chart.mu_at_marked * e0(0.0), np.pi, rtol=0, atol=1e-12)
 
 
 def test_ell_q_high_mode_near_circle(perturbed_orbits):
-    """At j = q the bounce sum sits near its circle value q sin(pi/q)."""
-    val = fn.ell_q(fn.CosineSeries.basis(8), perturbed_orbits[8])
-    assert abs(val - 8.0 * np.sin(np.pi / 8.0)) < 0.1
+    """At j = q the bounce sum sits near its circle value q/sin(pi/q)."""
+    val = fn.bounce_sums(fn.CosineSeries.basis(8), [perturbed_orbits[8]])[0]
+    assert abs(val - 8.0 / np.sin(np.pi / 8.0)) < 0.1
 
 
 def test_ell_0_two_resolutions_agree():
     profile = geometry.build_profile([0.0, 0.0, 0.01])
     e0 = fn.CosineSeries.basis(0)
-    vals = [fn.ell_0(e0, geometry.build_frame(profile, n)) for n in (512, 1024)]
+    vals = [_ell_0(e0, geometry.build_frame(profile, n)) for n in (512, 1024)]
     assert abs(vals[0] - vals[1]) < 1e-9
 
 
@@ -198,10 +206,9 @@ def test_script_L_0_and_1():
     e5 = fn.CosineSeries.basis(5)
     assert_allclose(fn.script_L_0(e0), 1.0, rtol=0, atol=1e-14)
     assert_allclose(fn.script_L_0(e5), 0.0, rtol=0, atol=1e-14)
-    assert_allclose(fn.script_L_1(e0), 1.0, rtol=0, atol=1e-15)
-    assert_allclose(fn.script_L_1(e5), 1.0, rtol=0, atol=1e-15)
-    assert_allclose(fn.script_L_1(fn.CosineSeries([0.0, -1.0, 1.0])), 0.0,
-                    rtol=0, atol=1e-15)
+    assert_allclose(e0(0.0), 1.0, rtol=0, atol=1e-15)
+    assert_allclose(e5(0.0), 1.0, rtol=0, atol=1e-15)
+    assert_allclose(fn.CosineSeries([0.0, -1.0, 1.0])(0.0), 0.0, rtol=0, atol=1e-15)
 
 
 def test_functional_linearity(circle_frame, perturbed_frame, perturbed_orbits, rng):
@@ -212,12 +219,12 @@ def test_functional_linearity(circle_frame, perturbed_frame, perturbed_orbits, r
     v = fn.CosineSeries(rng.standard_normal(7))
     comb = a * u + b * v
     for func in (
-        lambda w: fn.ell_q(w, orb),
-        lambda w: fn.ell_0(w, perturbed_frame),
-        lambda w: fn.ell_1(w, chart),
+        lambda w: fn.bounce_sums(w, [orb])[0],
+        lambda w: _ell_0(w, perturbed_frame),
+        lambda w: chart.mu_at_marked * w(0.0),
         lambda w: fn.script_L_q(w, orb, chart),
         fn.script_L_0,
-        fn.script_L_1,
+        lambda w: w(0.0),
     ):
         assert abs(func(comb) - (a * func(u) + b * func(v))) < 1e-12
 
@@ -225,24 +232,27 @@ def test_functional_linearity(circle_frame, perturbed_frame, perturbed_orbits, r
 # -- angle-correction function -------------------------------------------------------
 
 
+def _sigma_table(chart, q, pmax):
+    """sigma_p(q) for p = 0..pmax from one transform of S_q."""
+    return fn._fourier_coeffs(fn._s_q_node_values(chart, q), pmax)
+
+
 def test_S_q_circle_is_constant(circle_frame):
     chart = circle_frame.chart
-    x = np.linspace(0, 0.99, 23)
-    assert_allclose(fn.S_q_eval(chart, 2, x), np.pi / 2 - 1.0, rtol=0, atol=1e-12)
+    assert_allclose(fn._s_q_node_values(chart, 2), np.pi / 2 - 1.0, rtol=0, atol=1e-12)
 
 
 def test_S_q_nonnegative(perturbed_frame):
     chart = perturbed_frame.chart
-    x = np.linspace(0, 0.999, 101)
     for q in (2, 3, 8, 64):
-        assert np.min(fn.S_q_eval(chart, q, x)) >= 0.0
+        assert np.min(fn._s_q_node_values(chart, q)) >= 0.0
 
 
 def test_S_q_supnorm_bound(perturbed_frame):
     chart = perturbed_frame.chart
     eps = geometry.closeness_report(perturbed_frame).eps
     for q in (2, 3, 8, 16, 64):
-        sup = float(np.max(np.abs(fn.S_q_eval(chart, q, chart.x_nodes))))
+        sup = float(np.max(np.abs(fn._s_q_node_values(chart, q))))
         bound = (np.pi + eps) ** 3 / (12.0 * q * q * np.cos(eps))
         assert sup < bound
 
@@ -257,7 +267,7 @@ def test_sigma_p_circle(circle_frame):
 def test_sigma_p_real_for_even_weight(perturbed_frame):
     chart = perturbed_frame.chart
     for q in (2, 8):
-        spec = fn.sigma_p_table(chart, q, 16)
+        spec = _sigma_table(chart, q, 16)
         assert np.max(np.abs(spec.imag)) < 1e-10
 
 
@@ -274,12 +284,12 @@ def test_sigma_j_limit_rate(perturbed_frame):
     ts = fn.tilde_sigma_table(chart, 6).real
     gaps = {}
     for q in (16, 32, 64):
-        tab = fn.sigma_p_table(chart, q, 6).real
+        tab = _sigma_table(chart, q, 6).real
         gaps[q] = abs(q * q * tab[2] - ts[2])
     assert 3.0 < gaps[16] / gaps[32] < 5.5
     assert 3.0 < gaps[32] / gaps[64] < 5.5
     # frequency decay at fixed q
-    tab = fn.sigma_p_table(chart, 16, 6).real
+    tab = _sigma_table(chart, 16, 6).real
     assert abs(16**2 * tab[4] - ts[4]) < abs(16**2 * tab[2] - ts[2])
 
 
@@ -288,7 +298,7 @@ def test_sigma_p_frequency_decay_bound(perturbed_frame):
     chart = perturbed_frame.chart
     p = np.arange(1, 33)
     for q in (8, 16):
-        spec = np.abs(fn.sigma_p_table(chart, q, 32)[1:])
+        spec = np.abs(_sigma_table(chart, q, 32)[1:])
         weighted = spec * p**4.0 * q**2
         assert np.max(weighted[8:]) <= np.max(weighted[:8])
 

@@ -1,3 +1,5 @@
+import json
+
 import mpmath
 import numpy as np
 import pytest
@@ -191,7 +193,8 @@ def test_mu_against_adaptive_quadrature_oracle(perturbed_frame, rng):
         theta_star = brentq(lambda t: x_of_theta(t) - x_target, np.pi + 1e-12, 3 * np.pi - 1e-12,
                             xtol=1e-13)
         mu_oracle = profile.curvature(theta_star) ** (1.0 / 3.0) * total / 2.0
-        assert_allclose(chart.mu_of_x(x_target), mu_oracle, rtol=0, atol=1e-9)
+        assert_allclose(chart.mu_of_theta(chart.theta_of_x(x_target)), mu_oracle,
+                        rtol=0, atol=1e-9)
 
 
 def test_mu_two_routes_agree(perturbed_frame):
@@ -200,7 +203,7 @@ def test_mu_two_routes_agree(perturbed_frame):
     x = np.linspace(0.0, 1.0, 257, endpoint=False)
     theta = chart.theta_of_x(x)
     direct = chart.mu_of_theta(theta)
-    dx_dsigma = chart.dx_dtheta(theta) / chart.dsigma_dtheta(theta)
+    dx_dsigma = chart.dx_dtheta(theta) / chart.profile.speed(theta)
     via_chain = np.sqrt(dx_dsigma / chart.lazutkin_const) / (2.0 * chart.lazutkin_const)
     assert_allclose(direct, via_chain, rtol=0, atol=1e-9)
 
@@ -208,7 +211,8 @@ def test_mu_two_routes_agree(perturbed_frame):
 def test_mu_evenness(perturbed_frame):
     chart = perturbed_frame.chart
     x = np.linspace(0.01, 0.49, 33)
-    assert_allclose(chart.mu_of_x(x), chart.mu_of_x(1.0 - x), rtol=0, atol=1e-12)
+    assert_allclose(chart.mu_of_theta(chart.theta_of_x(x)),
+                    chart.mu_of_theta(chart.theta_of_x(1.0 - x)), rtol=0, atol=1e-12)
 
 
 def test_chart_normalizations(perturbed_frame):
@@ -229,7 +233,9 @@ def test_roundtrip_inverse_maps(perturbed_frame):
     x = np.linspace(0.0, 0.999, 41)
     assert_allclose(chart.x_of_theta(chart.theta_of_x(x)), x, rtol=0, atol=1e-12)
     s = np.linspace(0.0, 0.999 * chart.perimeter, 41)
-    assert_allclose(chart.sigma_of_theta(chart.theta_of_sigma(s)), s, rtol=0, atol=1e-11)
+    theta = chart._invert(chart.sigma_of_theta, chart.profile.speed, s, chart.perimeter,
+                          chart.sigma_grid)
+    assert_allclose(chart.sigma_of_theta(theta), s, rtol=0, atol=1e-11)
 
 
 def test_inversion_iteration_cap_raises(perturbed_frame):
@@ -393,7 +399,9 @@ def test_closeness_derivative_table(perturbed_frame):
 def test_domain_spec_file_roundtrip(tmp_path):
     path = tmp_path / "dom.json"
     profile = geometry.build_profile([0.0, 0.0, 0.01])
-    geometry.save_domain_spec(path, profile, 512)
+    path.write_text(json.dumps({"radial_cosine_coeffs": profile.radial_coeffs,
+                                "smoothness_order": profile.smoothness_order,
+                                "frame_samples": 512}))
     loaded, n = geometry.load_domain_spec(path)
     assert n == 512
     assert loaded.radial_coeffs == profile.radial_coeffs

@@ -78,8 +78,10 @@ def test_delta_minus_identity_norm(gamma):
 
 def test_delta_norm_and_identity_norm():
     assert op.gamma_norm(op.assemble_delta(PARAMS), 3.5).tail_completed < zeta(3.0, 1)
-    assert_allclose(op.gamma_norm(op.identity_matrix(PARAMS), 3.5).tail_completed,
-                    1.0, rtol=0, atol=1e-12)
+    rows, cols = np.arange(1, PARAMS.Q + 1), np.arange(1, PARAMS.J + 1)
+    identity = op.OperatorMatrix(entries=(rows[:, None] == cols).astype(float), row_q=rows,
+                                 col_j=cols, row_tail_coeff=np.zeros(len(rows)))
+    assert_allclose(op.gamma_norm(identity, 3.5).tail_completed, 1.0, rtol=0, atol=1e-12)
 
 
 def test_truncated_norm_monotone_in_J():
@@ -217,9 +219,25 @@ def test_second_order_functional_extrapolation_oracle(perturbed_frame, perturbed
 # -- certificate ----------------------------------------------------------------------
 
 
+def _remainder(tsr):
+    """The remainder R of the split T_*R = D Delta + R: rows q >= 2 of T_*R minus
+    their divisor weight 1 + sigma_0(q) - beta_0/q^2 on the multiples of q."""
+    sel = tsr.row_q >= 2
+    qs, cols = tsr.row_q[sel], tsr.col_j
+    divisor = (cols[None, :] % qs[:, None] == 0) * tsr.extras["weight"][sel, None]
+    return op.OperatorMatrix(entries=tsr.entries[sel] - divisor, row_q=qs, col_j=cols)
+
+
 def test_remainder_constant_calibration():
-    ratio = op.calibrate_remainder_constant(a2_values=(0.005, 0.01))
-    assert 15.0 < ratio < op.DEFAULT_C_CONSTANT   # default keeps headroom
+    """DEFAULT_C_CONSTANT is the largest (weighted remainder norm)/(C0 weight offset)
+    over a second-harmonic sweep, rounded up."""
+    ratios = []
+    for a2 in (0.005, 0.01):
+        frame = geometry.build_frame(geometry.build_profile([0.0, 0.0, a2]), 512)
+        cert = op.contraction_certificate(frame, frame.chart, PARAMS)
+        rem_norm = op.gamma_norm(_remainder(cert.T_star_R), PARAMS.gamma).truncated
+        ratios.append(rem_norm / cert.epsilon)
+    assert 15.0 < max(ratios) < op.DEFAULT_C_CONSTANT   # default keeps headroom
 
 
 def test_analytic_bound_frozen_value():
@@ -228,6 +246,9 @@ def test_analytic_bound_frozen_value():
     assert bound < 0.979
     with pytest.raises(ValueError):
         op.analytic_contraction_bound(1.6)
+    for c in (-10.0, np.nan, np.inf):
+        with pytest.raises(ValueError, match="remainder constant"):
+            op.analytic_contraction_bound(0.01, c)
 
 
 def test_certificate_analytic_only_pass_and_fail():
@@ -271,13 +292,17 @@ def test_certificate_triangle_inequality(perturbed_frame, perturbed_orbits, pert
     dmi = op.subtract_identity(op.assemble_delta(PARAMS))
     norm_dmi = op.gamma_norm(dmi, 3.5).tail_completed
 
-    dp = op.assemble_delta_prime(chart, fit, PARAMS)
+    # the divisor matrix scaled per row by sigma_0(q) - beta_0/q^2, zero on row 1
+    rows, cols = np.arange(1, PARAMS.Q + 1), np.arange(1, PARAMS.J + 1)
+    coeffs = np.concatenate([[0.0], op.divisor_weight(chart, fit, rows[1:]) - 1.0])
+    dp = op.OperatorMatrix(entries=(cols % rows[:, None] == 0) * coeffs[:, None],
+                           row_q=rows, col_j=cols, row_tail_coeff=np.abs(coeffs))
     norm_dp = op.gamma_norm(dp, 3.5).tail_completed
     c = op.DEFAULT_C_CONSTANT
     dp_bound = ((np.pi + eps) ** 3 / (48 * np.cos(eps)) + c * eps / 4.0) * op.ZETA3
     assert norm_dp <= dp_bound
 
-    rem = op.assemble_remainder(tsr)
+    rem = _remainder(tsr)
     norm_rem = op.gamma_norm(rem, 3.5).truncated
     assert norm_rem <= c * eps
     assert norm_total <= norm_dmi + norm_dp + norm_rem + 1e-9
@@ -368,6 +393,12 @@ def test_neumann_requires_certificate(circle_frame, circle_orbits, circle_fit):
         op.neumann_invert(A, np.zeros(12), certified=False)
 
 
+def test_neumann_negative_order_is_refused(circle_frame, circle_orbits, circle_fit):
+    A = _square_tsr(circle_frame, circle_orbits, circle_fit)
+    with pytest.raises(ValueError, match="Neumann order must be >= 0, got -3"):
+        op.neumann_invert(A, np.ones(12), order=-3)
+
+
 def test_square_block_validation(circle_frame, circle_orbits, circle_fit):
     A = _square_tsr(circle_frame, circle_orbits, circle_fit)
     with pytest.raises(ValueError):
@@ -377,14 +408,20 @@ def test_square_block_validation(circle_frame, circle_orbits, circle_fit):
 # -- structural decomposition -----------------------------------------------------------
 
 
+def _remainder_residuals(rem, u):
+    """|R u| for rows u of cosine coefficients 0..k, k <= J: one row per function,
+    one column per period q >= 2 (R acts on the columns j = 1..J)."""
+    u = np.atleast_2d(u)
+    return np.abs(u[:, 1:] @ rem.entries[:, : u.shape[1] - 1].T)
+
+
 def test_decompose_circle_basis_vector(circle_frame, circle_orbits, circle_fit):
     params = op.GammaSpaceParams(3.5, 48, 16)
     tsr = op.assemble_T_star_R(circle_frame, circle_frame.chart,
                                {q: circle_orbits[q] for q in range(2, 17)}, params, circle_fit)
-    rep = op.decompose_T(tsr, test_functions=[fn.CosineSeries.basis(5, 9)])
-    assert np.max(rep.per_u_residuals) < 1e-6
-    zeros = op.decompose_T(tsr, test_functions=[fn.CosineSeries(np.zeros(9))])
-    assert np.max(zeros.per_u_residuals) == 0.0
+    rem = _remainder(tsr)
+    assert np.max(_remainder_residuals(rem, fn.CosineSeries.basis(5, 9).coeffs)) < 1e-6
+    assert np.max(_remainder_residuals(rem, np.zeros(9))) == 0.0
 
 
 def test_decompose_remainder_decays_on_ladder(perturbed_frame, perturbed_orbits,
@@ -392,19 +429,21 @@ def test_decompose_remainder_decays_on_ladder(perturbed_frame, perturbed_orbits,
     params = op.GammaSpaceParams(3.5, 48, 64)
     tsr = op.assemble_T_star_R(perturbed_frame, perturbed_frame.chart,
                                {q: perturbed_orbits[q] for q in LADDER}, params, perturbed_fit)
-    rep = op.decompose_T(tsr, seed=5)
-    assert -8.0 < rep.decay_slope < -3.5
-    assert np.all(np.diff(rep.max_abs_per_row) < 0)
+    rem = _remainder(tsr)
+    rng = np.random.default_rng(5)
+    u = np.array([rng.standard_normal(9) for _ in range(4)])
+    u[:, 0] = 0.0  # mean-zero
+    sup_q = np.max(_remainder_residuals(rem, u), axis=0)
+    slope = np.polyfit(np.log(rem.row_q.astype(float)), np.log(sup_q), 1)[0]
+    assert -8.0 < slope < -3.5
+    assert np.all(np.diff(np.max(np.abs(rem.entries), axis=1)) < 0)
 
 
 def test_decompose_circle_remainder_is_roundoff(circle_frame, circle_orbits, circle_fit):
-    """On the circle T_*R is its divisor part: the remainder is roundoff on every
-    row, and it is exactly what assemble_remainder leaves."""
+    """On the circle T_*R is its divisor part: the remainder is roundoff on every row."""
     tsr = op.assemble_T_star_R(circle_frame, circle_frame.chart,
                                {q: circle_orbits[q] for q in range(2, 17)}, PARAMS, circle_fit)
-    rep = op.decompose_T(tsr)
-    assert np.max(rep.max_abs_per_row) < 1e-10
-    assert np.array_equal(rep.remainder, op.assemble_remainder(tsr).entries)
+    assert np.max(np.abs(_remainder(tsr).entries)) < 1e-10
 
 
 def test_T_star_R_divisor_weight(perturbed_frame, perturbed_orbits, perturbed_fit):
@@ -413,7 +452,7 @@ def test_T_star_R_divisor_weight(perturbed_frame, perturbed_orbits, perturbed_fi
     chart, fit = perturbed_frame.chart, perturbed_fit
     tsr = op.assemble_T_star_R(perturbed_frame, chart,
                                {q: perturbed_orbits[q] for q in range(2, 17)}, PARAMS, fit)
-    expect = [1.0] + [1.0 + fn.sigma_p_table(chart, q, 0)[0].real - fit.beta0 / q**2
+    expect = [1.0] + [1.0 + fn.sigma_p(chart, q, 0).real - fit.beta0 / q**2
                       for q in range(2, 17)]
     assert_allclose(tsr.extras["weight"], expect, rtol=0, atol=1e-15)
     assert np.array_equal(tsr.row_tail_coeff, np.abs(tsr.extras["weight"]))
@@ -442,5 +481,8 @@ def test_kernel_margin_bounded_away_from_zero(perturbed_frame):
         orbits = billiards.compute_orbits(perturbed_frame, range(2, n + 1))
         T = op.assemble_T(perturbed_frame, perturbed_frame.chart, orbits,
                           op.GammaSpaceParams(3.5, n, n))
-        values.append(op.kernel_margin(T))
+        A = T.entries[T.row_q >= 2][:, T.col_j >= 1]
+        m = A.shape[1]
+        basis = np.eye(m, m - 1) - np.eye(m, m - 1, k=-1)  # columns e_i - e_(i+1)
+        values.append(np.linalg.svd(A @ basis, compute_uv=False)[-1])
     assert all(v > threshold for v in values)

@@ -96,14 +96,16 @@ def test_neumann_order_controls_error(circle_frame, circle_orbits):
 
 
 def test_limit_entry_extrapolation(perturbed_frame, perturbed_orbits, rng):
+    """d_q/q^2 tends to the limit entry d_0: the Richardson limit of the two deepest
+    rows is close to it, and recovery from data carrying that estimate still works."""
     K = rec.draw_random_K(rng, 6)
     data = _forward(perturbed_frame, perturbed_orbits, K)
-    est = rec.estimate_limit_entry(data, range(2, 17))
+    est = (data.d[16] - data.d[15]) / (16**2 - 15**2)  # d_q = d_0 q^2 + c + O(q^-2)
     assert abs(est - data.d[0]) < 1e-5
+    estimated = dataclasses.replace(data, d=np.concatenate([[est], data.d[1:]]))
     res = rec.recover_robin(
-        data, perturbed_frame, perturbed_frame.chart, perturbed_orbits, K.at_zero,
-        rec.RecoveryOptions(use_extrapolated_d0=True, strict_residual=False))
-    assert res.d0_extrapolation_gap < 1e-5
+        estimated, perturbed_frame, perturbed_frame.chart, perturbed_orbits, K.at_zero,
+        rec.RecoveryOptions(strict_residual=False))
     assert np.max(np.abs(res.K_hat(XS) - K(XS))) < 1e-4
 
 

@@ -9,12 +9,17 @@ from rigidity_lab import billiards, functionals as fn, geometry, traces
 from rigidity_lab.errors import SingularAngleError
 
 
+def _wave_c0(orbit, K):
+    """Leading wave-trace coefficient at the orbit length, C_gamma = 1."""
+    return float(fn.bounce_sums(K, [orbit])[0])
+
+
 def test_wave_c0_circle_frozen_values(circle_orbits):
     one = fn.CosineSeries.basis(0)
-    assert_allclose(traces.wave_c0(circle_orbits[2], one), 2.0, rtol=0, atol=1e-12)
-    assert_allclose(traces.wave_c0(circle_orbits[3], one),
+    assert_allclose(_wave_c0(circle_orbits[2], one), 2.0, rtol=0, atol=1e-12)
+    assert_allclose(_wave_c0(circle_orbits[3], one),
                     3.4641016151377544, rtol=0, atol=1e-12)  # 3/sin(pi/3) = 2*sqrt(3)
-    assert traces.wave_c0(circle_orbits[5], fn.CosineSeries.zero()) == 0.0
+    assert _wave_c0(circle_orbits[5], fn.CosineSeries.zero()) == 0.0
 
 
 def test_wave_c0_linear_and_homogeneous(circle_orbits, rng):
@@ -22,11 +27,10 @@ def test_wave_c0_linear_and_homogeneous(circle_orbits, rng):
     u = fn.CosineSeries(rng.standard_normal(5))
     v = fn.CosineSeries(rng.standard_normal(5))
     a, b = rng.standard_normal(2)
-    lhs = traces.wave_c0(orb, a * u + b * v)
-    rhs = a * traces.wave_c0(orb, u) + b * traces.wave_c0(orb, v)
+    lhs = _wave_c0(orb, a * u + b * v)
+    rhs = a * _wave_c0(orb, u) + b * _wave_c0(orb, v)
     assert abs(lhs - rhs) < 1e-12
-    assert_allclose(traces.wave_c0(orb, u, C_gamma=2.5),
-                    2.5 * traces.wave_c0(orb, u), rtol=1e-14)
+    assert_allclose(_wave_c0(orb, 2.5 * u), 2.5 * _wave_c0(orb, u), rtol=1e-14)
 
 
 def test_heat_defect_circle_frozen(circle_frame):
@@ -80,9 +84,10 @@ def test_heat_on_x_nodes_matches_theta_trapezoid(coeffs, n, rng):
     t0, t1 = _heat_theta_trapezoid(frame, fn.CosineSeries(c))
     assert abs(h0 - t0) <= 1e-13 * s
     assert abs(h1 - t1) <= 1e-13 * (s + s * s)
-    # the same weight integrates the radius of curvature in ell_0
+    # the same weight integrates the radius of curvature
     theta_ell0 = np.mean(frame.profile.speed(frame.theta) / frame.kappa) * 2.0 * np.pi
-    assert abs(fn.ell_0(fn.CosineSeries.basis(0), frame) - theta_ell0) <= 1e-13
+    assert abs(frame.chart.integrate_dsigma(1.0 / frame.chart.kappa_at_x_nodes)
+               - theta_ell0) <= 1e-13
 
 
 def _heat_mpmath(radial, k_coeffs, dps=20):
@@ -155,7 +160,7 @@ def test_length_spectrum_perturbed_distinct(perturbed_frame, perturbed_orbits):
     orbits = {q: perturbed_orbits[q] for q in range(2, 13)}
     spec = traces.length_spectrum(perturbed_frame, orbits, m_max=2)
     assert spec.min_gap > 1e-6
-    assert not spec.collisions(1e-9)
+    assert np.all(np.diff(spec.entries) >= 1e-9)  # no two lengths collide
 
 
 def test_equal_data_difference_identity_circle(circle_frame, rng):
@@ -209,4 +214,4 @@ def test_grazing_angle_guard(circle_frame, circle_orbits):
         gradient_residual=0.0, iterations=0,
     )
     with pytest.raises(SingularAngleError):
-        traces.wave_c0(hacked, fn.CosineSeries.basis(0))
+        traces.build_trace_data(circle_frame, fn.CosineSeries.basis(0), {3: hacked})
