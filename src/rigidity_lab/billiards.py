@@ -18,10 +18,9 @@ O(sum q) with no dense matrix:
   smallest Hessian eigenvalue falls like q^-3 and the gradient alone does
   not bound the error in theta; its size is kept as ``final_step``;
 - the orbit is maximal when every LDL^T pivot of ``H - HESSIAN_POS_TOL*I``
-  is negative (Sylvester's inertia), and its largest Hessian eigenvalue
-  comes from Laguerre's iteration on the same pivot recurrence; the bands of
-  all periods are set up for both in one array pass (`_band_blocks`), and
-  only the pivot loops run per period.
+  is negative (a Sturm count, by Sylvester's inertia); the bands of all
+  periods are set up for it in one array pass (`_band_blocks`), and only
+  the pivot loop runs per period.
 
 The linearized return maps of many orbits come from one pass
 (`_return_maps`): one curvature evaluation over all bounces, one stack of
@@ -58,7 +57,6 @@ from .geometry import MARKED_THETA, TWO_PI, BoundaryFrame, LazutkinChart
 
 GRADIENT_TOL = 1e-13
 MAX_NEWTON_ITER = 60
-MAX_EIG_ITER = 50
 HESSIAN_POS_TOL = 1e-8
 MAX_SHOOT_ITER = 100  # bisection alone needs ~50 steps from (0, 2 pi) to 1e-14
 
@@ -82,8 +80,6 @@ class PeriodicOrbit:
     sin_phi: np.ndarray
     chords: np.ndarray       # chord lengths, chord k joins bounces k and k+1
     length: float
-    maximal: bool
-    hessian_max_eig: float
     reflection_residual: float
     gradient_residual: float
     iterations: int          # gradient checks until |grad| < tol
@@ -232,27 +228,21 @@ def _band_solve(band, b):
 
 
 class _Block(NamedTuple):
-    """One diagonal block of a band, set up for `_band_inertia` and `_band_max_eig`."""
+    """One diagonal block of a band, set up for `_band_inertia`."""
 
     d: list           # diagonal
     e2: list          # squared couplings: e2[i] couples rows i - 1 and i, e2[0] = 0
-    d_scaled: list    # d / scale
-    e2_scaled: list   # e2 / scale^2
     pivmin: float     # stand-in for a zero pivot
-    norm: float       # Gershgorin bound on |H|
-    scale: float      # 2^k with norm / scale in [1/2, 1)
-    top: float        # Gershgorin bound on the largest eigenvalue / scale, plus 4 eps
 
 
 def _band_blocks(band, start=(0,)) -> list:
     """The blocks of the band ``(d, e)`` that begin at rows ``start``, set up in one pass.
 
     ``start`` rises from 0, and the couplings across block boundaries are
-    taken as zero. The Gershgorin radius, norm, power-of-two scale and
-    ``pivmin`` of every block come from whole-band array operations and one
-    ``tolist``, so the per-block Python loops of the Sturm count and of
-    Laguerre's iteration start on ready lists. The pivot arithmetic is that
-    of a band set up alone, bit for bit.
+    taken as zero. The squared couplings and ``pivmin`` of every block come
+    from whole-band array operations and one ``tolist``, so the per-block
+    Sturm count starts on ready lists. The pivot arithmetic is that of a
+    band set up alone, bit for bit.
     """
     d, e = band
     start = np.asarray(start, dtype=int)
@@ -260,20 +250,12 @@ def _band_blocks(band, start=(0,)) -> list:
         return []
     e_prev = np.concatenate([[0.0], e])  # coupling of row i to row i - 1
     e_prev[start] = 0.0
-    e_next = np.append(e_prev[1:], 0.0)
-    radius = np.abs(e_next) + np.abs(e_prev)
-    norm = np.maximum.reduceat(np.abs(d) + radius, start)
-    # work on H / 2^k with |H / 2^k| in [1/2, 1): exact, and nothing over- or underflows
-    scale = np.ldexp(1.0, np.frexp(norm)[1])
-    top = np.maximum.reduceat(d + radius, start) / scale + 4.0 * np.finfo(float).eps
     e2 = e_prev * e_prev
     # LAPACK dstebz's stand-in for a zero pivot: tiny, yet e^2 / pivmin stays finite
     pivmin = np.finfo(float).tiny * np.fmax(1.0, np.maximum.reduceat(e2, start))
     cuts = [*start.tolist(), len(d)]
-    by_row = np.repeat(scale, np.diff(cuts))
-    rows = np.stack([d, e2, d / by_row, (e_prev / by_row) ** 2]).tolist()
-    per_block = np.stack([pivmin, norm, scale, top], axis=1).tolist()
-    return [_Block(*(r[lo:hi] for r in rows), *s) for lo, hi, s in zip(cuts, cuts[1:], per_block)]
+    d, e2, pivmin = np.asarray(d, dtype=float).tolist(), e2.tolist(), pivmin.tolist()
+    return [_Block(d[lo:hi], e2[lo:hi], pm) for lo, hi, pm in zip(cuts, cuts[1:], pivmin)]
 
 
 def _band_inertia(block: _Block, shift: float) -> int:
@@ -291,39 +273,6 @@ def _band_inertia(block: _Block, shift: float) -> int:
             p = -pivmin
         count += p < 0.0
     return count
-
-
-def _band_max_eig(block: _Block, upper: float = math.inf) -> float:
-    """Largest eigenvalue of the block, by Laguerre's iteration from above.
-
-    The logarithmic derivatives of ``det(H - x I)`` are sums over the LDL^T
-    pivots of ``H - x I`` and their x-derivatives, one O(n) pass per step.
-    The characteristic polynomial has only real roots, so from above the
-    largest one the iterates decrease monotonically onto it, cubically near
-    a simple root (Li & Zeng, SIAM J. Sci. Comput. 15, 1994). Any symmetric
-    band qualifies, definite or not; accuracy is absolute, about eps * |H|.
-    The start is ``upper`` or the Gershgorin bound, whichever is lower.
-    """
-    if not block.norm > 0.0:  # the zero band, or NaN
-        return block.norm
-    n, scale, floor = len(block.d), block.scale, 4.0 * np.finfo(float).eps
-    x = min(upper / scale, block.top)
-    for _ in range(MAX_EIG_ITER):
-        # g = p'/p and h = p''/p of each pivot p; s1 = sum 1/(x - lam), s2 = sum 1/(x - lam)^2
-        p, g, h, s1, s2 = 1.0, 0.0, 0.0, 0.0, 0.0
-        for di, ei2 in zip(block.d_scaled, block.e2_scaled):
-            w = ei2 / p
-            p = di - x - w
-            if not p < 0.0:  # H - xI is not negative definite: x reached the root
-                return x * scale
-            g, h = (w * g - 1.0) / p, w * (h - 2.0 * g * g) / p
-            s1 += g
-            s2 += g * g - h
-        step = n / (s1 + math.sqrt(max((n - 1) * (n * s2 - s1 * s1), 0.0)))
-        x -= step
-        if step <= floor + 1e-15 * abs(x):
-            return x * scale
-    raise NoConvergenceError(f"band eigenvalue iteration hit its cap of {MAX_EIG_ITER}")
 
 
 def _evaluate(profile, lay, mask, s, failed):
@@ -408,12 +357,14 @@ def _solve_offsets(frame, lay, tol, max_iter, failed):
 
 def compute_orbits(
     frame: BoundaryFrame, qs, tol: float = GRADIENT_TOL,
-    max_iter: int = MAX_NEWTON_ITER, require_maximal: bool = True,
+    max_iter: int = MAX_NEWTON_ITER,
 ) -> dict:
     """Solve the maximal marked orbits of every period in qs, all in one lockstep Newton.
 
-    Each period gets the iterations and the result it would get alone. If
-    some fail, the error of the smallest failing period is raised.
+    Each period gets the iterations and the result it would get alone. A
+    converged orbit that is not a length maximum fails with
+    `NotMaximalError`. If some fail, the error of the smallest failing
+    period is raised.
     """
     qs = tuple(sorted({int(q) for q in qs}))
     if qs and qs[0] < 2:
@@ -422,29 +373,24 @@ def compute_orbits(
     s, iterations, final_step = _solve_offsets(frame, lay, tol, max_iter, failed)
     _, t, chords, gr, d, e = _evaluate(profile, lay, ~np.isin(lay.qs, list(failed)), s, failed)
 
-    # every period's band set up at once; the per-period loops below read its lists
+    # every period's band set up at once; the per-period Sturm count below reads its lists
     free = lay.half > 0
     starts = lay.free[free]
     blocks = dict(zip(lay.qs[free].tolist(), _band_blocks((d, e[:-1]), starts)))
     grad_res = np.zeros(len(qs))
     grad_res[free] = np.maximum.reduceat(np.abs(gr), starts)
-    checked = []
-    for q, h, res in zip(qs, lay.half.tolist(), grad_res.tolist()):
+    for q, h in zip(qs, lay.half.tolist()):
         if q in failed:
             continue
         if failed and min(failed) < q:
             raise failed[min(failed)]
-        if h:
-            # maximal <=> every eigenvalue below HESSIAN_POS_TOL, which then bounds the largest
-            maximal = _band_inertia(blocks[q], HESSIAN_POS_TOL) == h
-            max_eig = _band_max_eig(blocks[q], HESSIAN_POS_TOL if maximal else math.inf)
-        else:
-            maximal, max_eig = True, -np.inf
-        if require_maximal and not maximal:
+        # maximal <=> every eigenvalue of the reduced Hessian below HESSIAN_POS_TOL
+        above = h - _band_inertia(blocks[q], HESSIAN_POS_TOL) if h else 0
+        if above:
             raise NotMaximalError(
-                f"second variation indefinite at q={q} (max eigenvalue {max_eig:.3g})"
+                f"second variation indefinite at q={q} "
+                f"({above} of {h} eigenvalues at or above {HESSIAN_POS_TOL:g})"
             )
-        checked.append((maximal, max_eig, res))
     if failed:
         raise failed[min(failed)]
 
@@ -466,12 +412,12 @@ def compute_orbits(
                       phi=0.5 * (phi_in + phi_out), sin_phi=0.5 * (cross_in + cross_out))
 
     orbits = {}
-    for p, (q, (maximal, max_eig, grad_res)) in enumerate(zip(qs, checked)):
+    for p, (q, res) in enumerate(zip(qs, grad_res.tolist())):
         b = slice(lay.start[p], lay.start[p] + q)
         orbits[q] = PeriodicOrbit(
             q=q, **{k: v[b] for k, v in per_bounce.items()}, chords=chords[b],
-            length=float(np.sum(chords[b])), maximal=maximal, hessian_max_eig=max_eig,
-            reflection_residual=float(reflection[p]), gradient_residual=grad_res,
+            length=float(np.sum(chords[b])),
+            reflection_residual=float(reflection[p]), gradient_residual=res,
             iterations=int(iterations[p]), final_step=float(final_step[p]),
         )
     return orbits
@@ -479,11 +425,9 @@ def compute_orbits(
 
 def maximal_marked_orbit(
     frame: BoundaryFrame, q: int, tol: float = GRADIENT_TOL, max_iter: int = MAX_NEWTON_ITER,
-    require_maximal: bool = True,
 ) -> PeriodicOrbit:
     """Solve for the symmetric maximal q-periodic orbit through the marked point."""
-    return compute_orbits(frame, [q], tol=tol, max_iter=max_iter,
-                          require_maximal=require_maximal)[q]
+    return compute_orbits(frame, [q], tol=tol, max_iter=max_iter)[q]
 
 
 # -- linearized return map ----------------------------------------------------

@@ -111,7 +111,7 @@ def cmd_domain(args) -> int:
     profile, n = _load_profile(args)
     frame = geometry.build_frame(profile, n)
     if args.action == "dump":
-        if getattr(args, "format", "csv") == "json":
+        if args.format == "json":
             payload = {k: [float(v) for v in col] for k, col in frame.table().items()}
             path = _out_path(args, "frame.json")
             _write_text(path, _json_text(payload))
@@ -287,8 +287,6 @@ def build_parser() -> _Parser:
     def common(sp, domain=True):
         sp.add_argument("--config", help="JSON file with defaults for this command")
         sp.add_argument("--out", help="output directory (default: cwd)")
-        sp.add_argument("--format", choices=["csv", "json"], default="csv",
-                        help="table output format where applicable")
         if domain:
             sp.add_argument("--domain", help="domain spec JSON file")
             sp.add_argument("--coeffs", help="radial cosine coefficients, e.g. '0,0,0.01'")
@@ -297,6 +295,8 @@ def build_parser() -> _Parser:
     sp = sub.add_parser("domain", help="frame dump or closeness report")
     common(sp)
     sp.add_argument("action", choices=["dump", "report"])
+    sp.add_argument("--format", choices=["csv", "json"], default="csv",
+                    help="frame table format of `dump`")
     sp.set_defaults(fn=cmd_domain)
 
     sp = sub.add_parser("orbits", help="orbit table CSV")

@@ -59,7 +59,6 @@ def test_perturbed_orbit_quality(perturbed_orbits):
     orb = perturbed_orbits[8]
     assert orb.reflection_residual < 1e-10
     assert orb.gradient_residual < 1e-12
-    assert orb.maximal
     circle_len = 16 * np.sin(np.pi / 8)
     assert abs(orb.length - circle_len) < 0.1
     gaps = np.diff(np.append(orb.x, 1.0))
@@ -337,18 +336,18 @@ def _bands(draw):
 
 @settings(max_examples=300, deadline=None)
 @given(_bands(), st.data())
-def test_band_solve_inertia_and_max_eig_against_dense(drawn, data):
-    """Band LDL^T solve, Sturm count and Laguerre eigenvalue against numpy's dense routines.
+def test_band_solve_and_inertia_against_dense(drawn, data):
+    """Band LDL^T solve and Sturm count against numpy's dense routines.
 
     The solve does not pivot, so it is compared where it is used: on
-    definite bands. The count and the eigenvalue hold on any band.
+    definite bands. The count holds on any band.
     """
     band, definite = drawn
     hess = _dense(band)
     n = len(band[0])
     # eigh, not eigvalsh: with d = (0, 1, 0), e = (2.7e-81, 0.09375) the root-free QR
     # behind eigvalsh puts the top eigenvalue 1.7e-6 low, where eigh and a 50-digit
-    # mpmath solve agree with the band's own value
+    # mpmath solve agree
     eig = np.linalg.eigh(hess)[0]
     scale = max(np.max(np.abs(eig)), 1e-300)
     if definite:
@@ -360,9 +359,6 @@ def test_band_solve_inertia_and_max_eig_against_dense(drawn, data):
     assume(np.min(np.abs(eig - shift)) > 1e-9 * scale)
     [block] = billiards._band_blocks(band)
     assert billiards._band_inertia(block, shift) == np.sum(eig < shift)
-    assert abs(billiards._band_max_eig(block) - eig[-1]) <= 1e-10 * scale
-    if eig[-1] < shift:  # the start the orbit solver uses once the inertia shows maximality
-        assert abs(billiards._band_max_eig(block, shift) - eig[-1]) <= 1e-10 * scale
 
 
 _zero_bands = st.integers(1, 6).map(lambda n: (np.zeros(n), np.zeros(n - 1)))
@@ -373,7 +369,7 @@ _any_bands = st.one_of(_bands().map(lambda drawn: drawn[0]), _zero_bands)
 @given(st.lists(_any_bands, min_size=1, max_size=6))
 def test_band_blocks_match_per_block_dense(bands):
     """Blocks set up together in one block band: each equals its own setup, and its
-    count and largest eigenvalue match numpy's dense eigenvalues of that block."""
+    count matches numpy's dense eigenvalues of that block."""
     d = np.concatenate([band[0] for band in bands])
     e = np.concatenate([np.append(band[1], 0.0) for band in bands])[:-1]
     start = np.cumsum([0] + [len(band[0]) for band in bands[:-1]])
@@ -384,7 +380,6 @@ def test_band_blocks_match_per_block_dense(bands):
         scale = max(np.max(np.abs(eig)), 1e-300)
         if np.min(np.abs(eig - shift)) > 1e-9 * scale:
             assert billiards._band_inertia(block, shift) == np.sum(eig < shift)
-        assert abs(billiards._band_max_eig(block) - eig[-1]) <= 1e-10 * scale
 
 
 def test_band_solve_zero_pivot_stays_in_its_block():
@@ -409,18 +404,15 @@ def test_band_solve_zero_pivot_stays_in_its_block():
 
 
 def test_orbit_maximality_matches_dense_eigenvalues(perturbed_frame, perturbed_orbits):
-    """`maximal` and `hessian_max_eig` against eigvalsh of the assembled reduced Hessian."""
+    """Every returned orbit with free offsets is a length maximum by eigvalsh of the
+    assembled reduced Hessian: its largest eigenvalue is below HESSIAN_POS_TOL."""
     orbits = dict(perturbed_orbits)
     orbits[256] = billiards.maximal_marked_orbit(perturbed_frame, 256)
     for q, orb in orbits.items():
-        half = (q - 1) // 2
-        if not half:
-            assert orb.maximal and orb.hessian_max_eig == -np.inf
+        if not (q - 1) // 2:
             continue
         _, _, band = billiards._reduced_grad_hess(perturbed_frame.profile, orb.theta - np.pi)
-        top = np.linalg.eigvalsh(_dense(band))[-1]
-        assert orb.maximal == (top < billiards.HESSIAN_POS_TOL)
-        assert abs(orb.hessian_max_eig - top) <= 1e-10 * abs(top)
+        assert np.linalg.eigvalsh(_dense(band))[-1] < billiards.HESSIAN_POS_TOL
 
 
 # -- 30-digit orbit oracle -----------------------------------------------------------
@@ -621,7 +613,7 @@ def test_zero_pivot_in_one_period_leaves_the_others(perturbed_frame, monkeypatch
     for q in (8, 64):
         _assert_same_orbit(got[q], expect[q])
     assert got[3].iterations > expect[3].iterations  # the ascent step cost iterations
-    assert got[3].maximal and got[3].gradient_residual < 1e-13
+    assert got[3].gradient_residual < 1e-13
     assert_allclose(got[3].theta, expect[3].theta, rtol=0, atol=1e-13)
 
 
@@ -657,6 +649,17 @@ def test_compute_orbits_raises_the_smallest_failing_period(perturbed_frame, monk
     with pytest.raises(error) as batch:
         billiards.compute_orbits(perturbed_frame, qs, max_iter=3)
     assert str(batch.value) == str(alone.value)
+
+
+def test_not_maximal_error_counts_the_eigenvalues_above(perturbed_frame, monkeypatch):
+    """`NotMaximalError` names the period and how many of its reduced Hessian's
+    eigenvalues sit at or above HESSIAN_POS_TOL; no option turns the check off."""
+    monkeypatch.setattr(billiards, "_band_inertia", lambda block, shift: len(block.d) - 1)
+    with pytest.raises(NotMaximalError) as err:
+        billiards.compute_orbits(perturbed_frame, [8])
+    assert "q=8" in str(err.value) and "1 of 3" in str(err.value)
+    with pytest.raises(TypeError):
+        billiards.compute_orbits(perturbed_frame, [8], require_maximal=False)
 
 
 # -- linearized return map -------------------------------------------------------

@@ -62,6 +62,18 @@ def test_orbits_table(tmp_path):
     assert first[0] == 2.0 and abs(first[6] - 4.0) < 1e-10
 
 
+def test_format_belongs_to_domain_dump(tmp_path, capsys):
+    """Only `domain dump` has a table format; elsewhere --format is a usage error."""
+    out = tmp_path / "orbits"
+    assert run(["orbits", "--coeffs", "0,0,0.01", "--format", "json", "--out", str(out)]) == 1
+    assert "usage error" in capsys.readouterr().err
+    assert not (out / "orbits.csv").exists()
+    assert run(["domain", "dump", "--coeffs", "0,0,0.01", "--format", "json",
+                "--out", str(tmp_path)]) == 0
+    assert set(json.loads((tmp_path / "frame.json").read_text())) == {
+        "theta", "sigma", "kappa", "x", "mu"}
+
+
 def test_frame_zero_is_refused(tmp_path, capsys):
     """--frame 0 reaches build_frame's check instead of falling back to 512."""
     spec = tmp_path / "domain.json"

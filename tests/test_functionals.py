@@ -132,8 +132,7 @@ def test_bounce_sums_grazing_guard_names_the_period(circle_orbits):
     hacked = billiards.PeriodicOrbit(
         q=3, theta=orb.theta, sigma=orb.sigma, x=orb.x, phi=orb.phi,
         sin_phi=np.array([1.0, 1e-12, 1.0]), chords=orb.chords, length=orb.length,
-        maximal=True, hessian_max_eig=0.0, reflection_residual=0.0,
-        gradient_residual=0.0, iterations=0,
+        reflection_residual=0.0, gradient_residual=0.0, iterations=0,
     )
     with pytest.raises(SingularAngleError, match="q=3"):
         fn.bounce_sums(fn.CosineSeries.basis(0), [circle_orbits[2], hacked, circle_orbits[4]])

@@ -210,8 +210,7 @@ def test_grazing_angle_guard(circle_frame, circle_orbits):
     hacked = billiards.PeriodicOrbit(
         q=orb.q, theta=orb.theta, sigma=orb.sigma, x=orb.x, phi=orb.phi,
         sin_phi=np.array([1e-12, 1.0, 1.0]), chords=orb.chords, length=orb.length,
-        maximal=True, hessian_max_eig=0.0, reflection_residual=0.0,
-        gradient_residual=0.0, iterations=0,
+        reflection_residual=0.0, gradient_residual=0.0, iterations=0,
     )
     with pytest.raises(SingularAngleError):
         traces.build_trace_data(circle_frame, fn.CosineSeries.basis(0), {3: hacked})
