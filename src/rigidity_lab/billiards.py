@@ -64,6 +64,9 @@ MAX_SHOOT_ITER = 100  # bisection alone needs ~50 steps from (0, 2 pi) to 1e-14
 #: functional, trace and transfer matrix built on an orbit
 SIN_PHI_TOL = 1e-9
 
+#: a return map with |trace - 2| at or below this has a unit eigenvalue
+UNIT_EIGEN_TOL = 1e-8
+
 #: dyadic periods whose orbits feed `fit_alpha_beta` in every pipeline
 LADDER = (8, 16, 32, 64)
 
@@ -95,7 +98,6 @@ class PoincareData:
     trace: float
     det: float
     nondegenerate: bool
-    unit_eigen_tol: float
 
 
 class _Periods:
@@ -433,7 +435,7 @@ def maximal_marked_orbit(
 # -- linearized return map ----------------------------------------------------
 
 
-def _return_maps(frame: BoundaryFrame, orbits, sin_phi_tol: float = SIN_PHI_TOL) -> np.ndarray:
+def _return_maps(frame: BoundaryFrame, orbits) -> np.ndarray:
     """Linearized return maps of ``orbits``, a (P, 2, 2) stack, in one pass.
 
     The bounces of all orbits are laid end to end: one curvature evaluation,
@@ -442,14 +444,14 @@ def _return_maps(frame: BoundaryFrame, orbits, sin_phi_tol: float = SIN_PHI_TOL)
     every orbit's matrices (0, 1), (2, 3), ... and carries an odd last one,
     so each product is step[q-1] @ ... @ step[0] associated exactly as for
     the orbit alone. The first orbit, in the given order, with a bounce
-    closer to grazing than ``sin_phi_tol`` raises SingularTransferError.
+    closer to grazing than ``SIN_PHI_TOL`` raises SingularTransferError.
     """
     if not orbits:
         return np.empty((0, 2, 2))
     lay = _periods(tuple(orbit.q for orbit in orbits))
     sin_phi = np.concatenate([orbit.sin_phi for orbit in orbits])
     low = np.minimum.reduceat(sin_phi, lay.start)
-    grazing = np.flatnonzero(low < sin_phi_tol)
+    grazing = np.flatnonzero(low < SIN_PHI_TOL)
     if grazing.size:
         raise SingularTransferError(
             f"bounce angle too close to grazing (sin phi = {low[grazing[0]]:.3g})"
@@ -478,14 +480,9 @@ def _return_maps(frame: BoundaryFrame, orbits, sin_phi_tol: float = SIN_PHI_TOL)
     return steps
 
 
-def linearized_poincare(
-    frame: BoundaryFrame,
-    orbit: PeriodicOrbit,
-    sin_phi_tol: float = SIN_PHI_TOL,
-    unit_eigen_tol: float = 1e-8,
-) -> PoincareData:
+def linearized_poincare(frame: BoundaryFrame, orbit: PeriodicOrbit) -> PoincareData:
     """Product of per-bounce transfer matrices in (arclength, angle) variables."""
-    mat = _return_maps(frame, [orbit], sin_phi_tol)[0]
+    mat = _return_maps(frame, [orbit])[0]
     eig = np.linalg.eigvals(mat)
     trace = float(np.trace(mat))
     # unit eigenvalue of an area-preserving map <=> det(M - I) = 2 - trace = 0;
@@ -495,8 +492,7 @@ def linearized_poincare(
         eigenvalues=eig,
         trace=trace,
         det=float(np.linalg.det(mat)),
-        nondegenerate=bool(abs(trace - 2.0) > unit_eigen_tol),
-        unit_eigen_tol=unit_eigen_tol,
+        nondegenerate=bool(abs(trace - 2.0) > UNIT_EIGEN_TOL),
     )
 
 
@@ -626,7 +622,7 @@ class GenericityReport:
 
 
 def genericity_report(
-    frame: BoundaryFrame, orbits: Mapping[int, PeriodicOrbit], unit_eigen_tol: float = 1e-8
+    frame: BoundaryFrame, orbits: Mapping[int, PeriodicOrbit]
 ) -> GenericityReport:
     """Length gaps and return-map traces of ``orbits``, the maps from one `_return_maps` pass.
 
@@ -655,7 +651,7 @@ def genericity_report(
         min_length_gap=float(gap),
         closest_pair=min(ties, default=()),
         traces=traces,
-        nondegenerate={q: abs(tr - 2.0) > unit_eigen_tol for q, tr in traces.items()},
+        nondegenerate={q: abs(tr - 2.0) > UNIT_EIGEN_TOL for q, tr in traces.items()},
     )
 
 

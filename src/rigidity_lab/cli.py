@@ -42,7 +42,9 @@ def _parse_int_list(text: str):
 
 
 def _load_profile(args):
-    if getattr(args, "domain", None):
+    if args.domain and args.coeffs is not None:
+        raise _UsageError("--domain and --coeffs each give the table; pass one of them")
+    if args.domain:
         profile, n = geometry.load_domain_spec(args.domain)
     else:
         coeffs = _parse_coeffs(args.coeffs if args.coeffs is not None else "")
@@ -108,6 +110,8 @@ def _config_defaults(path, sub: argparse.ArgumentParser) -> dict:
 
 
 def cmd_domain(args) -> int:
+    if args.action == "report" and args.format is not None:
+        raise _UsageError("--format is the frame table format of `domain dump`")
     profile, n = _load_profile(args)
     frame = geometry.build_frame(profile, n)
     if args.action == "dump":
@@ -182,10 +186,9 @@ def cmd_invariants(args) -> int:
 
 def cmd_operator(args) -> int:
     params = operator_mod.GammaSpaceParams(gamma=args.gamma, J=args.jmax, Q=args.q_max)
-    have_domain = args.coeffs is not None or args.domain
-    if args.action == "certify" and not have_domain:
+    if args.action == "certify" and args.coeffs is None and not args.domain:
         cert = operator_mod.contraction_certificate(
-            None, None, params, eps=args.epsilon or 0.0, c_constant=args.c_constant
+            None, params, eps=args.epsilon or 0.0, c_constant=args.c_constant
         )
     else:
         profile, n = _load_profile(args)
@@ -193,10 +196,10 @@ def cmd_operator(args) -> int:
         orbits = billiards.compute_orbits(
             frame, sorted(set(range(2, args.q_max + 1)) | set(billiards.LADDER))
         )
-        T = operator_mod.assemble_T(frame, frame.chart, orbits, params)
+        T = operator_mod.assemble_T(frame.chart, orbits, params)
+        fit = billiards.fit_alpha_beta(frame.chart, {q: orbits[q] for q in billiards.LADDER})
         cert = operator_mod.contraction_certificate(
-            frame, frame.chart, params, eps=args.epsilon,
-            orbits=orbits, c_constant=args.c_constant, full=T,
+            frame, params, eps=args.epsilon, fit=fit, c_constant=args.c_constant, full=T
         )
         if args.action == "assemble":
             lines = ["q\\j," + ",".join(str(int(j)) for j in T.col_j)]
@@ -284,19 +287,18 @@ def build_parser() -> _Parser:
     p = _Parser(prog="rigidity-lab", description=__doc__)
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp, domain=True):
+    def common(sp):
         sp.add_argument("--config", help="JSON file with defaults for this command")
         sp.add_argument("--out", help="output directory (default: cwd)")
-        if domain:
-            sp.add_argument("--domain", help="domain spec JSON file")
-            sp.add_argument("--coeffs", help="radial cosine coefficients, e.g. '0,0,0.01'")
-            sp.add_argument("--frame", type=int, help="frame sample count (default 512)")
+        sp.add_argument("--domain", help="domain spec JSON file")
+        sp.add_argument("--coeffs", help="radial cosine coefficients, e.g. '0,0,0.01'")
+        sp.add_argument("--frame", type=int, help="frame sample count (default 512)")
 
     sp = sub.add_parser("domain", help="frame dump or closeness report")
     common(sp)
     sp.add_argument("action", choices=["dump", "report"])
-    sp.add_argument("--format", choices=["csv", "json"], default="csv",
-                    help="frame table format of `dump`")
+    sp.add_argument("--format", choices=["csv", "json"],
+                    help="frame table format of `dump` (default csv)")
     sp.set_defaults(fn=cmd_domain)
 
     sp = sub.add_parser("orbits", help="orbit table CSV")

@@ -6,7 +6,9 @@ columns by cosine frequency j. Its leading structure is the divisor pattern
 leaves a perturbation of the divisor operator whose weighted norm distance
 from the identity can be pushed below 1. That bound is the certificate that
 the truncated inverse problem is well posed, and the Neumann series built
-on it is the reconstruction engine.
+on it is the reconstruction engine. The layer solves no orbit: its callers
+pass one `assemble_T` and the ladder fit to `contraction_certificate`, and
+gate `neumann_invert`, which always sums ``order`` terms, on its result.
 
 The weighted operator norm is ``sup_q sum_j q^gamma j^(-gamma) |T_qj|``
 over labels q, j >= 1; rows with divisor structure get their j > J tails
@@ -22,8 +24,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .billiards import LADDER, AlphaBetaFit, PeriodicOrbit, compute_orbits, fit_alpha_beta
-from .errors import NotContractiveError
+from .billiards import AlphaBetaFit, PeriodicOrbit
 from .functionals import CosineSeries, sigma_p, tilde_sigma_table
 from .geometry import BoundaryFrame, LazutkinChart, closeness_report
 
@@ -102,7 +103,6 @@ class OperatorMatrix:
 
 
 def assemble_T(
-    frame: BoundaryFrame,
     chart: LazutkinChart,
     orbits: Mapping[int, PeriodicOrbit],
     params: GammaSpaceParams,
@@ -172,12 +172,10 @@ def divisor_weight(chart: LazutkinChart, fit: AlphaBetaFit, qs) -> np.ndarray:
 
 
 def assemble_T_star_R(
-    frame: BoundaryFrame,
     chart: LazutkinChart,
-    orbits: Mapping[int, PeriodicOrbit],
+    full: OperatorMatrix,
     params: GammaSpaceParams,
     fit: AlphaBetaFit,
-    full: OperatorMatrix | None = None,
 ) -> OperatorMatrix:
     """The divisor-plus-remainder part: full rows minus the rank-one piece.
 
@@ -185,12 +183,10 @@ def assemble_T_star_R(
     ``Lss_j / q^2`` from the exact entries. ``extras`` keeps ``lss`` and the
     signed divisor ``weight`` per row (1 on row 1); its size is the tail
     coefficient for analytic completion. The exact entries are read from
-    ``full``, an `assemble_T` with at least columns 0..J, when one is given
-    (rows past Q are left out), and assembled here otherwise.
+    ``full``, an `assemble_T` with at least columns 0..J; its rows past Q
+    are left out.
     """
-    if full is None:
-        full = assemble_T(frame, chart, orbits, params)
-    elif full.col_j[-1] < params.J:
+    if full.col_j[-1] < params.J:
         raise ValueError(f"assembled T has columns up to {full.col_j[-1]}, need {params.J}")
     sel = (full.row_q >= 2) & (full.row_q <= params.Q)
     qs = full.row_q[sel]
@@ -214,7 +210,6 @@ def subtract_identity(mat: OperatorMatrix) -> OperatorMatrix:
         row_q=mat.row_q,
         col_j=mat.col_j,
         row_tail_coeff=mat.row_tail_coeff,
-        extras=dict(mat.extras),
     )
 
 
@@ -309,10 +304,8 @@ class ContractionCertificate:
 
 def contraction_certificate(
     frame: BoundaryFrame | None,
-    chart: LazutkinChart | None,
     params: GammaSpaceParams,
     eps: float | None = None,
-    orbits: Mapping[int, PeriodicOrbit] | None = None,
     fit: AlphaBetaFit | None = None,
     c_constant: float = DEFAULT_C_CONSTANT,
     full: OperatorMatrix | None = None,
@@ -320,11 +313,11 @@ def contraction_certificate(
     """Evaluate both the analytic bound and the truncated numerical norm.
 
     Passes only when every computed bound is below 1. Without a frame the
-    certificate is analytic-only (eps must then be given). A failing
-    certificate is reported, not raised. Missing orbits (periods 2..Q when
-    none are given, ladder rungs when no fit is) are solved in one batch.
-    ``full`` is an `assemble_T` of these orbits already made by the caller,
-    which `assemble_T_star_R` then reads instead of assembling again.
+    certificate is analytic-only (eps must then be given). With one, the
+    certificate measures the assembly it is given: ``full``, an `assemble_T`
+    over at least periods 2..Q and columns 0..J, with ``fit`` the ladder fit
+    on the same table, becomes `assemble_T_star_R` on ``frame.chart``. A
+    failing certificate is reported, not raised.
     """
     if frame is None:
         if eps is None:
@@ -340,19 +333,9 @@ def contraction_certificate(
             passed=bool(bound < 1.0),
         )
 
-    chart = chart if chart is not None else frame.chart
     if eps is None:
         eps = closeness_report(frame, order=0).eps  # the C0 distance; no derivative norms
-    need = set(range(2, params.Q + 1)) if orbits is None else set()
-    if fit is None:
-        need |= set(LADDER) - set(orbits or ())
-    solved = compute_orbits(frame, sorted(need)) if need else {}
-    orbits = solved if orbits is None else orbits
-    if fit is None:
-        rungs = {**orbits, **solved}
-        fit = fit_alpha_beta(chart, {q: rungs[q] for q in LADDER})
-
-    tsr = assemble_T_star_R(frame, chart, orbits, params, fit, full)
+    tsr = assemble_T_star_R(frame.chart, full, params, fit)
     norm = gamma_norm(subtract_identity(tsr), params.gamma)
     bound = analytic_contraction_bound(eps, c_constant)
     return ContractionCertificate(
@@ -380,7 +363,6 @@ def square_block(mat: OperatorMatrix, n: int) -> OperatorMatrix:
         entries=mat.entries[np.ix_(rsel, csel)],
         row_q=mat.row_q[rsel],
         col_j=mat.col_j[csel],
-        extras=dict(mat.extras),
     )
 
 
@@ -390,7 +372,6 @@ class NeumannInfo:
     # one row per term, and one column per system for an (n, m) right-hand side
     update_norms: np.ndarray           # sup norm of coefficient updates
     weighted_update_norms: np.ndarray  # max_j j^gamma |update_j|; ratios <= ||Id - T||_gamma
-    converged: bool
 
     @property
     def contraction_ratios(self) -> np.ndarray:
@@ -402,26 +383,18 @@ def neumann_invert(
     T_star_R: OperatorMatrix,
     rhs,
     order: int = 40,
-    tol: float = 1e-14,
-    certified: bool = True,
     gamma: float = 3.5,
 ) -> tuple:
-    """Solve T w = rhs by the series w = sum (Id - T)^k rhs on a square block.
+    """Solve T w = rhs by ``order`` terms of the series w = sum (Id - T)^k rhs on a square block.
 
     Returns (CosineSeries with zero mean part, NeumannInfo). An (n, m)
     right-hand side is m systems solved together: the series is a batch of m
-    and the update norms get one column per system. Iteration stops at `order`
-    terms or when every column's sup-norm update falls below tol; successive
-    weighted update norms contract at least as fast as the certified norm of
-    Id - T.
+    and the update norms get one column per system. Successive weighted
+    update norms contract at least as fast as the certified norm of Id - T;
+    gating on that certificate is the caller's.
     """
     if order < 0:
         raise ValueError(f"Neumann order must be >= 0, got {order}")
-    if not certified:
-        raise NotContractiveError(
-            "contraction certificate failed; pass certified=True to override "
-            "only when a certificate has actually passed"
-        )
     A = T_star_R.entries
     n = A.shape[0]
     if A.shape[1] != n or not (
@@ -433,17 +406,13 @@ def neumann_invert(
     weights = (np.arange(1, n + 1, dtype=float) ** gamma).reshape((n,) + (1,) * (rhs.ndim - 1))
     B = np.eye(n) - A
     w = np.zeros((order + 1,) + rhs.shape)  # w[k]: the sum of the first k terms
-    k, converged = 0, False
-    while k < order and not converged:
-        k += 1
+    for k in range(1, order + 1):
         w[k] = rhs + B @ w[k - 1]
-        converged = tol > 0.0 and bool(np.all(np.abs(w[k] - w[k - 1]).max(axis=0) < tol))
-    abs_delta = np.abs(np.diff(w[: k + 1], axis=0))
-    return _series_of_block_solution(w[k]), NeumannInfo(
-        iterations=k,
+    abs_delta = np.abs(np.diff(w, axis=0))
+    return _series_of_block_solution(w[order]), NeumannInfo(
+        iterations=order,
         update_norms=abs_delta.max(axis=1),
         weighted_update_norms=(abs_delta * weights).max(axis=1),
-        converged=converged,
     )
 
 

@@ -61,7 +61,7 @@ NORM_JMAX = 48  # column truncation of the certificate norm
 class RecoveryOptions:
     gamma: float = 3.5
     jmax: int | None = None          # square-system size; default min(q_max - 4, 16), >= 8
-    neumann_order: int = 40          # fixed order: the Neumann solves never stop early
+    neumann_order: int = 40          # terms of every Neumann solve
     residual_tol: float = 1e-6       # held-out data rows beyond this raise
     override_certificate: bool = False
     strict_residual: bool = True
@@ -114,11 +114,10 @@ class RecoveryPlan:
         # one assembly of T: its rows up to n are the certified block, and its rows
         # up to q_max feed the limit-entry column and the holdout check
         params = GammaSpaceParams(gamma=opt.gamma, J=max(NORM_JMAX, n), Q=n)
-        T = assemble_T(frame, chart, orbits, GammaSpaceParams(opt.gamma, params.J, q_max))
+        T = assemble_T(chart, orbits, GammaSpaceParams(opt.gamma, params.J, q_max))
         fit = fit_alpha_beta(chart, {q: orbits[q] for q in LADDER})
-        cert = contraction_certificate(frame, chart, params, orbits=orbits, fit=fit, full=T)
-        certified = cert.inversion_certified or opt.override_certificate
-        if not certified:
+        cert = contraction_certificate(frame, params, fit=fit, full=T)
+        if not (cert.inversion_certified or opt.override_certificate):
             raise NotContractiveError(
                 f"numeric contraction norm {cert.numeric_norm_completed:.4f} >= 1 "
                 "and no override requested"
@@ -129,13 +128,12 @@ class RecoveryPlan:
         lss = cert.T_star_R.extras["lss"][1 : n + 1]
 
         b = build_b_star(np.arange(1, n + 1))
-        w_b, _ = neumann_invert(A, b, order=opt.neumann_order, tol=0.0, certified=certified,
-                                gamma=opt.gamma)
+        w_b, _ = neumann_invert(A, b, order=opt.neumann_order, gamma=opt.gamma)
         ls_b = lstsq_invert(A, b).coeffs[1:]
 
         self.frame, self.chart, self.options = frame, chart, opt
         self.q_max, self.n = q_max, n
-        self.certificate, self.certified = cert, certified
+        self.certificate = cert
         self.block, self.lss = A, lss
         self.col0 = T.entries[2:n + 1, 0]  # limit-entry column, rows q = 2..n
         self.b, self.w_b, self.ls_b = b, w_b.coeffs[1:], ls_b
@@ -182,8 +180,7 @@ class RecoveryPlan:
         g[1:] = d[:, qs].T / qs[:, None] ** 2 - np.outer(self.col0, v0)
 
         # the Neumann solve of g is the certified audit; lstsq cross-checks it
-        series_g, info_g = neumann_invert(A, g, order=opt.neumann_order, tol=0.0,
-                                          certified=self.certified, gamma=opt.gamma)
+        series_g, info_g = neumann_invert(A, g, order=opt.neumann_order, gamma=opt.gamma)
         w_g = series_g.coeffs[:, 1:]                       # one row per pair from here on
         lam = (w_g @ lss) / (1.0 + float(lss @ self.w_b))
         w = w_g - np.outer(lam, self.w_b)

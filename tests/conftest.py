@@ -47,7 +47,7 @@ def rng():
     return np.random.default_rng(20240809)
 
 
-def _per_row_T(frame, chart, orbits, params):
+def _per_row_T(chart, orbits, params):
     """`operator.assemble_T` one row at a time: per period, one weight evaluation
     and one product of its own cosine table with the weights."""
     qs = [q for q in sorted(orbits) if 2 <= q <= params.Q]

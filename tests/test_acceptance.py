@@ -58,8 +58,8 @@ def test_c02_contraction_certificate():
     orbits = billiards.compute_orbits(frame, sorted(set(range(2, 17)) | set(LADDER)))
     fit = billiards.fit_alpha_beta(frame.chart, {q: orbits[q] for q in LADDER})
     cert = op.contraction_certificate(
-        frame, frame.chart, params,
-        orbits={q: orbits[q] for q in range(2, 17)}, fit=fit,
+        frame, params, fit=fit,
+        full=op.assemble_T(frame.chart, {q: orbits[q] for q in range(2, 17)}, params),
     )
     elapsed = time.monotonic() - t0
     ok = (0.9784 < analytic < 0.9786 and analytic < 1.0

@@ -63,11 +63,17 @@ def test_orbits_table(tmp_path):
 
 
 def test_format_belongs_to_domain_dump(tmp_path, capsys):
-    """Only `domain dump` has a table format; elsewhere --format is a usage error."""
-    out = tmp_path / "orbits"
-    assert run(["orbits", "--coeffs", "0,0,0.01", "--format", "json", "--out", str(out)]) == 1
-    assert "usage error" in capsys.readouterr().err
-    assert not (out / "orbits.csv").exists()
+    """Only `domain dump` has a table format; elsewhere --format is a usage error,
+    also when it comes as a --config key."""
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"format": "json"}))
+    for argv, name in ((["orbits", "--format", "json"], "orbits.csv"),
+                       (["domain", "report", "--format", "json"], "closeness.json"),
+                       (["domain", "report", "--config", str(cfg)], "closeness.json")):
+        out = tmp_path / "refused"
+        assert run([*argv, "--coeffs", "0,0,0.01", "--out", str(out)]) == 1
+        assert "usage error" in capsys.readouterr().err
+        assert not (out / name).exists()
     assert run(["domain", "dump", "--coeffs", "0,0,0.01", "--format", "json",
                 "--out", str(tmp_path)]) == 0
     assert set(json.loads((tmp_path / "frame.json").read_text())) == {
@@ -86,6 +92,22 @@ def test_frame_zero_is_refused(tmp_path, capsys):
         assert run(["domain", "dump", *source, "--frame", "0", "--out", str(out)]) == 1
         assert "n_samples must be even and >= 256, got 0" in capsys.readouterr().err
         assert not (out / "frame.csv").exists()
+
+
+def test_domain_spec_and_coeffs_together_are_refused(tmp_path, capsys):
+    """A spec file and --coeffs are two sources of one table: neither wins silently."""
+    spec = tmp_path / "domain.json"
+    spec.write_text(json.dumps({"radial_cosine_coeffs": [0.0, 0.0, 0.02]}))
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"coeffs": [0, 0, 0.01]}))
+    out = tmp_path / "out"
+    for argv, name in ((["orbits", "--coeffs", "0,0,0.01"], "orbits.csv"),
+                       (["operator", "certify", "--coeffs", "0,0,0.01"], "certificate.json"),
+                       (["domain", "dump", "--config", str(cfg)], "frame.csv")):
+        assert run([*argv, "--domain", str(spec), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert "usage error" in err and "--domain" in err and "--coeffs" in err
+        assert not (out / name).exists()
 
 
 def test_orbits_q_max_below_two_is_a_usage_error(tmp_path, capsys):

@@ -6,7 +6,6 @@ from scipy.special import zeta
 
 from rigidity_lab import billiards, functionals as fn, geometry
 from rigidity_lab import operator as op
-from rigidity_lab.errors import NotContractiveError
 
 LADDER = (8, 16, 32, 64)
 PARAMS = op.GammaSpaceParams(gamma=3.5, J=48, Q=16)
@@ -96,8 +95,7 @@ def test_truncated_norm_monotone_in_J():
 
 
 def test_gamma_norm_rejects_label_zero(circle_frame, circle_orbits):
-    T = op.assemble_T(circle_frame, circle_frame.chart,
-                      {q: circle_orbits[q] for q in range(2, 5)}, PARAMS)
+    T = op.assemble_T(circle_frame.chart, {q: circle_orbits[q] for q in range(2, 5)}, PARAMS)
     with pytest.raises(ValueError):
         op.gamma_norm(T, 3.5)
 
@@ -118,8 +116,7 @@ def test_gamma_norm_submultiplicative(rng):
 
 
 def test_circle_matrix_closed_form(circle_frame, circle_orbits):
-    T = op.assemble_T(circle_frame, circle_frame.chart,
-                      {q: circle_orbits[q] for q in range(2, 17)}, PARAMS)
+    T = op.assemble_T(circle_frame.chart, {q: circle_orbits[q] for q in range(2, 17)}, PARAMS)
     assert_allclose(T.entries[0], np.eye(49)[0], rtol=0, atol=1e-13)
     assert np.all(T.entries[1] == 1.0)
     for i, q in enumerate(T.row_q):
@@ -130,13 +127,12 @@ def test_circle_matrix_closed_form(circle_frame, circle_orbits):
 
 
 def test_matrix_perturbation_scales_linearly(circle_frame, circle_orbits):
-    T1 = op.assemble_T(circle_frame, circle_frame.chart,
-                       {q: circle_orbits[q] for q in range(2, 17)}, PARAMS)
+    T1 = op.assemble_T(circle_frame.chart, {q: circle_orbits[q] for q in range(2, 17)}, PARAMS)
     diffs = {}
     for a2 in (0.005, 0.01):
         frame = geometry.build_frame(geometry.build_profile([0.0, 0.0, a2]), 512)
         orbits = billiards.compute_orbits(frame, range(2, 17))
-        T2 = op.assemble_T(frame, frame.chart, orbits, PARAMS)
+        T2 = op.assemble_T(frame.chart, orbits, PARAMS)
         diffs[a2] = np.max(np.abs(T2.entries - T1.entries))
     assert 1.7 < diffs[0.01] / diffs[0.005] < 2.4
     assert diffs[0.01] < 20 * 0.0326  # entrywise O(eps), frame offset ~0.0326
@@ -149,8 +145,8 @@ def test_batched_assembly_matches_per_row_loop(perturbed_frame, perturbed_orbits
     for a period set with gaps and rows past the ladder's first rungs."""
     orbits = {q: perturbed_orbits[q] for q in periods}
     params = op.GammaSpaceParams(3.5, 48, Q)
-    T = op.assemble_T(perturbed_frame, perturbed_frame.chart, orbits, params)
-    expect = per_row_T(perturbed_frame, perturbed_frame.chart, orbits, params)
+    T = op.assemble_T(perturbed_frame.chart, orbits, params)
+    expect = per_row_T(perturbed_frame.chart, orbits, params)
     assert np.array_equal(T.row_q, expect.row_q)
     assert np.array_equal(T.col_j, expect.col_j)
     assert_allclose(T.entries, expect.entries, rtol=0, atol=1e-15)
@@ -160,15 +156,15 @@ def test_T_star_R_reads_a_given_assembly(perturbed_frame, perturbed_orbits, pert
     """Rows past Q and columns past J of a larger assembly are left out; a
     narrower one is refused."""
     chart, orbits = perturbed_frame.chart, perturbed_orbits
-    own = op.assemble_T_star_R(perturbed_frame, chart, orbits, PARAMS, perturbed_fit)
-    wide = op.assemble_T(perturbed_frame, chart, orbits, op.GammaSpaceParams(3.5, 64, 64))
-    read = op.assemble_T_star_R(perturbed_frame, chart, orbits, PARAMS, perturbed_fit, wide)
+    own = op.assemble_T_star_R(chart, op.assemble_T(chart, orbits, PARAMS), PARAMS, perturbed_fit)
+    wide = op.assemble_T(chart, orbits, op.GammaSpaceParams(3.5, 64, 64))
+    read = op.assemble_T_star_R(chart, wide, PARAMS, perturbed_fit)
     assert np.array_equal(read.row_q, own.row_q)
     assert np.array_equal(read.col_j, own.col_j)
     assert_allclose(read.entries, own.entries, rtol=0, atol=1e-15)
-    narrow = op.assemble_T(perturbed_frame, chart, orbits, op.GammaSpaceParams(3.5, 32, 16))
+    narrow = op.assemble_T(chart, orbits, op.GammaSpaceParams(3.5, 32, 16))
     with pytest.raises(ValueError, match="columns"):
-        op.assemble_T_star_R(perturbed_frame, chart, orbits, PARAMS, perturbed_fit, narrow)
+        op.assemble_T_star_R(chart, narrow, PARAMS, perturbed_fit)
 
 
 def test_certificate_measures_only_the_weight_offset(perturbed_frame, perturbed_orbits,
@@ -182,8 +178,8 @@ def test_certificate_measures_only_the_weight_offset(perturbed_frame, perturbed_
         return report(frame, order)
 
     monkeypatch.setattr(op, "closeness_report", recording)
-    cert = op.contraction_certificate(perturbed_frame, perturbed_frame.chart, PARAMS,
-                                      orbits=perturbed_orbits, fit=perturbed_fit)
+    full = op.assemble_T(perturbed_frame.chart, perturbed_orbits, PARAMS)
+    cert = op.contraction_certificate(perturbed_frame, PARAMS, fit=perturbed_fit, full=full)
     assert orders == [0]
     assert cert.epsilon == report(perturbed_frame).eps
 
@@ -234,7 +230,10 @@ def test_remainder_constant_calibration():
     ratios = []
     for a2 in (0.005, 0.01):
         frame = geometry.build_frame(geometry.build_profile([0.0, 0.0, a2]), 512)
-        cert = op.contraction_certificate(frame, frame.chart, PARAMS)
+        orbits = billiards.compute_orbits(frame, sorted(set(range(2, 17)) | set(LADDER)))
+        fit = billiards.fit_alpha_beta(frame.chart, {q: orbits[q] for q in LADDER})
+        full = op.assemble_T(frame.chart, orbits, PARAMS)  # rows q <= 16
+        cert = op.contraction_certificate(frame, PARAMS, fit=fit, full=full)
         rem_norm = op.gamma_norm(_remainder(cert.T_star_R), PARAMS.gamma).truncated
         ratios.append(rem_norm / cert.epsilon)
     assert 15.0 < max(ratios) < op.DEFAULT_C_CONSTANT   # default keeps headroom
@@ -252,27 +251,24 @@ def test_analytic_bound_frozen_value():
 
 
 def test_certificate_analytic_only_pass_and_fail():
-    cert = op.contraction_certificate(None, None, PARAMS, eps=0.0)
+    cert = op.contraction_certificate(None, PARAMS, eps=0.0)
     assert cert.passed and cert.numeric_norm is None
-    cert_bad = op.contraction_certificate(None, None, PARAMS, eps=0.3)
+    cert_bad = op.contraction_certificate(None, PARAMS, eps=0.3)
     assert not cert_bad.passed            # graceful, no exception
     assert cert_bad.analytic_bound > 1.0
 
 
 def test_certificate_circle_numeric(circle_frame, circle_orbits, circle_fit):
-    cert = op.contraction_certificate(
-        circle_frame, circle_frame.chart, PARAMS,
-        orbits={q: circle_orbits[q] for q in range(2, 17)}, fit=circle_fit,
-    )
+    full = op.assemble_T(circle_frame.chart, {q: circle_orbits[q] for q in range(2, 17)}, PARAMS)
+    cert = op.contraction_certificate(circle_frame, PARAMS, fit=circle_fit, full=full)
     assert 0.76 < cert.numeric_norm_completed < 0.78
     assert cert.passed and cert.inversion_certified
 
 
 def test_certificate_perturbed_numeric(perturbed_frame, perturbed_orbits, perturbed_fit):
-    cert = op.contraction_certificate(
-        perturbed_frame, perturbed_frame.chart, PARAMS,
-        orbits={q: perturbed_orbits[q] for q in range(2, 17)}, fit=perturbed_fit,
-    )
+    full = op.assemble_T(perturbed_frame.chart,
+                         {q: perturbed_orbits[q] for q in range(2, 17)}, PARAMS)
+    cert = op.contraction_certificate(perturbed_frame, PARAMS, fit=perturbed_fit, full=full)
     assert cert.numeric_norm_completed < 1.0
     assert cert.inversion_certified
     payload = cert.to_json_dict()
@@ -286,7 +282,7 @@ def test_certificate_triangle_inequality(perturbed_frame, perturbed_orbits, pert
     frame, chart, fit = perturbed_frame, perturbed_frame.chart, perturbed_fit
     orbits = {q: perturbed_orbits[q] for q in range(2, 17)}
     eps = geometry.closeness_report(frame).eps
-    tsr = op.assemble_T_star_R(frame, chart, orbits, PARAMS, fit)
+    tsr = op.assemble_T_star_R(chart, op.assemble_T(chart, orbits, PARAMS), PARAMS, fit)
     norm_total = op.gamma_norm(op.subtract_identity(tsr), 3.5).tail_completed
 
     dmi = op.subtract_identity(op.assemble_delta(PARAMS))
@@ -311,11 +307,15 @@ def test_certificate_triangle_inequality(perturbed_frame, perturbed_orbits, pert
 # -- inversion -------------------------------------------------------------------------
 
 
+def _T_star_R(frame, orbits, params, fit):
+    """`operator.assemble_T_star_R` on an assembly of ``orbits``."""
+    return op.assemble_T_star_R(frame.chart, op.assemble_T(frame.chart, orbits, params),
+                                params, fit)
+
+
 def _square_tsr(frame, orbits, fit, n=12):
     params = op.GammaSpaceParams(3.5, max(48, n), n)
-    tsr = op.assemble_T_star_R(frame, frame.chart,
-                               {q: orbits[q] for q in range(2, n + 1)}, params, fit)
-    return op.square_block(tsr, n)
+    return op.square_block(_T_star_R(frame, orbits, params, fit), n)
 
 
 def test_neumann_zero_rhs(circle_frame, circle_orbits, circle_fit):
@@ -327,19 +327,18 @@ def test_neumann_zero_rhs(circle_frame, circle_orbits, circle_fit):
 def test_neumann_round_trip_basis(circle_frame, circle_orbits, circle_fit):
     A = _square_tsr(circle_frame, circle_orbits, circle_fit)
     rhs = A.entries[:, 2].copy()     # image of e_3
-    w, info = op.neumann_invert(A, rhs, order=60, tol=1e-15)
+    w, info = op.neumann_invert(A, rhs, order=60)
     expect = np.zeros(13)
     expect[3] = 1.0
     assert_allclose(w.coeffs, expect, rtol=0, atol=1e-8)
 
 
 def test_neumann_ratio_below_certified_bound(circle_frame, circle_orbits, circle_fit):
-    cert = op.contraction_certificate(
-        circle_frame, circle_frame.chart, PARAMS,
-        orbits={q: circle_orbits[q] for q in range(2, 17)}, fit=circle_fit)
+    full = op.assemble_T(circle_frame.chart, {q: circle_orbits[q] for q in range(2, 17)}, PARAMS)
+    cert = op.contraction_certificate(circle_frame, PARAMS, fit=circle_fit, full=full)
     A = _square_tsr(circle_frame, circle_orbits, circle_fit)
     rng = np.random.default_rng(3)
-    _, info = op.neumann_invert(A, rng.standard_normal(12), order=40, tol=0.0)
+    _, info = op.neumann_invert(A, rng.standard_normal(12), order=40)
     ratios = info.contraction_ratios
     assert np.all(ratios[1:] <= cert.numeric_norm_completed + 1e-9)
 
@@ -347,50 +346,40 @@ def test_neumann_ratio_below_certified_bound(circle_frame, circle_orbits, circle
 def test_neumann_agrees_with_lstsq(perturbed_frame, perturbed_orbits, perturbed_fit, rng):
     A = _square_tsr(perturbed_frame, perturbed_orbits, perturbed_fit)
     rhs = rng.standard_normal(12) * 0.1
-    w, _ = op.neumann_invert(A, rhs, order=200, tol=1e-15)
+    w, _ = op.neumann_invert(A, rhs, order=200)
     ls = op.lstsq_invert(A, rhs)
     assert np.max(np.abs(w.coeffs - ls.coeffs)) < 1e-6
 
 
-def _neumann_per_term(A, rhs, order, tol, gamma=3.5):
+def _neumann_per_term(A, rhs, order, gamma=3.5):
     """The series one term at a time, each update norm taken as the term is added."""
     n = A.shape[0]
     weights = np.arange(1, n + 1, dtype=float) ** gamma
     B, w = np.eye(n) - A, np.zeros_like(rhs)
-    updates, weighted, converged = [], [], False
+    updates, weighted = [], []
     for _ in range(order):
         w_next = rhs + B @ w
         abs_delta = np.abs(w_next - w)
         updates.append(abs_delta.max(axis=0))
         weighted.append((abs_delta.T * weights).max(axis=-1))
         w = w_next
-        if tol > 0.0 and np.all(updates[-1] < tol):
-            converged = True
-            break
-    return w, np.array(updates), np.array(weighted), converged
+    return w, np.array(updates), np.array(weighted)
 
 
 @pytest.mark.parametrize("m", [None, 5])
-@pytest.mark.parametrize("order, tol", [(80, 0.0), (200, 1e-13)])
 def test_neumann_matches_per_term_loop(perturbed_frame, perturbed_orbits, perturbed_fit,
-                                       rng, m, order, tol):
+                                       rng, m):
     """Iterates kept in one array, with the norms taken after the loop, are bit-equal
-    to the per-term loop, for one system and a batch, with and without the stop."""
+    to the per-term loop, for one system and a batch."""
+    order = 80
     A = _square_tsr(perturbed_frame, perturbed_orbits, perturbed_fit)
     rhs = rng.standard_normal(12 if m is None else (12, m))
-    w, info = op.neumann_invert(A, rhs, order=order, tol=tol)
-    expect, updates, weighted, converged = _neumann_per_term(A.entries, rhs, order, tol)
+    w, info = op.neumann_invert(A, rhs, order=order)
+    expect, updates, weighted = _neumann_per_term(A.entries, rhs, order)
     assert np.array_equal(w.coeffs, op._series_of_block_solution(expect).coeffs)
-    assert type(info.iterations) is int and info.iterations == len(updates)
-    assert info.converged == converged == (tol > 0.0)
+    assert type(info.iterations) is int and info.iterations == len(updates) == order
     assert np.array_equal(info.update_norms, updates)
     assert np.array_equal(info.weighted_update_norms, weighted)
-
-
-def test_neumann_requires_certificate(circle_frame, circle_orbits, circle_fit):
-    A = _square_tsr(circle_frame, circle_orbits, circle_fit)
-    with pytest.raises(NotContractiveError):
-        op.neumann_invert(A, np.zeros(12), certified=False)
 
 
 def test_neumann_negative_order_is_refused(circle_frame, circle_orbits, circle_fit):
@@ -417,8 +406,7 @@ def _remainder_residuals(rem, u):
 
 def test_decompose_circle_basis_vector(circle_frame, circle_orbits, circle_fit):
     params = op.GammaSpaceParams(3.5, 48, 16)
-    tsr = op.assemble_T_star_R(circle_frame, circle_frame.chart,
-                               {q: circle_orbits[q] for q in range(2, 17)}, params, circle_fit)
+    tsr = _T_star_R(circle_frame, {q: circle_orbits[q] for q in range(2, 17)}, params, circle_fit)
     rem = _remainder(tsr)
     assert np.max(_remainder_residuals(rem, fn.CosineSeries.basis(5, 9).coeffs)) < 1e-6
     assert np.max(_remainder_residuals(rem, np.zeros(9))) == 0.0
@@ -427,8 +415,8 @@ def test_decompose_circle_basis_vector(circle_frame, circle_orbits, circle_fit):
 def test_decompose_remainder_decays_on_ladder(perturbed_frame, perturbed_orbits,
                                               perturbed_fit):
     params = op.GammaSpaceParams(3.5, 48, 64)
-    tsr = op.assemble_T_star_R(perturbed_frame, perturbed_frame.chart,
-                               {q: perturbed_orbits[q] for q in LADDER}, params, perturbed_fit)
+    tsr = _T_star_R(perturbed_frame, {q: perturbed_orbits[q] for q in LADDER}, params,
+                    perturbed_fit)
     rem = _remainder(tsr)
     rng = np.random.default_rng(5)
     u = np.array([rng.standard_normal(9) for _ in range(4)])
@@ -441,8 +429,7 @@ def test_decompose_remainder_decays_on_ladder(perturbed_frame, perturbed_orbits,
 
 def test_decompose_circle_remainder_is_roundoff(circle_frame, circle_orbits, circle_fit):
     """On the circle T_*R is its divisor part: the remainder is roundoff on every row."""
-    tsr = op.assemble_T_star_R(circle_frame, circle_frame.chart,
-                               {q: circle_orbits[q] for q in range(2, 17)}, PARAMS, circle_fit)
+    tsr = _T_star_R(circle_frame, {q: circle_orbits[q] for q in range(2, 17)}, PARAMS, circle_fit)
     assert np.max(np.abs(_remainder(tsr).entries)) < 1e-10
 
 
@@ -450,8 +437,7 @@ def test_T_star_R_divisor_weight(perturbed_frame, perturbed_orbits, perturbed_fi
     """The signed weight is 1 + sigma_0(q) - beta_0/q^2 (1 on row 1); its size
     is the tail coefficient."""
     chart, fit = perturbed_frame.chart, perturbed_fit
-    tsr = op.assemble_T_star_R(perturbed_frame, chart,
-                               {q: perturbed_orbits[q] for q in range(2, 17)}, PARAMS, fit)
+    tsr = _T_star_R(perturbed_frame, {q: perturbed_orbits[q] for q in range(2, 17)}, PARAMS, fit)
     expect = [1.0] + [1.0 + fn.sigma_p(chart, q, 0).real - fit.beta0 / q**2
                       for q in range(2, 17)]
     assert_allclose(tsr.extras["weight"], expect, rtol=0, atol=1e-15)
@@ -460,9 +446,8 @@ def test_T_star_R_divisor_weight(perturbed_frame, perturbed_orbits, perturbed_fi
 
 def test_T_star_R_marked_row_is_divisor_row(perturbed_frame, perturbed_orbits,
                                             perturbed_fit):
-    tsr = op.assemble_T_star_R(
-        perturbed_frame, perturbed_frame.chart,
-        {q: perturbed_orbits[q] for q in range(2, 17)}, PARAMS, perturbed_fit)
+    tsr = _T_star_R(perturbed_frame, {q: perturbed_orbits[q] for q in range(2, 17)}, PARAMS,
+                    perturbed_fit)
     assert tsr.row_q[0] == 1
     assert np.all(tsr.entries[0] == 1.0)
     assert tsr.row_tail_coeff[0] == 1.0
@@ -479,8 +464,7 @@ def test_kernel_margin_bounded_away_from_zero(perturbed_frame):
     values = []
     for n in (8, 12, 16):
         orbits = billiards.compute_orbits(perturbed_frame, range(2, n + 1))
-        T = op.assemble_T(perturbed_frame, perturbed_frame.chart, orbits,
-                          op.GammaSpaceParams(3.5, n, n))
+        T = op.assemble_T(perturbed_frame.chart, orbits, op.GammaSpaceParams(3.5, n, n))
         A = T.entries[T.row_q >= 2][:, T.col_j >= 1]
         m = A.shape[1]
         basis = np.eye(m, m - 1) - np.eye(m, m - 1, k=-1)  # columns e_i - e_(i+1)

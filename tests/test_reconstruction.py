@@ -257,22 +257,21 @@ def test_plan_assembles_T_once(perturbed_frame, perturbed_orbits, monkeypatch):
     the limit-entry column and the holdout rows."""
     calls = _count_calls(monkeypatch, op, "assemble_T")
     plan = rec.RecoveryPlan(perturbed_frame, perturbed_frame.chart, perturbed_orbits, 16)
-    assert [(args[3].J, args[3].Q) for args in calls] == [(max(rec.NORM_JMAX, plan.n), 16)]
+    assert [(args[2].J, args[2].Q) for args in calls] == [(max(rec.NORM_JMAX, plan.n), 16)]
 
 
 def test_plan_rows_match_two_per_row_assemblies(perturbed_frame, perturbed_orbits,
-                                                perturbed_plan, per_row_T, monkeypatch):
-    """The one assembly gives what the certificate's own assembly (J = 48, Q = n)
+                                                perturbed_plan, per_row_T):
+    """The one assembly gives what a certificate of its own assembly (J = 48, Q = n)
     and a second full-depth one (J = n, Q = q_max), each row by row, gave."""
     plan, chart = perturbed_plan, perturbed_frame.chart
     n, orbits = plan.n, perturbed_orbits
     assert len(plan.hold_q) > 0
-    monkeypatch.setattr(op, "assemble_T", per_row_T)
     fit = billiards.fit_alpha_beta(chart, {q: orbits[q] for q in billiards.LADDER})
-    cert = op.contraction_certificate(perturbed_frame, chart,
-                                      op.GammaSpaceParams(3.5, rec.NORM_JMAX, n),
-                                      orbits=orbits, fit=fit)
-    full = per_row_T(perturbed_frame, chart, orbits, op.GammaSpaceParams(3.5, n, 16))
+    params = op.GammaSpaceParams(3.5, rec.NORM_JMAX, n)
+    cert = op.contraction_certificate(perturbed_frame, params, fit=fit,
+                                      full=per_row_T(chart, orbits, params))
+    full = per_row_T(chart, orbits, op.GammaSpaceParams(3.5, n, 16))
     for got, expect in ((plan.certificate.numeric_norm, cert.numeric_norm),
                         (plan.certificate.numeric_norm_completed, cert.numeric_norm_completed)):
         assert abs(got - expect) <= 1e-15 * abs(expect)
