@@ -16,6 +16,8 @@ import json
 import os
 import sys
 
+import numpy as np
+
 from . import billiards, functionals, geometry, reconstruction, traces
 from . import operator as operator_mod
 from .errors import NotContractiveError, RigidityError
@@ -31,9 +33,6 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _parse_coeffs(text: str):
-    text = text.strip()
-    if not text:
-        return []
     return [float(tok) for tok in text.replace(",", " ").split()]
 
 
@@ -176,8 +175,10 @@ def cmd_invariants(args) -> int:
     frame = geometry.build_frame(profile, n)
     K = functionals.CosineSeries(_parse_coeffs(args.robin_coeffs))
     orbits = billiards.compute_orbits(frame, range(2, args.q_max + 1))
-    heat = traces.heat_defect(frame, K)
-    data = functionals.robin_data(frame, frame.chart, K, orbits, heat)
+    # a K too large for floats gives inf or NaN, refused by the vector, not a warning
+    with np.errstate(over="ignore", invalid="ignore"):
+        heat = traces.heat_defect(frame, K)
+        data = functionals.robin_data(frame, frame.chart, K, orbits, heat)
     path = _out_path(args, "invariants.json")
     _write_text(path, _json_text(data.to_json_dict()))
     print(f"wrote {path} (q_max={data.q_max})")

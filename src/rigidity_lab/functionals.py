@@ -25,7 +25,7 @@ import numpy as np
 
 from .billiards import SIN_PHI_TOL, PeriodicOrbit
 from .errors import InsufficientLadderError, SingularAngleError
-from .geometry import BoundaryFrame, LazutkinChart, float_list, json_value
+from .geometry import TWO_PI, BoundaryFrame, LazutkinChart, float_list, harmonics, json_value
 
 
 @dataclass
@@ -39,7 +39,9 @@ class CosineSeries:
     coeffs: np.ndarray
 
     def __post_init__(self):
-        self.coeffs = np.atleast_1d(np.asarray(self.coeffs, dtype=float))
+        coeffs = np.atleast_1d(np.asarray(self.coeffs, dtype=float))
+        # no coefficients is the zero series, which has one
+        self.coeffs = coeffs if coeffs.shape[-1] else np.zeros(coeffs.shape[:-1] + (1,))
 
     @classmethod
     def stack(cls, series: Sequence["CosineSeries"]) -> "CosineSeries":
@@ -65,10 +67,9 @@ class CosineSeries:
 
     def __call__(self, x):
         """Values at scattered points, by the direct cosine sum: one product of
-        the cosine table of x with the coefficients."""
-        x = np.asarray(x, dtype=float)
-        j = np.arange(self.coeffs.shape[-1])
-        return np.inner(self.coeffs, np.cos(2.0 * np.pi * np.multiply.outer(x, j)))
+        the cosine table of x, the `harmonics` of 2 pi x, with the coefficients."""
+        cos = harmonics(TWO_PI * np.asarray(x, dtype=float), self.coeffs.shape[-1])[0]
+        return np.inner(self.coeffs, np.stack(cos, axis=-1))
 
     def on_grid(self, n: int) -> np.ndarray:
         """Values at x = k/n, k = 0..n-1, from one ``irfft``; inverse of `cosine_coeffs`.

@@ -8,7 +8,9 @@ horizontal axis and translated so the marked boundary point (at
 The polar parametrization lives here only. One evaluation of the series
 and its first two derivatives, `DomainProfile.jet`, feeds every boundary
 quantity: position, velocity and acceleration (`DomainProfile.point_jet`,
-which the orbit solvers read), speed and curvature. Arclength and the
+which the orbit solvers read), speed and curvature. Its harmonics, and the
+cosine tables of `CosineSeries` and `assemble_T`, are rotated up from one
+cosine and one sine per point by `harmonics`. Arclength and the
 Lazutkin coordinate add FFT-based antiderivatives of smooth periodic
 integrands, so evaluations are spectrally accurate at arbitrary points, not
 just grid nodes. Each integrand's Fourier series is chopped where its
@@ -44,6 +46,21 @@ DEFAULT_FRAME_SAMPLES = 512
 DEFAULT_SMOOTHNESS = 8
 
 
+def harmonics(t, m: int):
+    """``cos(k t)`` and ``sin(k t)``, k = 0..m-1, as two lists, from one cosine and one
+    sine of t, each harmonic the one before rotated by t (no phase ``k t`` is rounded).
+    A scalar t gives Python floats and an array gives arrays of its shape, by the
+    same elementwise arithmetic, so a value does not depend on the batch it is in."""
+    c, s = np.cos(t), np.sin(t)
+    if c.ndim == 0:
+        c, s = float(c), float(s)
+    cos, sin = [c * 0.0 + 1.0, c], [c * 0.0, s]
+    for k in range(2, m):
+        cos.append(cos[k - 1] * c - sin[k - 1] * s)
+        sin.append(sin[k - 1] * c + cos[k - 1] * s)
+    return cos[:m], sin[:m]
+
+
 @dataclass(frozen=True)
 class DomainProfile:
     """Radial cosine series for a strictly convex, axis-symmetric domain."""
@@ -53,36 +70,29 @@ class DomainProfile:
     center_offset: float
 
     def jet(self, theta):
-        """``(r, r', r'', cos theta, sin theta)`` from one evaluation of cos/sin(n theta).
-
-        The one sum of the radial series, which every boundary quantity below
-        is built on: the table of ``cos(n theta)`` and ``sin(n theta)`` over the
-        profile's few modes, contracted with the three weight vectors.
-        """
-        n, a, na, nna = self._jet_weights
-        phase = np.asarray(theta, dtype=float)[..., None] * n
-        cos, sin = np.cos(phase), np.sin(phase)
-        return 1.0 + cos @ a, -(sin @ na), -(cos @ nna), cos[..., 1], sin[..., 1]
-
-    @cached_property
-    def _jet_weights(self):
-        """Mode numbers n and the weights a, n a, n^2 a of the jet's sums (n = 0, 1 at least)."""
-        a = np.zeros(max(len(self.radial_coeffs), 2))
-        a[: len(self.radial_coeffs)] = self.radial_coeffs
-        n = np.arange(len(a))
-        return n, a, n * a, n * (n * a)  # not n^2 a: rounds as a per-mode (a n) n
+        """``(r, r', r'', cos theta, sin theta)``: the one sum of the radial series, over
+        its nonzero modes, from the `harmonics` of theta. Python floats for a scalar
+        theta, as numpy scalar arithmetic would double a shooting step."""
+        cos, sin = harmonics(theta, max(len(self.radial_coeffs), 2))
+        r, r1, r2 = cos[0], 0.0 * cos[0], 0.0 * cos[0]
+        for n, a in enumerate(self.radial_coeffs):
+            if a:
+                r = r + a * cos[n]
+                r1 = r1 - (n * a) * sin[n]
+                r2 = r2 - (n * (n * a)) * cos[n]  # not n^2 a: rounds as a per-mode (a n) n
+        return r, r1, r2, cos[1], sin[1]
 
     def point_jet(self, theta):
         """Position ``(center_offset + r cos theta, r sin theta)``, velocity and
-        acceleration in theta, each an ``(x, y)`` pair; Python floats for a
-        scalar theta, as numpy scalar arithmetic would double a shooting step.
+        acceleration in theta, each an ``(x, y)`` pair of what `jet` returns
+        (Python floats for a scalar theta).
         """
         r, r1, r2, c, s = self.jet(theta)
-        if r.ndim == 0:
-            r, r1, r2, c, s = float(r), float(r1), float(r2), float(c), float(s)
-        pos = (self.center_offset + r * c, r * s)
-        vel = (r1 * c - r * s, r1 * s + r * c)
-        acc = ((r2 - r) * c - 2.0 * r1 * s, (r2 - r) * s + 2.0 * r1 * c)
+        rc, rs = r * c, r * s
+        a, b = r2 - r, 2.0 * r1  # acceleration a (c, s) + b (-s, c)
+        pos = (self.center_offset + rc, rs)
+        vel = (r1 * c - rs, r1 * s + rc)
+        acc = (a * c - b * s, a * s + b * c)
         return pos, vel, acc
 
     def position(self, theta):

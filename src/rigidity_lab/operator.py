@@ -26,7 +26,7 @@ import numpy as np
 
 from .billiards import AlphaBetaFit, PeriodicOrbit
 from .functionals import CosineSeries, sigma_p, tilde_sigma_table
-from .geometry import BoundaryFrame, LazutkinChart, closeness_report
+from .geometry import TWO_PI, BoundaryFrame, LazutkinChart, closeness_report, harmonics
 
 #: B_2j / (2j)! for j = 1..10, the Euler-Maclaurin weights through B_20
 _EM_WEIGHTS = tuple(
@@ -113,12 +113,11 @@ def assemble_T(
     is the mean functional (delta_{j0}), row 1 the marked-point row (all
     ones), and row q the bounce sum weighted by mu/(q^2 sin phi). All periods
     are evaluated in one pass over their concatenated bounces (one weight
-    evaluation, one cosine table), split into rows with ``np.add.reduceat``.
+    evaluation, one cosine table by `harmonics`), split with ``np.add.reduceat``.
     """
     qs = [q for q in sorted(orbits) if 2 <= q <= params.Q]
     cols = np.arange(params.J + 1)
-    rows = [0, 1] + qs
-    entries = np.zeros((len(rows), len(cols)))
+    entries = np.zeros((len(qs) + 2, len(cols)))
     entries[0, 0] = 1.0
     entries[1, :] = 1.0
     if qs:
@@ -126,13 +125,9 @@ def assemble_T(
         q = np.repeat(qs, qs)  # a period-q orbit has q bounces
         w = chart.mu_of_theta(np.concatenate([orb.theta for orb in orbs])) / (
             np.concatenate([orb.sin_phi for orb in orbs]) * q * q)
-        cos = np.cos(2.0 * np.pi * np.multiply.outer(np.concatenate([orb.x for orb in orbs]), cols))
-        entries[2:] = np.add.reduceat(cos * w[:, None], np.cumsum([0] + qs[:-1]), axis=0)
-    return OperatorMatrix(
-        entries=entries,
-        row_q=np.array(rows),
-        col_j=cols,
-    )
+        cos = np.stack(harmonics(TWO_PI * np.concatenate([orb.x for orb in orbs]), len(cols))[0])
+        entries[2:] = np.add.reduceat(cos * w, np.cumsum([0] + qs[:-1]), axis=1).T
+    return OperatorMatrix(entries=entries, row_q=np.array([0, 1] + qs), col_j=cols)
 
 
 def assemble_delta(params: GammaSpaceParams) -> OperatorMatrix:
@@ -217,8 +212,6 @@ def subtract_identity(mat: OperatorMatrix) -> OperatorMatrix:
 class GammaNormResult:
     truncated: float
     tail_completed: float
-    row_sums: np.ndarray      # truncated weighted row sums
-    row_tails: np.ndarray
 
 
 def gamma_norm(mat: OperatorMatrix, gamma: float) -> GammaNormResult:
@@ -234,17 +227,12 @@ def gamma_norm(mat: OperatorMatrix, gamma: float) -> GammaNormResult:
     j = mat.col_j.astype(float)
     row_sums = (np.abs(mat.entries) * j[None, :] ** (-gamma)) @ np.ones(len(j))
     row_sums = row_sums * q**gamma
+    tails = 0.0
     if mat.row_tail_coeff is not None:
         jmax = int(mat.col_j[-1])
         tails = mat.row_tail_coeff * hurwitz_zeta(gamma, jmax // mat.row_q + 1)
-    else:
-        tails = np.zeros(len(q))
-    return GammaNormResult(
-        truncated=float(np.max(row_sums)),
-        tail_completed=float(np.max(row_sums + tails)),
-        row_sums=row_sums,
-        row_tails=tails,
-    )
+    return GammaNormResult(truncated=float(np.max(row_sums)),
+                           tail_completed=float(np.max(row_sums + tails)))
 
 
 # -- contraction certificate ---------------------------------------------------

@@ -49,7 +49,8 @@ def rng():
 
 def _per_row_T(chart, orbits, params):
     """`operator.assemble_T` one row at a time: per period, one weight evaluation
-    and one product of its own cosine table with the weights."""
+    and one product of its own cosine table (from `geometry.harmonics`, as in
+    the batch) with the weights."""
     qs = [q for q in sorted(orbits) if 2 <= q <= params.Q]
     cols = np.arange(params.J + 1)
     entries = np.zeros((len(qs) + 2, len(cols)))
@@ -58,7 +59,7 @@ def _per_row_T(chart, orbits, params):
     for i, q in enumerate(qs, start=2):
         orb = orbits[q]
         w = chart.mu_of_theta(orb.theta) / (orb.sin_phi * q * q)
-        entries[i] = np.cos(2.0 * np.pi * np.outer(cols, orb.x)) @ w
+        entries[i] = np.stack(geometry.harmonics(2.0 * np.pi * orb.x, len(cols))[0]) @ w
     return op.OperatorMatrix(entries=entries, row_q=np.array([0, 1] + qs), col_j=cols)
 
 

@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -321,6 +322,21 @@ def test_c_constant_must_be_finite_and_nonnegative(tmp_path, capsys, domain, val
     out = tmp_path / "out"
     assert run(["operator", "certify", *domain, "--c-constant", value, "--out", str(out)]) == 1
     assert "remainder constant must be finite and >= 0" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("robin", ["1e200", "-1e200", "0,1e307,1e307"])
+def test_huge_robin_coefficients_are_refused_without_a_warning(tmp_path, capsys, robin):
+    """A K whose heat coefficient overflows is refused as non-finite data, with
+    no RuntimeWarning first (which -W error would turn into a traceback)."""
+    out = tmp_path / "out"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code = run(["invariants", "--coeffs", "0,0,0.01", f"--robin-coeffs={robin}",
+                    "--out", str(out)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "must be finite" in err
     assert not out.exists()
 
 

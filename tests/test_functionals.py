@@ -335,10 +335,11 @@ def test_riemann_limit_needs_ladder(circle_frame, circle_orbits):
 
 
 def test_robin_data_zero_function(circle_frame, circle_orbits):
+    """Also for a series given no coefficients, as ``--robin-coeffs ""`` gives it."""
     orbits = {q: circle_orbits[q] for q in range(2, 9)}
-    data = fn.robin_data(circle_frame, circle_frame.chart,
-                         fn.CosineSeries.zero(), orbits, (0.0, 0.0))
-    assert np.all(data.d == 0.0)
+    for zero in (fn.CosineSeries.zero(), fn.CosineSeries([])):
+        data = fn.robin_data(circle_frame, circle_frame.chart, zero, orbits, (0.0, 0.0))
+        assert np.all(data.d == 0.0)
 
 
 def test_robin_data_circle_values(circle_frame, circle_orbits):

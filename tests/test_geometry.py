@@ -105,15 +105,43 @@ def test_one_evaluator_matches_per_mode_sums(coeffs):
                         err_msg=name)
 
 
+def _mpmath_jet(coeffs, theta, dps=50):
+    """r, r' and r'' at each float theta, summed at ``dps`` digits."""
+    with mpmath.workdps(dps):
+        a = [mpmath.mpf(v) for v in coeffs]
+        out = []
+        for th in map(mpmath.mpf, theta):
+            cos = [mpmath.cos(n * th) for n in range(len(a))]
+            sin = [mpmath.sin(n * th) for n in range(len(a))]
+            out.append([1 + sum(an * c for an, c in zip(a, cos)),
+                        -sum(n * an * s for n, (an, s) in enumerate(zip(a, sin))),
+                        -sum(n * n * an * c for n, (an, c) in enumerate(zip(a, cos)))])
+        return np.array(out, dtype=float).T
+
+
+def _assert_jet_matches_mpmath(coeffs):
+    """The bound of the per-mode comparison: a few ulp of 1 + sum n^2 |a_n|."""
+    profile = geometry.build_profile(coeffs)
+    scale = 1.0 + sum(n * n * abs(a) for n, a in enumerate(coeffs))
+    got = profile.jet(_thetas)[:3]
+    for name, g, want in zip(("r", "r'", "r''"), got, _mpmath_jet(coeffs, _thetas)):
+        assert_allclose(g, want, rtol=0, atol=8 * np.finfo(float).eps * scale, err_msg=name)
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.integers(0, 8), st.floats(-0.3 / 64, 0.3 / 64))
-def test_one_evaluator_is_exact_on_single_mode_tables(n, a):
-    """With one nonzero mode both routes round the same products in the same
-    order, so every quantity is equal bit for bit."""
-    profile = geometry.build_profile([0.0] * n + [a])
-    got = _one_evaluator_quantities(profile, _thetas)
-    for name, want in _per_mode_quantities(profile, _thetas).items():
-        assert_array_equal(got[name], want, err_msg=name)
+def test_jet_matches_mpmath_on_single_mode_tables(n, a):
+    """The harmonics of one mode, rotated up from cos/sin theta, against a
+    50-digit sum."""
+    _assert_jet_matches_mpmath([0.0] * n + [a])
+
+
+@pytest.mark.parametrize("coeffs", [
+    [0.0, 0.0, 0.01, 0.0, 0.002],
+    [0.0, 0.0, 0.01, -0.003, 0.002, 0.001, -0.0005, 0.0004],
+])
+def test_jet_matches_mpmath_on_multi_mode_tables(coeffs):
+    _assert_jet_matches_mpmath(coeffs)
 
 
 def test_point_jet_derivatives_against_central_differences():
@@ -128,11 +156,10 @@ def test_point_jet_derivatives_against_central_differences():
     assert_allclose(vy, (py_p - py_m) / (2 * h), rtol=0, atol=1e-8)
     assert_allclose(ax, (vx_p - vx_m) / (2 * h), rtol=0, atol=1e-8)
     assert_allclose(ay, (vy_p - vy_m) / (2 * h), rtol=0, atol=1e-8)
-    # one point gives Python floats that agree with the vectorized values
+    # one point gives Python floats equal to the vectorized values bit for bit
     (qx, qy), (wx, wy), (bx, by) = profile.point_jet(float(theta[17]))
     assert all(type(v) is float for v in (qx, qy, wx, wy, bx, by))
-    assert_allclose([qx, qy, wx, wy, bx, by], [px[17], py[17], vx[17], vy[17], ax[17], ay[17]],
-                    rtol=0, atol=1e-15)
+    assert_array_equal([qx, qy, wx, wy, bx, by], [px[17], py[17], vx[17], vy[17], ax[17], ay[17]])
 
 
 def test_small_perturbation_accepted_large_rejected():

@@ -152,6 +152,20 @@ def test_batched_assembly_matches_per_row_loop(perturbed_frame, perturbed_orbits
     assert_allclose(T.entries, expect.entries, rtol=0, atol=1e-15)
 
 
+def test_rotated_cosine_table_is_as_accurate_as_rounded_phases(perturbed_orbits):
+    """On the assembly's bounce points, cos(2 pi j x) for j <= 48 by rotation
+    (`geometry.harmonics`) is no further from a 50-digit value than np.cos of
+    the rounded phase 2 pi j x."""
+    x = np.concatenate([orb.x for orb in perturbed_orbits.values()])
+    j = np.arange(49)
+    rotated = np.stack(geometry.harmonics(2.0 * np.pi * x, len(j))[0], axis=-1)
+    rounded = np.cos(2.0 * np.pi * np.multiply.outer(x, j))
+    with mpmath.workdps(50):
+        exact = np.array([[mpmath.cos(2 * mpmath.pi * mpmath.mpf(v) * k) for k in j] for v in x],
+                         dtype=float)
+    assert np.max(np.abs(rotated - exact)) <= np.max(np.abs(rounded - exact))
+
+
 def test_T_star_R_reads_a_given_assembly(perturbed_frame, perturbed_orbits, perturbed_fit):
     """Rows past Q and columns past J of a larger assembly are left out; a
     narrower one is refused."""
