@@ -18,7 +18,6 @@ from .errors import (
     ResidualTooLargeError,
     RigidityError,
     SingularAngleError,
-    SingularTransferError,
     SymmetryViolationError,
 )
 from .functionals import CosineSeries, InvariantVector, robin_data

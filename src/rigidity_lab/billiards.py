@@ -28,6 +28,11 @@ transfer matrices and one segmented pairwise product tree, each orbit's
 product associated as it would be alone. `genericity_report`, the CLI's
 `orbits` table and `linearized_poincare` (a batch of one) read it.
 
+Every division by an orbit's ``sin phi`` (the return maps here; the bounce
+sums, `script_L_q` and the T assembly downstream) reads it through one
+grazing guard, `guarded_sin_phi`, which refuses a bounce below
+``SIN_PHI_TOL`` with SingularAngleError.
+
 A geometric shooting map (`billiard_map`) provides an independent route to
 the same orbits and to finite-difference return-map Jacobians; it shares no
 code with the variational solver beyond the boundary parametrization, which
@@ -51,7 +56,7 @@ from .errors import (
     InsufficientLadderError,
     NoConvergenceError,
     NotMaximalError,
-    SingularTransferError,
+    SingularAngleError,
 )
 from .geometry import MARKED_THETA, TWO_PI, BoundaryFrame, LazutkinChart
 
@@ -60,15 +65,33 @@ MAX_NEWTON_ITER = 60
 HESSIAN_POS_TOL = 1e-8
 MAX_SHOOT_ITER = 100  # bisection alone needs ~50 steps from (0, 2 pi) to 1e-14
 
-#: bounces with sin(phi) below this are treated as grazing by every
-#: functional, trace and transfer matrix built on an orbit
-SIN_PHI_TOL = 1e-9
-
 #: a return map with |trace - 2| at or below this has a unit eigenvalue
 UNIT_EIGEN_TOL = 1e-8
 
 #: dyadic periods whose orbits feed `fit_alpha_beta` in every pipeline
 LADDER = (8, 16, 32, 64)
+
+#: bounces with sin(phi) below this are grazing, refused by `guarded_sin_phi`
+SIN_PHI_TOL = 1e-9
+
+
+def guarded_sin_phi(orbits) -> tuple:
+    """The grazing guard: ``sin phi`` of the bounces of ``orbits`` (a non-empty
+    sequence) laid end to end, and the index where each orbit starts.
+
+    The first orbit, in the given order, with a bounce closer to grazing than
+    ``SIN_PHI_TOL`` raises SingularAngleError quoting its own min ``sin phi``.
+    """
+    sin_phi = np.concatenate([orbit.sin_phi for orbit in orbits])
+    starts = np.cumsum([0] + [len(orbit.sin_phi) for orbit in orbits[:-1]])
+    low = np.minimum.reduceat(sin_phi, starts)
+    grazing = np.flatnonzero(low < SIN_PHI_TOL)
+    if grazing.size:
+        i = int(grazing[0])
+        raise SingularAngleError(
+            f"bounce angle too close to grazing at q={orbits[i].q} (sin phi = {low[i]:.3g})"
+        )
+    return sin_phi, starts
 
 
 @dataclass
@@ -443,19 +466,12 @@ def _return_maps(frame: BoundaryFrame, orbits) -> np.ndarray:
     variables, and one segmented pairwise product tree. Each level pairs
     every orbit's matrices (0, 1), (2, 3), ... and carries an odd last one,
     so each product is step[q-1] @ ... @ step[0] associated exactly as for
-    the orbit alone. The first orbit, in the given order, with a bounce
-    closer to grazing than ``SIN_PHI_TOL`` raises SingularTransferError.
+    the orbit alone. A grazing bounce raises (`guarded_sin_phi`).
     """
     if not orbits:
         return np.empty((0, 2, 2))
+    sin_phi, _ = guarded_sin_phi(orbits)
     lay = _periods(tuple(orbit.q for orbit in orbits))
-    sin_phi = np.concatenate([orbit.sin_phi for orbit in orbits])
-    low = np.minimum.reduceat(sin_phi, lay.start)
-    grazing = np.flatnonzero(low < SIN_PHI_TOL)
-    if grazing.size:
-        raise SingularTransferError(
-            f"bounce angle too close to grazing (sin phi = {low[grazing[0]]:.3g})"
-        )
     kappa = frame.profile.curvature(np.concatenate([orbit.theta for orbit in orbits]))
     tau = np.concatenate([orbit.chords for orbit in orbits])
     k0c, k1c = kappa, kappa[lay.nxt]

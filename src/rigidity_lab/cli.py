@@ -177,8 +177,7 @@ def cmd_invariants(args) -> int:
     orbits = billiards.compute_orbits(frame, range(2, args.q_max + 1))
     # a K too large for floats gives inf or NaN, refused by the vector, not a warning
     with np.errstate(over="ignore", invalid="ignore"):
-        heat = traces.heat_defect(frame, K)
-        data = functionals.robin_data(frame, frame.chart, K, orbits, heat)
+        data = traces.build_trace_data(frame, K, orbits)
     path = _out_path(args, "invariants.json")
     _write_text(path, _json_text(data.to_json_dict()))
     print(f"wrote {path} (q_max={data.q_max})")
@@ -215,7 +214,7 @@ def cmd_operator(args) -> int:
         f" numeric_norm={cert.numeric_norm_completed!r}"
     )
     print(f"analytic_bound={cert.analytic_bound!r}{numeric} {status}")
-    if not cert.passed and cert.numeric_norm_completed is not None and cert.inversion_certified:
+    if not cert.passed and cert.inversion_certified:
         print("numeric contraction holds; analytic constant route fails at this eps")
     return 0 if cert.passed else 2
 

@@ -25,10 +25,6 @@ class NotMaximalError(RigidityError):
     """The critical orbit found is not a length maximum (indefinite Hessian)."""
 
 
-class SingularTransferError(RigidityError):
-    """A bounce angle is too close to grazing to linearize the return map."""
-
-
 class SingularAngleError(RigidityError):
     """A bounce angle is too close to grazing to divide by sin(phi)."""
 

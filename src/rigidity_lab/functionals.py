@@ -23,8 +23,8 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .billiards import SIN_PHI_TOL, PeriodicOrbit
-from .errors import InsufficientLadderError, SingularAngleError
+from .billiards import PeriodicOrbit, guarded_sin_phi
+from .errors import InsufficientLadderError
 from .geometry import TWO_PI, BoundaryFrame, LazutkinChart, float_list, harmonics, json_value
 
 
@@ -144,18 +144,11 @@ def cosine_coeffs(values, jmax: int) -> np.ndarray:
 def bounce_sums(u, orbits: Sequence[PeriodicOrbit]) -> np.ndarray:
     """``sum_k u(x_k) / sin(phi_k)`` per orbit, in order: one evaluation of u over
     all bounce points, split with ``np.add.reduceat`` along the last axis. For a
-    batch u the result is (m, orbits). A grazing bounce raises."""
+    batch u the result is (m, orbits). A grazing bounce raises (`guarded_sin_phi`)."""
     if not orbits:
         return np.zeros(0)
+    sin_phi, starts = guarded_sin_phi(orbits)
     x = np.concatenate([orb.x for orb in orbits])
-    sin_phi = np.concatenate([orb.sin_phi for orb in orbits])
-    starts = np.cumsum([0] + [len(orb.x) for orb in orbits[:-1]])
-    if np.min(sin_phi) < SIN_PHI_TOL:
-        i = int(np.argmin(sin_phi))
-        q = orbits[int(np.searchsorted(starts, i, side="right")) - 1].q
-        raise SingularAngleError(
-            f"bounce angle too close to grazing at q={q} (sin phi = {sin_phi[i]:.3g})"
-        )
     return np.add.reduceat(u(x) / sin_phi, starts, axis=-1)
 
 
@@ -164,12 +157,9 @@ def bounce_sums(u, orbits: Sequence[PeriodicOrbit]) -> np.ndarray:
 
 def script_L_q(u, orbit: PeriodicOrbit, chart: LazutkinChart) -> float:
     """Bounce sum of u weighted by mu/(q^2 sin phi); tends to the mean of u."""
-    if np.min(orbit.sin_phi) < SIN_PHI_TOL:
-        raise SingularAngleError(
-            f"bounce angle too close to grazing (sin phi = {np.min(orbit.sin_phi):.3g})"
-        )
+    sin_phi, _ = guarded_sin_phi([orbit])
     mu = chart.mu_of_theta(orbit.theta)
-    return float(np.sum(u(orbit.x) * mu / orbit.sin_phi) / orbit.q**2)
+    return float(np.sum(u(orbit.x) * mu / sin_phi) / orbit.q**2)
 
 
 def script_L_0(u, n_grid: int = 4096) -> float:

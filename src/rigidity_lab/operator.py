@@ -24,7 +24,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .billiards import AlphaBetaFit, PeriodicOrbit
+from .billiards import AlphaBetaFit, PeriodicOrbit, guarded_sin_phi
 from .functionals import CosineSeries, sigma_p, tilde_sigma_table
 from .geometry import TWO_PI, BoundaryFrame, LazutkinChart, closeness_report, harmonics
 
@@ -114,6 +114,7 @@ def assemble_T(
     ones), and row q the bounce sum weighted by mu/(q^2 sin phi). All periods
     are evaluated in one pass over their concatenated bounces (one weight
     evaluation, one cosine table by `harmonics`), split with ``np.add.reduceat``.
+    A grazing bounce raises (`billiards.guarded_sin_phi`).
     """
     qs = [q for q in sorted(orbits) if 2 <= q <= params.Q]
     cols = np.arange(params.J + 1)
@@ -122,11 +123,11 @@ def assemble_T(
     entries[1, :] = 1.0
     if qs:
         orbs = [orbits[q] for q in qs]
+        sin_phi, starts = guarded_sin_phi(orbs)
         q = np.repeat(qs, qs)  # a period-q orbit has q bounces
-        w = chart.mu_of_theta(np.concatenate([orb.theta for orb in orbs])) / (
-            np.concatenate([orb.sin_phi for orb in orbs]) * q * q)
+        w = chart.mu_of_theta(np.concatenate([orb.theta for orb in orbs])) / (sin_phi * q * q)
         cos = np.stack(harmonics(TWO_PI * np.concatenate([orb.x for orb in orbs]), len(cols))[0])
-        entries[2:] = np.add.reduceat(cos * w, np.cumsum([0] + qs[:-1]), axis=1).T
+        entries[2:] = np.add.reduceat(cos * w, starts, axis=1).T
     return OperatorMatrix(entries=entries, row_q=np.array([0, 1] + qs), col_j=cols)
 
 
@@ -269,13 +270,10 @@ class ContractionCertificate:
 
         The truncated Neumann series converges exactly when the computed
         norm of T_*R - Id is below 1, so inversion is gated on the numeric
-        (tail-completed) value; the closed-form bound with its calibrated
-        remainder constant only certifies far smaller weight offsets and is
-        reported alongside.
+        (tail-completed) value alone, and an analytic-only certificate gates
+        none; the closed-form bound only certifies far smaller weight offsets.
         """
-        if self.numeric_norm_completed is not None:
-            return self.numeric_norm_completed < 1.0
-        return self.analytic_bound < 1.0
+        return self.numeric_norm_completed is not None and self.numeric_norm_completed < 1.0
 
     def to_json_dict(self) -> dict:
         opt = lambda v: None if v is None else float(v)
@@ -304,8 +302,9 @@ def contraction_certificate(
     certificate is analytic-only (eps must then be given). With one, the
     certificate measures the assembly it is given: ``full``, an `assemble_T`
     over at least periods 2..Q and columns 0..J, with ``fit`` the ladder fit
-    on the same table, becomes `assemble_T_star_R` on ``frame.chart``. A
-    failing certificate is reported, not raised.
+    on the same table, becomes `assemble_T_star_R` on ``frame.chart``; a
+    frame without either raises ValueError. A failing certificate is
+    reported, not raised.
     """
     if frame is None:
         if eps is None:
@@ -321,6 +320,9 @@ def contraction_certificate(
             passed=bool(bound < 1.0),
         )
 
+    missing = [name for name, value in (("full", full), ("fit", fit)) if value is None]
+    if missing:
+        raise ValueError(f"a certificate with a frame needs {' and '.join(missing)}")
     if eps is None:
         eps = closeness_report(frame, order=0).eps  # the C0 distance; no derivative norms
     tsr = assemble_T_star_R(frame.chart, full, params, fit)

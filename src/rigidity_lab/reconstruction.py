@@ -39,7 +39,7 @@ from .errors import (
     ResidualTooLargeError,
     SymmetryViolationError,
 )
-from .functionals import CosineSeries, InvariantVector, bounce_sums, cosine_coeffs, robin_data
+from .functionals import CosineSeries, InvariantVector, bounce_sums, cosine_coeffs
 from .geometry import BoundaryFrame, LazutkinChart, build_frame, build_profile
 from .operator import (
     ContractionCertificate,
@@ -51,7 +51,7 @@ from .operator import (
     neumann_invert,
     square_block,
 )
-from .traces import heat_defect
+from .traces import build_trace_data, heat_defect
 
 
 NORM_JMAX = 48  # column truncation of the certificate norm
@@ -479,8 +479,7 @@ def rigidity_suite(
             continue
         plan = RecoveryPlan(frame, chart, orbits, opt.q_max, opt.recovery)
         batch = CosineSeries.stack([K for _, K in ks])
-        data = robin_data(frame, chart, batch, {q: orbits[q] for q in range(2, opt.q_max + 1)},
-                          heat_defect(frame, batch))
+        data = build_trace_data(frame, batch, {q: orbits[q] for q in range(2, opt.q_max + 1)})
         results = plan.solve_many(data, [K.at_zero for _, K in ks])
         diff = CosineSeries.stack([res.K_hat for res in results]) - batch
         errors = np.max(np.abs(diff.on_grid(2048)), axis=1)

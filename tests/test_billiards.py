@@ -1,5 +1,6 @@
 import dataclasses
 import functools
+import re
 
 import mpmath
 import numpy as np
@@ -8,13 +9,14 @@ from hypothesis import assume, given, settings, strategies as st
 from numpy.testing import assert_allclose
 from scipy.optimize import brentq
 
-from rigidity_lab import billiards, geometry
+from rigidity_lab import billiards, functionals as fn, geometry
+from rigidity_lab import operator as op
 from rigidity_lab.errors import (
     DegenerateChordError,
     InsufficientLadderError,
     NoConvergenceError,
     NotMaximalError,
-    SingularTransferError,
+    SingularAngleError,
 )
 
 LADDER = (8, 16, 32, 64)
@@ -778,10 +780,42 @@ def test_grazing_bounce_raises_for_the_smallest_period(perturbed_frame, perturbe
         sin_phi = orbits[q].sin_phi.copy()
         sin_phi[1] = low
         orbits[q] = dataclasses.replace(orbits[q], sin_phi=sin_phi)
-    with pytest.raises(SingularTransferError, match=r"sin phi = 3e-10\)"):
+    with pytest.raises(SingularAngleError, match=r"sin phi = 3e-10\)"):
         billiards.genericity_report(perturbed_frame, orbits)
-    with pytest.raises(SingularTransferError, match=r"sin phi = 2e-12\)"):
+    with pytest.raises(SingularAngleError, match=r"sin phi = 2e-12\)"):
         billiards.linearized_poincare(perturbed_frame, orbits[6])
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_one_grazing_guard_for_sums_assembly_and_return_maps(perturbed_frame, perturbed_orbits,
+                                                             data):
+    """Bounce sums, the T assembly and the return maps share one guard: on any
+    subset of periods 2..12, the smallest period given a grazing bounce raises,
+    quoting its own min sin phi, and with none given all three succeed."""
+    qs = sorted(data.draw(st.sets(st.integers(2, 12), min_size=1), label="periods"))
+    grazed = sorted(data.draw(st.sets(st.sampled_from(qs)), label="grazed"))
+    orbits = {q: perturbed_orbits[q] for q in qs}
+    for q in grazed:
+        sin_phi = orbits[q].sin_phi.copy()
+        for k in data.draw(st.sets(st.integers(0, q - 1), min_size=1), label=f"bounces of {q}"):
+            sin_phi[k] = data.draw(st.floats(0.0, billiards.SIN_PHI_TOL, exclude_max=True))
+        orbits[q] = dataclasses.replace(orbits[q], sin_phi=sin_phi)
+    params = op.GammaSpaceParams(J=8, Q=12)
+    calls = (
+        lambda: fn.bounce_sums(fn.CosineSeries([1.0, 0.5]), [orbits[q] for q in qs]),
+        lambda: op.assemble_T(perturbed_frame.chart, orbits, params).entries,
+        lambda: list(billiards.genericity_report(perturbed_frame, orbits).traces.values()),
+    )
+    if grazed:
+        q = grazed[0]
+        message = f"at q={q} (sin phi = {np.min(orbits[q].sin_phi):.3g})"
+        for call in calls:
+            with pytest.raises(SingularAngleError, match=re.escape(message)):
+                call()
+    else:
+        for call in calls:
+            assert np.all(np.isfinite(call()))
 
 
 # -- creeping-orbit asymptotics ----------------------------------------------------

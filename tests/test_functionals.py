@@ -122,8 +122,8 @@ def test_bounce_sums_match_per_orbit_loop(domain, request, a5_orbits, rng):
     deep = {q: orbits[q] for q in qs if q <= 16}
     data = fn.robin_data(frame, frame.chart, K, deep, (0.0, 0.0))
     assert np.array_equal(data.d[sorted(deep)], fn.bounce_sums(K, [deep[q] for q in sorted(deep)]))
-    records = traces.build_trace_data(frame, K, orbits).records
-    assert np.max(np.abs(np.array([r["c0_normalized"] for r in records]) - loop) / scale) <= 1e-14
+    d = traces.build_trace_data(frame, K, orbits).d
+    assert np.max(np.abs(d[qs] - loop) / scale) <= 1e-14
     assert fn.bounce_sums(K, [orbits[qs[-1]]])[0] == pytest.approx(loop[-1], rel=1e-14)
 
 

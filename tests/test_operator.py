@@ -270,6 +270,18 @@ def test_certificate_analytic_only_pass_and_fail():
     cert_bad = op.contraction_certificate(None, PARAMS, eps=0.3)
     assert not cert_bad.passed            # graceful, no exception
     assert cert_bad.analytic_bound > 1.0
+    # inversion is gated on a measured norm, which an analytic-only certificate lacks
+    assert not cert.inversion_certified and not cert_bad.inversion_certified
+
+
+def test_certificate_with_a_frame_names_what_is_missing(perturbed_frame, perturbed_orbits,
+                                                        perturbed_fit):
+    full = op.assemble_T(perturbed_frame.chart,
+                         {q: perturbed_orbits[q] for q in range(2, 17)}, PARAMS)
+    for kwargs, missing in (({}, "full and fit"), ({"fit": perturbed_fit}, "full"),
+                            ({"full": full}, "fit")):
+        with pytest.raises(ValueError, match=f"needs {missing}$"):
+            op.contraction_certificate(perturbed_frame, PARAMS, **kwargs)
 
 
 def test_certificate_circle_numeric(circle_frame, circle_orbits, circle_fit):

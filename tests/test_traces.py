@@ -1,4 +1,5 @@
 import bisect
+import json
 
 import mpmath
 import numpy as np
@@ -142,27 +143,6 @@ def test_heat_coefficients_match_mpmath_oracle():
     assert abs(h1 - o1) <= 1e-13
 
 
-def test_length_spectrum_circle_sorted(circle_frame, circle_orbits):
-    orbits = {2: circle_orbits[2], 3: circle_orbits[3]}
-    spec = traces.length_spectrum(circle_frame, orbits, m_max=2)
-    expect = sorted([4.0, 3 * np.sqrt(3), 2 * np.pi, 8.0, 6 * np.sqrt(3), 4 * np.pi])
-    assert_allclose(spec.entries, expect, rtol=0, atol=1e-10)
-    assert spec.min_gap > 0
-
-
-def test_length_spectrum_empty_orbits(circle_frame):
-    spec = traces.length_spectrum(circle_frame, {}, m_max=3)
-    assert_allclose(spec.entries, [2 * np.pi, 4 * np.pi, 6 * np.pi], rtol=1e-12)
-    assert all(lbl[0] == "perimeter" for lbl in spec.labels)
-
-
-def test_length_spectrum_perturbed_distinct(perturbed_frame, perturbed_orbits):
-    orbits = {q: perturbed_orbits[q] for q in range(2, 13)}
-    spec = traces.length_spectrum(perturbed_frame, orbits, m_max=2)
-    assert spec.min_gap > 1e-6
-    assert np.all(np.diff(spec.entries) >= 1e-9)  # no two lengths collide
-
-
 def test_equal_data_difference_identity_circle(circle_frame, rng):
     """Half-period shift preserves both heat coefficients on the circle, and the
     mixed difference integral vanishes."""
@@ -195,14 +175,55 @@ def test_equal_data_difference_identity_even_harmonic_domain(rng):
 
 
 def test_trace_data_bundle(tmp_path, circle_frame, circle_orbits):
+    """The trace data of one K are its invariant vector, which saves and loads unchanged."""
     orbits = {q: circle_orbits[q] for q in (2, 3)}
-    td = traces.build_trace_data(circle_frame, fn.CosineSeries.basis(0), orbits, m_max=2)
-    assert td.normalization == "C_gamma=1"
-    assert len(td.records) == 2
-    assert td.records[0]["q"] == 2 and td.records[0]["c0_normalized"] == 2.0
+    data = traces.build_trace_data(circle_frame, fn.CosineSeries.basis(0), orbits)
+    assert data.normalization == "C_gamma=1" and data.q_max == 3
+    assert data.d[2] == 2.0
+    assert_allclose(data.d[3], 2 * np.sqrt(3), rtol=0, atol=1e-12)  # 3/sin(pi/3)
+    assert_allclose(data.H0, 1.0, rtol=0, atol=1e-12)  # (1/2pi) int 1 dsigma
+    assert data.provenance == {"orbit_periods": [2, 3]}
     path = tmp_path / "traces.json"
-    td.save(path)
-    assert path.exists() and "length_spectrum" in path.read_text()
+    data.save(path)
+    assert fn.InvariantVector.load(path).to_json_dict() == data.to_json_dict()
+
+
+@pytest.fixture(scope="module")
+def deep_orbits():
+    """The gappy period set of an N=2048 study: 2..48 plus the dyadic rungs 64..1024."""
+    frame = geometry.build_frame(geometry.build_profile([0.0, 0.0, 0.01]), 2048)
+    return frame, billiards.compute_orbits(frame, list(range(2, 49)) + [64, 128, 256, 512, 1024])
+
+
+def _bits(vector):
+    """The vector as JSON text: floats by repr, so equal text is equal bits."""
+    return json.dumps(vector.to_json_dict(), sort_keys=True)
+
+
+def test_build_trace_data_is_robin_data_with_its_heat(perturbed_frame, perturbed_orbits,
+                                                      deep_orbits, rng):
+    """One K, a batch of K and the gappy deep set give, bit for bit, the vectors of
+    `robin_data` with the heat coefficients of `heat_defect`."""
+    def alone(frame, K, orbits):
+        return fn.robin_data(frame, frame.chart, K, orbits, traces.heat_defect(frame, K))
+
+    orbits = {q: perturbed_orbits[q] for q in range(2, 17)}
+    K = fn.CosineSeries(rng.standard_normal(7))
+    assert _bits(traces.build_trace_data(perturbed_frame, K, orbits)) == _bits(
+        alone(perturbed_frame, K, orbits))
+    batch = fn.CosineSeries.stack([fn.CosineSeries(rng.standard_normal(n)) for n in (1, 7, 4)])
+    got, want = traces.build_trace_data(perturbed_frame, batch, orbits), alone(
+        perturbed_frame, batch, orbits)
+    assert len(got) == 3 and list(map(_bits, got)) == list(map(_bits, want))
+
+    frame, deep = deep_orbits
+    data = traces.build_trace_data(frame, K, deep)
+    assert _bits(data) == _bits(alone(frame, K, deep))
+    present = sorted(deep)
+    assert data.q_max == 1024 and data.provenance == {"orbit_periods": present}
+    absent = np.setdiff1d(np.arange(2, 1025), present)
+    assert len(absent) == 1023 - 52 and np.all(data.d[absent] == 0.0)
+    assert np.all(data.d[present] != 0.0)
 
 
 def test_grazing_angle_guard(circle_frame, circle_orbits):
