@@ -9,6 +9,7 @@ the truncated inverse problem is well posed, and the Neumann series built
 on it is the reconstruction engine. The layer solves no orbit: its callers
 pass one `assemble_T` and the ladder fit to `contraction_certificate`, and
 gate `neumann_invert`, which always sums ``order`` terms, on its result.
+It and `lstsq_invert` solve on plain arrays shaped like the right-hand side.
 
 The weighted operator norm is ``sup_q sum_j q^gamma j^(-gamma) |T_qj|``
 over labels q, j >= 1; rows with divisor structure get their j > J tails
@@ -25,7 +26,7 @@ from typing import Mapping
 import numpy as np
 
 from .billiards import AlphaBetaFit, PeriodicOrbit, guarded_sin_phi
-from .functionals import CosineSeries, sigma_p, tilde_sigma_table
+from .functionals import sigma_p, tilde_sigma_table
 from .geometry import TWO_PI, BoundaryFrame, LazutkinChart, closeness_report, harmonics
 
 #: B_2j / (2j)! for j = 1..10, the Euler-Maclaurin weights through B_20
@@ -360,7 +361,6 @@ def square_block(mat: OperatorMatrix, n: int) -> OperatorMatrix:
 class NeumannInfo:
     iterations: int
     # one row per term, and one column per system for an (n, m) right-hand side
-    update_norms: np.ndarray           # sup norm of coefficient updates
     weighted_update_norms: np.ndarray  # max_j j^gamma |update_j|; ratios <= ||Id - T||_gamma
 
     @property
@@ -377,8 +377,8 @@ def neumann_invert(
 ) -> tuple:
     """Solve T w = rhs by ``order`` terms of the series w = sum (Id - T)^k rhs on a square block.
 
-    Returns (CosineSeries with zero mean part, NeumannInfo). An (n, m)
-    right-hand side is m systems solved together: the series is a batch of m
+    Returns (w, NeumannInfo), with w the coefficients 1..n shaped like ``rhs``:
+    an (n, m) right-hand side is m systems solved together, one column each,
     and the update norms get one column per system. Successive weighted
     update norms contract at least as fast as the certified norm of Id - T;
     gating on that certificate is the caller's.
@@ -398,33 +398,14 @@ def neumann_invert(
     w = np.zeros((order + 1,) + rhs.shape)  # w[k]: the sum of the first k terms
     for k in range(1, order + 1):
         w[k] = rhs + B @ w[k - 1]
-    abs_delta = np.abs(np.diff(w, axis=0))
-    return _series_of_block_solution(w[order]), NeumannInfo(
-        iterations=order,
-        update_norms=abs_delta.max(axis=1),
-        weighted_update_norms=(abs_delta * weights).max(axis=1),
-    )
+    weighted = (np.abs(np.diff(w, axis=0)) * weights).max(axis=1)
+    return w[order], NeumannInfo(iterations=order, weighted_update_norms=weighted)
 
 
-def lstsq_invert(T_star_R: OperatorMatrix, rhs) -> CosineSeries:
+def lstsq_invert(T_star_R: OperatorMatrix, rhs) -> np.ndarray:
     """Direct least-squares solve of the same square system, for cross-checks.
 
-    An (n, m) right-hand side is solved in one call and gives a batch of m.
+    The coefficients 1..n come shaped like ``rhs``; an (n, m) right-hand side
+    is solved in one call.
     """
-    sol, *_ = np.linalg.lstsq(T_star_R.entries, np.asarray(rhs, dtype=float), rcond=None)
-    return _series_of_block_solution(sol)
-
-
-def _series_of_block_solution(w: np.ndarray) -> CosineSeries:
-    """Coefficients 1..n solved on the square block, as series with zero mean part;
-    the columns of an (n, m) solution become a batch of m."""
-    return CosineSeries(np.concatenate([np.zeros((1,) + w.shape[1:]), w]).T)
-
-
-def build_b_star(row_q) -> np.ndarray:
-    """Weight vector 1/q^2 on rows with q >= 2, zero on rows 0 and 1."""
-    row_q = np.asarray(row_q)
-    out = np.zeros(len(row_q), dtype=float)
-    mask = row_q >= 2
-    out[mask] = 1.0 / row_q[mask].astype(float) ** 2
-    return out
+    return np.linalg.lstsq(T_star_R.entries, np.asarray(rhs, dtype=float), rcond=None)[0]

@@ -14,9 +14,10 @@ contraction certificate, the square block, the full-depth rows and the solves
 of the K-independent right-hand side b*), and `RecoveryPlan.solve_many` does
 the K-dependent rest for a batch of K at once: their right-hand sides are the
 columns of one matrix, inverted by one Neumann series and cross-checked by one
-lstsq call, then projected and gated per K. `RecoveryPlan.solve` is the batch
-of one and `recover_robin` a one-shot plan; `rigidity_suite` synthesizes the
-data of all K of a domain in one batch and inverts them with one `solve_many`.
+lstsq call (both return plain arrays), then projected and gated per K.
+`RecoveryPlan.solve` is the batch of one and `recover_robin` a one-shot plan;
+`rigidity_suite` synthesizes the data of all K of a domain in one batch and
+inverts them with one `solve_many`.
 
 `triple_disambiguate` replays the three-function argument as a numerical
 audit, and `two_symmetry_pin` replays the doubly-symmetric marked-value
@@ -40,12 +41,12 @@ from .errors import (
     SymmetryViolationError,
 )
 from .functionals import CosineSeries, InvariantVector, bounce_sums, cosine_coeffs
-from .geometry import BoundaryFrame, LazutkinChart, build_frame, build_profile
+from .geometry import (BoundaryFrame, LazutkinChart, build_frame, build_profile, float_list,
+                       json_value)
 from .operator import (
     ContractionCertificate,
     GammaSpaceParams,
     assemble_T,
-    build_b_star,
     contraction_certificate,
     lstsq_invert,
     neumann_invert,
@@ -62,9 +63,8 @@ class RecoveryOptions:
     gamma: float = 3.5
     jmax: int | None = None          # square-system size; default min(q_max - 4, 16), >= 8
     neumann_order: int = 40          # terms of every Neumann solve
-    residual_tol: float = 1e-6       # held-out data rows beyond this raise
+    residual_tol: float = 1e-6       # gate on held-out rows and marked entry; a NaN fails it
     override_certificate: bool = False
-    strict_residual: bool = True
 
 
 @dataclass
@@ -73,8 +73,6 @@ class RecoveryResult:
     v: CosineSeries                   # recovered K/mu
     second_order_value: float         # the eliminated rank-one scalar
     certificate: ContractionCertificate
-    neumann_iterations: int
-    neumann_update_norms: np.ndarray
     lstsq_max_diff: float
     solve_residual: float             # on the square block rows
     holdout_residual: float | None    # on data rows beyond the block
@@ -127,16 +125,15 @@ class RecoveryPlan:
         A = square_block(cert.T_star_R, n)
         lss = cert.T_star_R.extras["lss"][1 : n + 1]
 
-        b = build_b_star(np.arange(1, n + 1))
+        b = np.concatenate([[0.0], 1.0 / np.arange(2, n + 1).astype(float) ** 2])  # b*
         w_b, _ = neumann_invert(A, b, order=opt.neumann_order, gamma=opt.gamma)
-        ls_b = lstsq_invert(A, b).coeffs[1:]
 
         self.frame, self.chart, self.options = frame, chart, opt
         self.q_max, self.n = q_max, n
         self.certificate = cert
         self.block, self.lss = A, lss
         self.col0 = T.entries[2:n + 1, 0]  # limit-entry column, rows q = 2..n
-        self.b, self.w_b, self.ls_b = b, w_b.coeffs[1:], ls_b
+        self.b, self.w_b, self.ls_b = b, w_b, lstsq_invert(A, b)
         self.hold_q = np.array(hold, dtype=int)
         self.hold_rows = T.entries[np.isin(T.row_q, hold), : n + 1]
 
@@ -152,17 +149,24 @@ class RecoveryPlan:
 
         The pairs share every solve: their right-hand sides are the columns of
         one (n, m) matrix, inverted by one Neumann series and cross-checked by
-        one lstsq call. Every input is validated before any work starts; the
-        residual gates are checked per pair, and the first pair in input order
-        that fails raises.
+        one lstsq call. Every input is validated before any work starts, down to
+        the periods the plan reads (2..n and the held-out rows) being present in
+        ``provenance["orbit_periods"]``. The residual gate and the finiteness of
+        every reported value are checked per pair; the first failing pair raises.
         """
         opt, chart, A, lss, b = self.options, self.chart, self.block, self.lss, self.b
         if len(data_list) != len(K0s):
             raise ValueError(f"{len(data_list)} invariant vectors for {len(K0s)} marked values")
+        read = {*range(2, self.n + 1), *self.hold_q.tolist()}
         for data in data_list:
             if data.q_max != self.q_max:
                 raise ValueError(f"data depth q_max={data.q_max} does not match the plan's "
                                  f"q_max={self.q_max}")
+            missing = read.difference(json_value(data.provenance, "orbit_periods", float_list,
+                                                 sorted(read), "invariant vector provenance"))
+            if missing:
+                raise ValueError(f"invariant vector lacks the periods {sorted(missing)} that "
+                                 "the recovery reads")
         for K0 in K0s:
             if not np.isfinite(K0):
                 raise ValueError(f"marked value K0 must be finite, got {K0!r}")
@@ -180,12 +184,11 @@ class RecoveryPlan:
         g[1:] = d[:, qs].T / qs[:, None] ** 2 - np.outer(self.col0, v0)
 
         # the Neumann solve of g is the certified audit; lstsq cross-checks it
-        series_g, info_g = neumann_invert(A, g, order=opt.neumann_order, gamma=opt.gamma)
-        w_g = series_g.coeffs[:, 1:]                       # one row per pair from here on
+        w_g = neumann_invert(A, g, order=opt.neumann_order, gamma=opt.gamma)[0].T
         lam = (w_g @ lss) / (1.0 + float(lss @ self.w_b))
         w = w_g - np.outer(lam, self.w_b)
 
-        ls_g = lstsq_invert(A, g).coeffs[:, 1:]
+        ls_g = lstsq_invert(A, g).T
         lam_ls = (ls_g @ lss) / (1.0 + float(lss @ self.ls_b))
         lstsq_diff = np.max(np.abs(w - (ls_g - np.outer(lam_ls, self.ls_b))), axis=1)
 
@@ -202,38 +205,42 @@ class RecoveryPlan:
         data_marked_gap = np.abs(K0 - d[:, 1])
         h0_hat, h1_hat = heat_defect(self.frame, K_hat)
 
+        heat = np.abs(np.column_stack([h0_hat, h1_hat]) - [(x.H0, x.H1) for x in data_list])
+        reported = [K_hat.coeffs, v.coeffs, lam, lstsq_diff, solve_residual, marked_residual,
+                    data_marked_gap, heat]
         holdout = [None] * len(data_list)
         if len(self.hold_q):
             rows = self.hold_rows
             resid = (np.outer(v0, rows[:, 0]) + w @ rows[:, 1:].T
                      - d[:, self.hold_q] / self.hold_q ** 2)
-            holdout = np.max(np.abs(resid), axis=1).tolist()
+            reported.append(np.max(np.abs(resid), axis=1))
+            holdout = reported[-1].tolist()
+        finite = np.all(np.isfinite(np.column_stack(reported)), axis=1)
 
         results = []
-        for i, data in enumerate(data_list):
-            if opt.strict_residual:
-                # written as "not <=" so that a NaN residual fails the gate
-                bad_holdout = holdout[i] is not None and not (holdout[i] <= opt.residual_tol)
-                if bad_holdout or not (data_marked_gap[i] <= opt.residual_tol):
-                    raise ResidualTooLargeError(
-                        f"data inconsistent at this truncation: marked-entry gap "
-                        f"{data_marked_gap[i]:.3e}, held-out row residual "
-                        f"{holdout[i] if holdout[i] is not None else float('nan'):.3e} "
-                        f"(tolerance {opt.residual_tol:.1e})"
-                    )
+        for i in range(len(data_list)):
+            # written as "not <=" so that a NaN residual fails the gate
+            bad_holdout = holdout[i] is not None and not (holdout[i] <= opt.residual_tol)
+            if bad_holdout or not (data_marked_gap[i] <= opt.residual_tol):
+                raise ResidualTooLargeError(
+                    f"data inconsistent at this truncation: marked-entry gap "
+                    f"{data_marked_gap[i]:.3e}, held-out row residual "
+                    f"{holdout[i] if holdout[i] is not None else float('nan'):.3e} "
+                    f"(tolerance {opt.residual_tol:.1e})"
+                )
+            if not finite[i]:
+                raise ResidualTooLargeError("recovery is not finite: the data overflow floats")
             results.append(RecoveryResult(
                 K_hat=CosineSeries(K_hat.coeffs[i]),
                 v=CosineSeries(v.coeffs[i]),
                 second_order_value=float(lam[i]),
                 certificate=self.certificate,
-                neumann_iterations=info_g.iterations,
-                neumann_update_norms=info_g.update_norms[:, i],
                 lstsq_max_diff=float(lstsq_diff[i]),
                 solve_residual=float(solve_residual[i]),
                 holdout_residual=holdout[i],
                 marked_residual=float(marked_residual[i]),
                 data_marked_gap=float(data_marked_gap[i]),
-                heat_residual=(float(abs(h0_hat[i] - data.H0)), float(abs(h1_hat[i] - data.H1))),
+                heat_residual=tuple(heat[i].tolist()),
             ))
         return results
 
@@ -264,7 +271,6 @@ class TripleVerdict:
     marked_values: tuple
     f_square_integral: float | None
     spectral_residuals: tuple | None  # sup |L_q((Ki-Kj-c f)/mu)| for the two combinations
-    heat_differences: tuple | None    # the two mixed heat integrals, zero under equal data
     identity_residual: float | None   # |int (K2-K3) f - (K2(0)-K3(0)) int f^2|
     notes: str = ""
 
@@ -273,7 +279,6 @@ def triple_disambiguate(
     K1: CosineSeries,
     K2: CosineSeries,
     K3: CosineSeries,
-    frame: BoundaryFrame,
     chart: LazutkinChart,
     orbits: Mapping[int, PeriodicOrbit],
     marked_tol: float = 1e-10,
@@ -282,9 +287,9 @@ def triple_disambiguate(
 
     With two equal marked values the conclusion routes through the pinned
     uniqueness result; with three distinct marked values the audit forms f,
-    checks the proportionality relations, applies the heat-difference
-    identities, and reduces to a positive square integral, i.e. the data
-    could not all have been equal.
+    checks the proportionality relations and the identity
+    int (K2 - K3) f = (K2(0) - K3(0)) int f^2, and reduces to a positive square
+    integral, i.e. the data could not all have been equal.
     """
     ks = (K1, K2, K3)
     marked = tuple(float(k.at_zero) for k in ks)
@@ -297,7 +302,6 @@ def triple_disambiguate(
                     marked_values=marked,
                     f_square_integral=None,
                     spectral_residuals=None,
-                    heat_differences=None,
                     identity_residual=None,
                     notes=(
                         f"marked values {i + 1} and {j + 1} agree; equal data plus "
@@ -318,10 +322,8 @@ def triple_disambiguate(
 
     r12, r13 = spectral_sup(K12), spectral_sup(K13)
 
-    dsigma, kappa = chart.integrate_dsigma, chart.kappa_at_x_nodes
-    k1v, k2v, k3v, fv = (k.on_grid(chart.n_grid) for k in (*ks, f))
-    heat12 = dsigma((k1v - k2v) * (kappa + 2.0 * (k1v + k2v)))
-    heat13 = dsigma((k1v - k3v) * (kappa + 2.0 * (k1v + k3v)))
+    dsigma = chart.integrate_dsigma
+    k2v, k3v, fv = (k.on_grid(chart.n_grid) for k in (K2, K3, f))
     cross = dsigma((k2v - k3v) * fv)
     f_sq = dsigma(fv * fv)
     identity_residual = abs(cross - (marked[1] - marked[2]) * f_sq)
@@ -339,7 +341,6 @@ def triple_disambiguate(
         marked_values=marked,
         f_square_integral=f_sq,
         spectral_residuals=(r12, r13),
-        heat_differences=(heat12, heat13),
         identity_residual=identity_residual,
         notes=notes,
     )

@@ -3,7 +3,8 @@ orbit and the small-time heat defect coefficients, as one `InvariantVector`.
 
 The Robin condition is ``d_nu u = K u`` with nu the outward normal. Under
 that sign the heat coefficients below match the Robin-minus-Neumann heat
-trace of the unit disk with constant K; the check was made for K < 0 only.
+trace of a disk with constant K, fitted from its Bessel-root spectrum; a
+test repeats that check on radii 1 and 0.8 for K < 0 only.
 """
 
 from __future__ import annotations
@@ -22,8 +23,8 @@ def heat_defect(frame: BoundaryFrame, K: CosineSeries) -> tuple:
 
     H0 = (1/2pi) int K dsigma and H1 = (1/(8 sqrt(pi))) int (K kappa + 2 K^2) dsigma,
     both on the chart's uniform x nodes. Floats for one K; for a batch K, one
-    pass gives two arrays over the batch. The sign was checked against a disk
-    spectrum for K < 0 only.
+    pass gives two arrays over the batch. The sign is checked against the
+    spectra of two disks for K < 0 in `tests/test_traces.py`; K > 0 is not.
     """
     chart = frame.chart
     k_vals = K.on_grid(chart.n_grid)

@@ -231,7 +231,7 @@ def test_c10_three_function_truth_table():
         base = fn.CosineSeries(np.concatenate([[0.4], 0.3 * rng.standard_normal(5)]))
         shape = fn.CosineSeries(np.concatenate([[1.0], 0.25 * rng.standard_normal(4)]))
         K1, K2, K3 = _triple(base, shape, marked)
-        out = rec.triple_disambiguate(K1, K2, K3, frame, frame.chart, orbits)
+        out = rec.triple_disambiguate(K1, K2, K3, frame.chart, orbits)
         if out.verdict == verdict and out.pair == pair:
             agree += 1
     elapsed = time.monotonic() - t0

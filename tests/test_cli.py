@@ -187,10 +187,14 @@ def test_reconstruct_rejects_malformed_invariants(tmp_path, capsys):
     nan_entry = dict(good, d=good["d"][:5] + [float("nan")] + good["d"][6:])
     short_d = dict(good, d=good["d"][:8])
     other_normalization = dict(good, normalization="C_gamma=2")
+    gappy = dict(good, provenance={"orbit_periods": [*range(2, 11), 16]})
+    bad_periods = dict(good, provenance={"orbit_periods": "2..16"})
     for name, payload, message in (("nan", nan_entry, "finite"),
                                    ("short", short_d, "entries"),
                                    ("normalization", other_normalization,
-                                    "'normalization' has the value 'C_gamma=2'")):
+                                    "'normalization' has the value 'C_gamma=2'"),
+                                   ("gappy", gappy, "lacks the periods [11, 12, 13, 14, 15]"),
+                                   ("periods", bad_periods, "'orbit_periods' has a malformed")):
         path = tmp_path / f"{name}.json"
         path.write_text(json.dumps(payload))
         rc_dir = tmp_path / f"rc_{name}"
@@ -280,7 +284,7 @@ def test_config_values_are_defaults_that_flags_override(tmp_path, capsys):
         cfg.write_text(json.dumps(bad))
         assert run(base) == 1
         assert "usage error" in capsys.readouterr().err
-    cfg.write_text(json.dumps({"no_strict": "false"}))  # a string would read as true
+    cfg.write_text(json.dumps({"override_certificate": "false"}))  # a string would read as true
     assert run(["reconstruct", "--coeffs", "0,0,0.01", "--config", str(cfg), "--data",
                 str(tmp_path / "missing.json"), "--k0", "0", "--out", str(tmp_path)]) == 1
     assert "invalid value 'false'" in capsys.readouterr().err
@@ -337,6 +341,28 @@ def test_huge_robin_coefficients_are_refused_without_a_warning(tmp_path, capsys,
     assert code == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "must be finite" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("tol", [[], ["--tol", "inf"]])
+def test_huge_invariant_data_are_refused_without_a_warning(tmp_path, capsys, tol):
+    """Finite data near the float limit overflow in the recovery: refused as
+    inconsistent or non-finite at any tolerance, with no RuntimeWarning first."""
+    inv = tmp_path / "inv"
+    assert run(["invariants", "--coeffs", "0,0,0.01", "--robin-coeffs", "0,-1,1",
+                "--out", str(inv)]) == 0
+    path = inv / "invariants.json"
+    payload = json.loads(path.read_text())
+    path.write_text(json.dumps(dict(payload, d=[1e300] * len(payload["d"]))))
+    out = tmp_path / "out"
+    capsys.readouterr()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code = run(["reconstruct", "--coeffs", "0,0,0.01", "--data", str(path),
+                    "--k0", "1e300", *tol, "--out", str(out)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
     assert not out.exists()
 
 

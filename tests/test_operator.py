@@ -347,16 +347,16 @@ def _square_tsr(frame, orbits, fit, n=12):
 def test_neumann_zero_rhs(circle_frame, circle_orbits, circle_fit):
     A = _square_tsr(circle_frame, circle_orbits, circle_fit)
     w, info = op.neumann_invert(A, np.zeros(12))
-    assert np.all(w.coeffs == 0.0)
+    assert w.shape == (12,) and np.all(w == 0.0)
 
 
 def test_neumann_round_trip_basis(circle_frame, circle_orbits, circle_fit):
     A = _square_tsr(circle_frame, circle_orbits, circle_fit)
     rhs = A.entries[:, 2].copy()     # image of e_3
     w, info = op.neumann_invert(A, rhs, order=60)
-    expect = np.zeros(13)
-    expect[3] = 1.0
-    assert_allclose(w.coeffs, expect, rtol=0, atol=1e-8)
+    expect = np.zeros(12)
+    expect[2] = 1.0
+    assert_allclose(w, expect, rtol=0, atol=1e-8)
 
 
 def test_neumann_ratio_below_certified_bound(circle_frame, circle_orbits, circle_fit):
@@ -374,7 +374,8 @@ def test_neumann_agrees_with_lstsq(perturbed_frame, perturbed_orbits, perturbed_
     rhs = rng.standard_normal(12) * 0.1
     w, _ = op.neumann_invert(A, rhs, order=200)
     ls = op.lstsq_invert(A, rhs)
-    assert np.max(np.abs(w.coeffs - ls.coeffs)) < 1e-6
+    assert w.shape == ls.shape == rhs.shape
+    assert np.max(np.abs(w - ls)) < 1e-6
 
 
 def _neumann_per_term(A, rhs, order, gamma=3.5):
@@ -382,14 +383,12 @@ def _neumann_per_term(A, rhs, order, gamma=3.5):
     n = A.shape[0]
     weights = np.arange(1, n + 1, dtype=float) ** gamma
     B, w = np.eye(n) - A, np.zeros_like(rhs)
-    updates, weighted = [], []
+    weighted = []
     for _ in range(order):
         w_next = rhs + B @ w
-        abs_delta = np.abs(w_next - w)
-        updates.append(abs_delta.max(axis=0))
-        weighted.append((abs_delta.T * weights).max(axis=-1))
+        weighted.append((np.abs(w_next - w).T * weights).max(axis=-1))
         w = w_next
-    return w, np.array(updates), np.array(weighted)
+    return w, np.array(weighted)
 
 
 @pytest.mark.parametrize("m", [None, 5])
@@ -401,10 +400,9 @@ def test_neumann_matches_per_term_loop(perturbed_frame, perturbed_orbits, pertur
     A = _square_tsr(perturbed_frame, perturbed_orbits, perturbed_fit)
     rhs = rng.standard_normal(12 if m is None else (12, m))
     w, info = op.neumann_invert(A, rhs, order=order)
-    expect, updates, weighted = _neumann_per_term(A.entries, rhs, order)
-    assert np.array_equal(w.coeffs, op._series_of_block_solution(expect).coeffs)
-    assert type(info.iterations) is int and info.iterations == len(updates) == order
-    assert np.array_equal(info.update_norms, updates)
+    expect, weighted = _neumann_per_term(A.entries, rhs, order)
+    assert np.array_equal(w, expect)
+    assert type(info.iterations) is int and info.iterations == len(weighted) == order
     assert np.array_equal(info.weighted_update_norms, weighted)
 
 
@@ -477,11 +475,6 @@ def test_T_star_R_marked_row_is_divisor_row(perturbed_frame, perturbed_orbits,
     assert tsr.row_q[0] == 1
     assert np.all(tsr.entries[0] == 1.0)
     assert tsr.row_tail_coeff[0] == 1.0
-
-
-def test_b_star_vector():
-    b = op.build_b_star([0, 1, 2, 3, 8])
-    assert_allclose(b, [0.0, 0.0, 0.25, 1.0 / 9.0, 1.0 / 64.0], rtol=0, atol=1e-16)
 
 
 def test_kernel_margin_bounded_away_from_zero(perturbed_frame):

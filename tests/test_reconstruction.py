@@ -60,7 +60,7 @@ def test_wrong_marked_value_flagged(perturbed_frame, perturbed_orbits, rng):
                           perturbed_orbits, K.at_zero + 1.0)
     res = rec.recover_robin(data, perturbed_frame, perturbed_frame.chart,
                             perturbed_orbits, K.at_zero + 1.0,
-                            rec.RecoveryOptions(strict_residual=False))
+                            rec.RecoveryOptions(residual_tol=np.inf))
     assert res.data_marked_gap > 0.999
     assert res.heat_residual[1] > 1e-3     # quadratic heat coefficient disagrees
     assert abs(res.K_hat.at_zero - (K.at_zero + 1.0)) < 1e-6
@@ -73,7 +73,7 @@ def test_recovery_equivariance(perturbed_frame, perturbed_orbits, rng):
     dK = _forward(perturbed_frame, perturbed_orbits, K)
     dG = _forward(perturbed_frame, perturbed_orbits, G)
     both = fn.InvariantVector(d=dK.d + dG.d, H0=0.0, H1=0.0, q_max=16)
-    opt = rec.RecoveryOptions(strict_residual=False)
+    opt = rec.RecoveryOptions(residual_tol=np.inf)
     res_sum = rec.recover_robin(both, perturbed_frame, perturbed_frame.chart,
                                 perturbed_orbits, 0.0, opt)
     res_k = rec.recover_robin(dK, perturbed_frame, perturbed_frame.chart,
@@ -89,7 +89,7 @@ def test_neumann_order_controls_error(circle_frame, circle_orbits):
     for order in (5, 10, 20, 40):
         res = rec.recover_robin(
             data, circle_frame, circle_frame.chart, circle_orbits, K.at_zero,
-            rec.RecoveryOptions(neumann_order=order, strict_residual=False))
+            rec.RecoveryOptions(neumann_order=order, residual_tol=np.inf))
         errs.append(np.max(np.abs(res.K_hat(XS) - K(XS))))
     assert errs[-1] <= errs[0]
     assert errs[-1] < 1e-6
@@ -105,7 +105,7 @@ def test_limit_entry_extrapolation(perturbed_frame, perturbed_orbits, rng):
     estimated = dataclasses.replace(data, d=np.concatenate([[est], data.d[1:]]))
     res = rec.recover_robin(
         estimated, perturbed_frame, perturbed_frame.chart, perturbed_orbits, K.at_zero,
-        rec.RecoveryOptions(strict_residual=False))
+        rec.RecoveryOptions(residual_tol=np.inf))
     assert np.max(np.abs(res.K_hat(XS) - K(XS))) < 1e-4
 
 
@@ -164,11 +164,37 @@ def test_plan_rejects_depth_mismatch_and_non_finite_k0(perturbed_plan):
             perturbed_plan.solve(data, k0)
 
 
-def test_nan_residual_fails_strict_gate(perturbed_plan):
+def test_nan_residual_fails_strict_gate(perturbed_frame, perturbed_orbits, perturbed_plan):
+    """A NaN fails the gate at the default tolerance and at residual_tol=inf."""
     data = fn.InvariantVector(d=np.zeros(17), H0=0.0, H1=0.0, q_max=16)
     data.d[16] = np.nan       # past construction-time validation, e.g. mutated in place
-    with pytest.raises(ResidualTooLargeError):
-        perturbed_plan.solve(data, 0.0)
+    loose = rec.RecoveryPlan(perturbed_frame, perturbed_frame.chart, perturbed_orbits, 16,
+                             rec.RecoveryOptions(residual_tol=np.inf))
+    for plan in (perturbed_plan, loose):
+        with pytest.raises(ResidualTooLargeError, match="held-out row residual nan"):
+            plan.solve(data, 0.0)
+
+
+def test_gappy_vector_is_refused_where_the_plan_reads_a_gap(perturbed_frame, perturbed_orbits,
+                                                            perturbed_plan, rng):
+    """A vector synthesized on 2..9 plus 16 reads 0 at 10..15: the plan, which reads
+    2..12 and the held-out rows 13..16, names those periods; a one-shot recovery on
+    the same orbits holds out only 16 and succeeds."""
+    K = rec.draw_random_K(rng, 6)
+    orbits = {q: perturbed_orbits[q] for q in [*range(2, 10), 16]}
+    data = traces.build_trace_data(perturbed_frame, K, orbits)
+    with pytest.raises(ValueError, match=r"lacks the periods \[10, 11, 12, 13, 14, 15\]"):
+        perturbed_plan.solve(data, K.at_zero)
+    orbits = {q: perturbed_orbits[q] for q in [*range(2, 13), 16]}
+    data = traces.build_trace_data(perturbed_frame, K, orbits)
+    with pytest.raises(ValueError, match=r"lacks the periods \[13, 14, 15\]"):
+        perturbed_plan.solve(data, K.at_zero)
+    res = rec.recover_robin(data, perturbed_frame, perturbed_frame.chart, orbits, K.at_zero)
+    assert np.max(np.abs(res.K_hat(XS) - K(XS))) < 1e-5
+    for bad in ("abc", [[2, 3]], None):
+        malformed = dataclasses.replace(data, provenance={"orbit_periods": bad})
+        with pytest.raises(ValueError, match="'orbit_periods' has a malformed value"):
+            perturbed_plan.solve(malformed, K.at_zero)
 
 
 def test_invariant_vector_validation():
@@ -311,8 +337,6 @@ def test_solve_many_matches_single_solves(perturbed_frame, perturbed_orbits, per
         assert abs(got.second_order_value - alone.second_order_value) <= 1e-13
         assert abs(got.lstsq_max_diff - alone.lstsq_max_diff) <= 1e-15
         assert abs(got.holdout_residual - alone.holdout_residual) <= 1e-15
-        assert got.neumann_iterations == alone.neumann_iterations
-        assert got.neumann_update_norms.shape == alone.neumann_update_norms.shape
 
 
 def test_solve_many_gates_per_pair(perturbed_frame, perturbed_orbits, perturbed_plan,
@@ -380,8 +404,7 @@ def test_triple_truth_table(perturbed_frame, perturbed_orbits, marked, verdict, 
     shape = fn.CosineSeries(np.concatenate([[1.0], 0.25 * rng.standard_normal(4)]))
     K1, K2, K3 = _triple(base, shape, marked)
     orbits = {q: perturbed_orbits[q] for q in range(2, 17)}
-    out = rec.triple_disambiguate(K1, K2, K3, perturbed_frame, perturbed_frame.chart,
-                                  orbits)
+    out = rec.triple_disambiguate(K1, K2, K3, perturbed_frame.chart, orbits)
     assert out.verdict == verdict
     assert out.pair == pair
     if verdict == "data_inconsistent":
@@ -394,8 +417,7 @@ def test_triple_truth_table(perturbed_frame, perturbed_orbits, marked, verdict, 
 def test_triple_identical_pair_guard(perturbed_frame, perturbed_orbits, rng):
     K1 = fn.CosineSeries(rng.standard_normal(4))
     K3 = K1 + fn.CosineSeries([1.0])
-    out = rec.triple_disambiguate(K1, K1, K3, perturbed_frame, perturbed_frame.chart,
-                                  {2: perturbed_orbits[2]})
+    out = rec.triple_disambiguate(K1, K1, K3, perturbed_frame.chart, {2: perturbed_orbits[2]})
     assert out.verdict == "pair_identical" and out.pair == (1, 2)
 
 
@@ -404,8 +426,7 @@ def test_part_b_algebra_identity(perturbed_frame, perturbed_orbits, rng):
     base = fn.CosineSeries(rng.standard_normal(6))
     shape = fn.CosineSeries(np.concatenate([[1.0], rng.standard_normal(5) * 0.4]))
     K1, K2, K3 = _triple(base, shape, (3.0, 1.0, 0.25))
-    out = rec.triple_disambiguate(K1, K2, K3, perturbed_frame, perturbed_frame.chart,
-                                  {2: perturbed_orbits[2]})
+    out = rec.triple_disambiguate(K1, K2, K3, perturbed_frame.chart, {2: perturbed_orbits[2]})
     assert out.identity_residual < 1e-9
 
 

@@ -5,6 +5,7 @@ import mpmath
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
+from scipy import special
 
 from rigidity_lab import billiards, functionals as fn, geometry, traces
 from rigidity_lab.errors import SingularAngleError
@@ -141,6 +142,85 @@ def test_heat_coefficients_match_mpmath_oracle():
     o0, o1 = _heat_mpmath([0.0, 0.0, 0.01], k_coeffs)
     assert abs(h0 - o0) <= 1e-13
     assert abs(h1 - o1) <= 1e-13
+
+
+DISK_X_MAX = 160.0  # spectral cutoff k <= 160, on the unit disk and on radius 0.8
+
+
+@pytest.fixture(scope="module")
+def disk_brackets():
+    """Order n, Neumann zero and Dirichlet zero of every bracket with Neumann zero <= 160.
+
+    A root of ``x J_n'(x) = KR J_n(x)`` with KR < 0 lies between the Neumann zero
+    j'_{n,m} (where the left side is 0) and the Dirichlet zero j_{n,m}; the first
+    n = 0 bracket starts at 0, the Neumann eigenvalue 0. In x = kR the zeros do
+    not depend on the radius, so one table serves both radii.
+    """
+    n_all, lo_all, hi_all = [], [], []
+    for n in range(int(DISK_X_MAX) + 1):
+        m = int((DISK_X_MAX - n) / np.pi) + 3  # a few more zeros than lie below the cutoff
+        lo = special.jnp_zeros(n, m) if n else np.r_[0.0, special.jnp_zeros(0, m - 1)]
+        keep = lo <= DISK_X_MAX
+        if not keep.any():
+            break
+        n_all.append(np.full(keep.sum(), n))
+        lo_all.append(lo[keep])
+        hi_all.append(special.jn_zeros(n, m)[keep])
+    return np.concatenate(n_all), np.concatenate(lo_all), np.concatenate(hi_all)
+
+
+def _robin_disk_roots(n, lo, hi, KR, halvings=12, newton=3):
+    """x in (lo, hi) with ``x J_n'(x) / J_n(x) = KR``, for every bracket at once.
+
+    The log-derivative y = x J_n'/J_n falls monotonically from 0 to -inf across a
+    bracket. One vectorized bisection shrinks every bracket 2^halvings-fold; Newton
+    steps on the Riccati form of Bessel's equation, y' = (n^2 - x^2 - y^2)/x, which
+    needs no further Bessel call, then take each root to roundoff.
+    """
+    def y(x):
+        return x * special.jv(n - 1, x) / special.jv(n, x) - n
+
+    a, b = lo.copy(), hi.copy()
+    for _ in range(halvings):
+        x = 0.5 * (a + b)
+        above = y(x) > KR
+        a, b = np.where(above, x, a), np.where(above, b, x)
+    x = 0.5 * (a + b)
+    for _ in range(newton):
+        yx = y(x)
+        x = np.clip(x - (yx - KR) * x / (n * n - x * x - yx * yx), a, b)
+    return x
+
+
+@pytest.mark.parametrize("coeffs, R", [([], 1.0), ([-0.2], 0.8)])
+def test_heat_defect_matches_a_robin_disk_spectrum(disk_brackets, coeffs, R):
+    """H0 and H1 are the t^0 and t^(1/2) coefficients of the Robin-minus-Neumann heat
+    trace of the disk of radius R with constant K < 0, under d_nu u = K u.
+
+    The eigenvalues k^2 with k <= 160 (all n, multiplicity 2 for n >= 1) give the
+    trace difference D(t), fitted on t in [1e-3, 4e-3] by a + b t^(1/2) + c t + d t^(3/2).
+    A sweep of windows from [1e-3, 3e-3] to [2e-3, 6e-3] over both radii and all
+    three K gave |a - H0| <= 9.6e-7 and |b - H1| <= 6.4e-5, the error growing with
+    the window; the tolerances 2e-6 and 1.5e-4 hold that sweep with room. K = -0.5 on
+    the unit disk has H1 = 0, and R = 0.8 separates the K kappa term from 2 K^2.
+    """
+    frame = geometry.build_frame(geometry.build_profile(coeffs), 512)
+    assert_allclose(frame.perimeter, 2 * np.pi * R, rtol=1e-12)
+    sel = disk_brackets[1] / R <= DISK_X_MAX
+    n, lo, hi = (col[sel] for col in disk_brackets)
+    Ks = (-0.3, -0.5, -1.0)
+    x = _robin_disk_roots(np.tile(n, 3), np.tile(lo, 3), np.tile(hi, 3),
+                          np.repeat([K * R for K in Ks], len(n)))
+    t = np.linspace(1e-3, 4e-3, 40)
+    mult = np.where(n == 0, 1.0, 2.0)
+    neumann = np.exp(-np.outer(t, (lo / R) ** 2)) @ mult
+    basis = np.column_stack([np.ones_like(t), np.sqrt(t), t, t ** 1.5])
+    for K, roots in zip(Ks, x.reshape(3, -1)):
+        D = np.exp(-np.outer(t, (roots / R) ** 2)) @ mult - neumann
+        a, b, _, _ = np.linalg.lstsq(basis, D, rcond=None)[0]
+        H0, H1 = traces.heat_defect(frame, fn.CosineSeries([K]))
+        assert abs(a - H0) <= 2e-6, (K, a, H0)
+        assert abs(b - H1) <= 1.5e-4, (K, b, H1)
 
 
 def test_equal_data_difference_identity_circle(circle_frame, rng):
