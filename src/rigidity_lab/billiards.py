@@ -20,13 +20,15 @@ O(sum q) with no dense matrix:
 - the orbit is maximal when every LDL^T pivot of ``H - HESSIAN_POS_TOL*I``
   is negative (a Sturm count, by Sylvester's inertia); the bands of all
   periods are set up for it in one array pass (`_band_blocks`), and only
-  the pivot loop runs per period.
+  the pivot loop runs per period;
+- one jet at the solution gives the tangents and the curvature ``kappa`` each
+  orbit keeps for the return maps and the weight mu (T, fit, `script_L_q`).
 
 The linearized return maps of many orbits come from one pass
-(`_return_maps`): one curvature evaluation over all bounces, one stack of
-transfer matrices and one segmented pairwise product tree, each orbit's
-product associated as it would be alone. `genericity_report`, the CLI's
-`orbits` table and `linearized_poincare` (a batch of one) read it.
+(`_return_maps`): one stack of transfer matrices over all bounces and one
+segmented pairwise product tree (planned once per period layout), each
+orbit's product associated as it would be alone. `genericity_report`, the
+CLI's `orbits` table and `linearized_poincare` (a batch of one) read it.
 
 Every division by an orbit's ``sin phi`` (the return maps here; the bounce
 sums, `script_L_q` and the T assembly downstream) reads it through one
@@ -44,9 +46,9 @@ bounce (`_bounce`), carrying each landing point and tangent into the next.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
+from functools import cached_property, lru_cache
 from typing import Mapping, NamedTuple
 
 import numpy as np
@@ -100,10 +102,10 @@ class PeriodicOrbit:
 
     q: int
     theta: np.ndarray        # bounce parameters, lifted to [pi, 3*pi)
-    sigma: np.ndarray
     x: np.ndarray            # Lazutkin coordinates, increasing from 0
     phi: np.ndarray          # bounce angles against the tangent, in (0, pi/2]
     sin_phi: np.ndarray
+    kappa: np.ndarray        # boundary curvature at the bounces, as `DomainProfile.curvature`
     chords: np.ndarray       # chord lengths, chord k joins bounces k and k+1
     length: float
     reflection_residual: float
@@ -147,6 +149,19 @@ class _Periods:
         self.end = (self.free + half - 1)[half > 0]
         self.odd_end = self.end[q[half > 0] % 2 == 1]
 
+    @cached_property
+    def tree(self) -> list:
+        """`_return_maps`' product tree, per level ``(head, pair, k)``: the matrices kept
+        (a pair's first or an odd last one), which of them pair, and each pair's first."""
+        plan, count = [], self.qs
+        while count.sum() > len(count):
+            pos = np.arange(count.sum()) - np.repeat(np.cumsum(count) - count, count)
+            head = np.flatnonzero(pos % 2 == 0)
+            pair = (pos + 1 < np.repeat(count, count))[head]
+            plan.append((head, pair, head[pair]))
+            count = (count + 1) // 2
+        return plan
+
     def assemble(self, s):
         """Full offset vector from the free offsets: t_0 = 0 and t_{q-j} = 2 pi - t_j."""
         t = np.zeros(len(self.nxt))
@@ -159,7 +174,7 @@ class _Periods:
         return np.logical_and.reduceat(ok, self.start)
 
 
-_periods = functools.lru_cache(maxsize=32)(_Periods)  # shared between callers: read only
+_periods = lru_cache(maxsize=32)(_Periods)  # shared between callers: read only
 
 
 def _length_grad_hess(profile, thetas, lay=None):
@@ -236,19 +251,23 @@ def _band_solve(band, b):
     leaves every other block as it would be alone.
     """
     d, e, b = band[0].tolist(), band[1].tolist(), b.tolist()
-    n = len(d)
-    piv, mult, y, x = d[:], [0.0] * n, b[:], [math.nan] * n
+    n, x = len(d), []
     cuts = [0, *(np.flatnonzero(band[1] == 0.0) + 1).tolist(), n]
     for lo, hi in zip(cuts, cuts[1:]):
         try:
-            for i in range(lo + 1, hi):
-                m = e[i - 1] / piv[i - 1]
-                mult[i], piv[i], y[i] = m, d[i] - m * e[i - 1], b[i] - m * y[i - 1]
-            x[hi - 1] = y[hi - 1] / piv[hi - 1]
-            for i in range(hi - 2, lo - 1, -1):
-                x[i] = y[i] / piv[i] - mult[i + 1] * x[i + 1]
+            m, p, y = 0.0, d[lo], b[lo]
+            rows = [(m, p, y)]  # (multiplier, pivot, y) per row; the last row's in locals
+            for di, ei, bi in zip(d[lo + 1 : hi], e[lo : hi - 1], b[lo + 1 : hi]):
+                m = ei / p
+                p, y = di - m * ei, bi - m * y
+                rows.append((m, p, y))
+            block = [y / p]  # backward, m the multiplier of the row below
+            for m_i, p_i, y_i in rows[-2::-1]:
+                block.append(y_i / p_i - m * block[-1])
+                m = m_i
+            x += block[::-1]
         except ZeroDivisionError:
-            x[lo:hi] = [math.nan] * (hi - lo)
+            x += [math.nan] * (hi - lo)
     return np.array(x)
 
 
@@ -389,7 +408,7 @@ def compute_orbits(
     Each period gets the iterations and the result it would get alone. A
     converged orbit that is not a length maximum fails with
     `NotMaximalError`. If some fail, the error of the smallest failing
-    period is raised.
+    period is raised. One `DomainProfile.jet` at the solution gives angles and ``kappa``.
     """
     qs = tuple(sorted({int(q) for q in qs}))
     if qs and qs[0] < 2:
@@ -421,7 +440,7 @@ def compute_orbits(
 
     theta = MARKED_THETA + t
     nxt, prv = lay.nxt, lay.prv
-    (px, py), (vx, vy), _ = profile.point_jet(theta)
+    (px, py), (vx, vy), _, kappa = profile.point_jet(theta, curvature=True)
     speed = np.hypot(vx, vy)
     tx, ty = vx / speed, vy / speed
     ux, uy = (px[nxt] - px) / chords, (py[nxt] - py) / chords
@@ -433,8 +452,8 @@ def compute_orbits(
     reflection = np.maximum.reduceat(np.abs(phi_in - phi_out), lay.start)
     x = frame.chart.x_of_theta(theta)
     x[lay.start] = 0.0  # marked points, exact by convention
-    per_bounce = dict(theta=theta, sigma=frame.chart.sigma_of_theta(theta), x=x,
-                      phi=0.5 * (phi_in + phi_out), sin_phi=0.5 * (cross_in + cross_out))
+    per_bounce = dict(theta=theta, x=x, phi=0.5 * (phi_in + phi_out),
+                      sin_phi=0.5 * (cross_in + cross_out), kappa=kappa)
 
     orbits = {}
     for p, (q, res) in enumerate(zip(qs, grad_res.tolist())):
@@ -461,18 +480,17 @@ def maximal_marked_orbit(
 def _return_maps(frame: BoundaryFrame, orbits) -> np.ndarray:
     """Linearized return maps of ``orbits``, a (P, 2, 2) stack, in one pass.
 
-    The bounces of all orbits are laid end to end: one curvature evaluation,
-    one stack of per-bounce transfer matrices in (arclength, angle)
-    variables, and one segmented pairwise product tree. Each level pairs
-    every orbit's matrices (0, 1), (2, 3), ... and carries an odd last one,
-    so each product is step[q-1] @ ... @ step[0] associated exactly as for
-    the orbit alone. A grazing bounce raises (`guarded_sin_phi`).
+    The bounces of all orbits are laid end to end: one stack of per-bounce transfer
+    matrices in (arclength, angle) variables from the orbits' ``kappa`` (the frame is
+    not read), and one segmented pairwise product tree (`_Periods.tree`), whose levels
+    pair each orbit's matrices (0, 1), (2, 3), ... and carry an odd last one, so each
+    product is step[q-1] @ ... @ step[0] as for the orbit alone. A grazing bounce raises.
     """
     if not orbits:
         return np.empty((0, 2, 2))
     sin_phi, _ = guarded_sin_phi(orbits)
     lay = _periods(tuple(orbit.q for orbit in orbits))
-    kappa = frame.profile.curvature(np.concatenate([orbit.theta for orbit in orbits]))
+    kappa = np.concatenate([orbit.kappa for orbit in orbits])
     tau = np.concatenate([orbit.chords for orbit in orbits])
     k0c, k1c = kappa, kappa[lay.nxt]
     s0, s1 = sin_phi, sin_phi[lay.nxt]
@@ -483,16 +501,10 @@ def _return_maps(frame: BoundaryFrame, orbits) -> np.ndarray:
     steps[:, 1, 0] = k0c * k1c * tau - k0c * s1 - k1c * s0
     steps[:, 1, 1] = k1c * tau - s1
     steps /= s1[:, None, None]
-    # log2(max q) batched passes; ``count`` is each orbit's number of matrices left
-    count = lay.qs
-    while len(steps) > len(count):
-        pos = np.arange(len(steps)) - np.repeat(np.cumsum(count) - count, count)
-        head = pos % 2 == 0  # the first matrix of a pair, or an odd last one carried
-        pair = (pos + 1 < np.repeat(count, count))[head]
-        k = np.flatnonzero(head)[pair]
+    for head, pair, k in lay.tree:  # log2(max q) batched passes
         merged = steps[head]
         merged[pair] = steps[k + 1] @ steps[k]
-        steps, count = merged, (count + 1) // 2
+        steps = merged
     return steps
 
 
@@ -679,6 +691,8 @@ class AlphaBetaFit:
     mu(x_q^k) - 1) on each orbit's own grid; `alpha`/`beta` are the Richardson
     limits from the two finest ladder rungs, tabulated on the second-finest
     grid, with sine/cosine coefficients against sin(2 pi j x), cos(2 pi j x).
+    The diagnostics (parity and per-rung residuals, log-log slopes) are
+    computed when first read.
     """
 
     qs: tuple
@@ -689,16 +703,34 @@ class AlphaBetaFit:
     beta: np.ndarray
     alpha_sine: np.ndarray
     beta_cos: np.ndarray
-    alpha_parity_residual: float
-    beta_parity_residual: float
-    alpha_residuals: dict
-    beta_residuals: dict
-    alpha_slope: float
-    beta_slope: float
 
     @property
     def beta0(self) -> float:
         return float(self.beta_cos[0])
+
+    alpha_parity_residual = cached_property(lambda self: self._parity(self.alpha, -1.0))
+    beta_parity_residual = cached_property(lambda self: self._parity(self.beta, 1.0))
+    alpha_residuals = cached_property(lambda self: self._rungs(self.alpha_hat, self.alpha))
+    beta_residuals = cached_property(lambda self: self._rungs(self.beta_hat, self.beta))
+    alpha_slope = cached_property(lambda self: self._slope(self.alpha_residuals))
+    beta_slope = cached_property(lambda self: self._slope(self.beta_residuals))
+
+    def _parity(self, limit, sign) -> float:  # max |limit(x) - sign limit(-x)| on the grid
+        q_fit = len(self.grid)
+        return float(np.max(np.abs(limit - sign * limit[(q_fit - np.arange(q_fit)) % q_fit])))
+
+    def _rungs(self, hat, limit) -> dict:  # per rung q, max |hat - limit| / q^2 on the grid
+        q_fit, out = len(self.grid), {}
+        for q in self.qs:
+            sub = q // np.gcd(q, q_fit)            # orbit indices landing on the fit grid
+            take = np.arange(0, q, sub) if sub > 1 else np.arange(q)
+            pts = (take / q * q_fit).round().astype(int) % q_fit
+            out[q] = float(np.max(np.abs(hat[q][take] - limit[pts])) / q**2)
+        return out
+
+    def _slope(self, residuals) -> float:  # of log residual against log q over the rungs
+        logq = np.log(np.array(self.qs, dtype=float))
+        return float(np.polyfit(logq, np.log([max(residuals[q], 1e-300) for q in self.qs]), 1)[0])
 
 
 def fit_alpha_beta(chart: LazutkinChart, orbits: Mapping[int, PeriodicOrbit]) -> AlphaBetaFit:
@@ -711,8 +743,8 @@ def fit_alpha_beta(chart: LazutkinChart, orbits: Mapping[int, PeriodicOrbit]) ->
             raise ValueError("ladder periods must divide each other (use a dyadic ladder)")
 
     alpha_hat, beta_hat = {}, {}
-    # the weight at every rung's bounces in one evaluation
-    mus = np.split(chart.mu_of_theta(np.concatenate([orbits[q].theta for q in qs])),
+    # the weight at every rung's bounces in one evaluation, from the orbits' curvature
+    mus = np.split(chart.mu_of_kappa(np.concatenate([orbits[q].kappa for q in qs])),
                    np.cumsum(qs[:-1]))
     for q, mu in zip(qs, mus):
         orb = orbits[q]
@@ -725,11 +757,6 @@ def fit_alpha_beta(chart: LazutkinChart, orbits: Mapping[int, PeriodicOrbit]) ->
     wa, wb = q_top**2, q_fit**2
     alpha = (wa * alpha_hat[q_top][::stride] - wb * alpha_hat[q_fit]) / (wa - wb)
     beta = (wa * beta_hat[q_top][::stride] - wb * beta_hat[q_fit]) / (wa - wb)
-    grid = np.arange(q_fit) / q_fit
-
-    mirror = (q_fit - np.arange(q_fit)) % q_fit
-    alpha_parity = float(np.max(np.abs(alpha + alpha[mirror])))
-    beta_parity = float(np.max(np.abs(beta - beta[mirror])))
 
     spec_a = np.fft.rfft(alpha) / q_fit
     spec_b = np.fft.rfft(beta) / q_fit
@@ -738,31 +765,6 @@ def fit_alpha_beta(chart: LazutkinChart, orbits: Mapping[int, PeriodicOrbit]) ->
     beta_cos = 2.0 * spec_b.real
     beta_cos[0] = spec_b[0].real
 
-    alpha_res, beta_res = {}, {}
-    for q in qs:
-        sub = q // np.gcd(q, q_fit)            # orbit indices landing on the fit grid
-        take = np.arange(0, q, sub) if sub > 1 else np.arange(q)
-        pts = (take / q * q_fit).round().astype(int) % q_fit
-        alpha_res[q] = float(np.max(np.abs(alpha_hat[q][take] - alpha[pts])) / q**2)
-        beta_res[q] = float(np.max(np.abs(beta_hat[q][take] - beta[pts])) / q**2)
-
-    logq = np.log(np.array(qs, dtype=float))
-    slope_a = float(np.polyfit(logq, np.log([max(alpha_res[q], 1e-300) for q in qs]), 1)[0])
-    slope_b = float(np.polyfit(logq, np.log([max(beta_res[q], 1e-300) for q in qs]), 1)[0])
-
-    return AlphaBetaFit(
-        qs=qs,
-        grid=grid,
-        alpha_hat=alpha_hat,
-        beta_hat=beta_hat,
-        alpha=alpha,
-        beta=beta,
-        alpha_sine=alpha_sine,
-        beta_cos=beta_cos,
-        alpha_parity_residual=alpha_parity,
-        beta_parity_residual=beta_parity,
-        alpha_residuals=alpha_res,
-        beta_residuals=beta_res,
-        alpha_slope=slope_a,
-        beta_slope=slope_b,
-    )
+    return AlphaBetaFit(qs=qs, grid=np.arange(q_fit) / q_fit, alpha_hat=alpha_hat,
+                        beta_hat=beta_hat, alpha=alpha, beta=beta, alpha_sine=alpha_sine,
+                        beta_cos=beta_cos)

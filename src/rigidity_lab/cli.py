@@ -149,20 +149,14 @@ def cmd_orbits(args) -> int:
     qs = sorted(set(range(2, args.q_max + 1)) | set(args.q_ladder or []))
     orbits = billiards.compute_orbits(frame, qs)
     rep = billiards.genericity_report(frame, orbits)  # every return map in one pass
-    cols = {k: [] for k in ("q", "k", "theta_k", "sigma_k", "x_k", "phi_k",
-                            "length", "poincare_trace", "nondegenerate")}
-    for q in qs:
-        orb = orbits[q]
-        for k in range(q):
-            cols["q"].append(q)
-            cols["k"].append(k)
-            cols["theta_k"].append(orb.theta[k])
-            cols["sigma_k"].append(orb.sigma[k])
-            cols["x_k"].append(orb.x[k])
-            cols["phi_k"].append(orb.phi[k])
-            cols["length"].append(orb.length)
-            cols["poincare_trace"].append(rep.traces[q])
-            cols["nondegenerate"].append(float(rep.nondegenerate[q]))
+    bounces = lambda field: np.concatenate([getattr(orbits[q], field) for q in qs])
+    per_orbit = lambda values: np.repeat(values, qs)
+    theta = bounces("theta")
+    cols = {"q": per_orbit(qs), "k": np.concatenate([np.arange(q) for q in qs]),
+            "theta_k": theta, "sigma_k": frame.chart.sigma_of_theta(theta), "x_k": bounces("x"),
+            "phi_k": bounces("phi"), "length": per_orbit([orbits[q].length for q in qs]),
+            "poincare_trace": per_orbit([rep.traces[q] for q in qs]),
+            "nondegenerate": per_orbit([rep.nondegenerate[q] for q in qs])}
     path = _out_path(args, "orbits.csv")
     _write_text(path, _csv_text(cols))
     print(f"wrote {path} ({len(qs)} orbits)")

@@ -37,6 +37,10 @@ class NotContractiveError(RigidityError):
     """Inversion requested without a passing contraction certificate."""
 
 
+class SingularBlockError(RigidityError):
+    """The square block to invert is singular."""
+
+
 class ResidualTooLargeError(RigidityError):
     """Recovered coefficients do not reproduce the supplied data."""
 

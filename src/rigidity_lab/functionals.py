@@ -158,7 +158,7 @@ def bounce_sums(u, orbits: Sequence[PeriodicOrbit]) -> np.ndarray:
 def script_L_q(u, orbit: PeriodicOrbit, chart: LazutkinChart) -> float:
     """Bounce sum of u weighted by mu/(q^2 sin phi); tends to the mean of u."""
     sin_phi, _ = guarded_sin_phi([orbit])
-    mu = chart.mu_of_theta(orbit.theta)
+    mu = chart.mu_of_kappa(orbit.kappa)
     return float(np.sum(u(orbit.x) * mu / sin_phi) / orbit.q**2)
 
 

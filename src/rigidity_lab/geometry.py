@@ -82,10 +82,10 @@ class DomainProfile:
                 r2 = r2 - (n * (n * a)) * cos[n]  # not n^2 a: rounds as a per-mode (a n) n
         return r, r1, r2, cos[1], sin[1]
 
-    def point_jet(self, theta):
+    def point_jet(self, theta, curvature: bool = False):
         """Position ``(center_offset + r cos theta, r sin theta)``, velocity and
         acceleration in theta, each an ``(x, y)`` pair of what `jet` returns
-        (Python floats for a scalar theta).
+        (Python floats for a scalar theta); ``curvature=True`` appends `curvature`'s value.
         """
         r, r1, r2, c, s = self.jet(theta)
         rc, rs = r * c, r * s
@@ -93,7 +93,7 @@ class DomainProfile:
         pos = (self.center_offset + rc, rs)
         vel = (r1 * c - rs, r1 * s + rc)
         acc = (a * c - b * s, a * s + b * c)
-        return pos, vel, acc
+        return (pos, vel, acc) + ((_speed_curvature(r, r1, r2)[1],) if curvature else ())
 
     def position(self, theta):
         """Boundary point(s) as (..., 2) array, marked point at the origin."""
@@ -180,14 +180,15 @@ def _standard_chop(coeffs) -> int:
     if envelope[0] == 0.0:
         return 1
     envelope = envelope / envelope[0]
-    for j in range(2, n + 1):
-        j2 = int(np.floor(1.25 * j + 5.5))  # round half up
-        if j2 > n:
-            return n
-        e1, e2 = envelope[j - 1], envelope[j2 - 1]
-        if e1 == 0.0 or e2 / e1 > 3.0 * (1.0 - np.log(e1) / np.log(tol)):
-            plateau = j - 1
-            break
+    j = np.arange(2, n + 1)  # the plateau test at every j whose partner j2 is in range
+    j2 = np.floor(1.25 * j + 5.5).astype(int)  # round half up
+    j, j2 = j[j2 <= n], j2[j2 <= n]
+    e1, e2 = envelope[j - 1], envelope[j2 - 1]
+    with np.errstate(divide="ignore", invalid="ignore"):  # e1 = 0 passes by its own test
+        found = np.flatnonzero((e1 == 0.0) | (e2 / e1 > 3.0 * (1.0 - np.log(e1) / np.log(tol))))
+    if not found.size:
+        return n
+    plateau, j2 = int(j[found[0]]) - 1, int(j2[found[0]])
     if envelope[plateau - 1] == 0.0:
         return plateau
     floor = tol ** (7.0 / 6.0)
@@ -270,7 +271,7 @@ class LazutkinChart:
         self.lazutkin_const = float(1.0 / (self._density_series.mean * TWO_PI))
 
         # the grid table: the frame's columns and the inverse map's Newton start
-        self.theta_grid, self.kappa_grid, self.mu_grid = theta, kappa, self._mu(kappa)
+        self.theta_grid, self.kappa_grid, self.mu_grid = theta, kappa, self.mu_of_kappa(kappa)
         self.sigma_grid = self.sigma_of_theta(theta)
         self.x_grid = self.x_of_theta(theta)
 
@@ -321,11 +322,11 @@ class LazutkinChart:
 
     # -- weight ----------------------------------------------------------
 
-    def _mu(self, kappa):
+    def mu_of_kappa(self, kappa):
         return kappa ** (1.0 / 3.0) / (2.0 * self.lazutkin_const)
 
     def mu_of_theta(self, theta):
-        return self._mu(self.profile.curvature(theta))
+        return self.mu_of_kappa(self.profile.curvature(theta))
 
     @property
     def mu_at_marked(self) -> float:
@@ -348,7 +349,7 @@ class LazutkinChart:
 
     @cached_property
     def mu_at_x_nodes(self) -> np.ndarray:
-        return self._mu(self.kappa_at_x_nodes)
+        return self.mu_of_kappa(self.kappa_at_x_nodes)
 
     @cached_property
     def dsigma_dx_at_x_nodes(self) -> np.ndarray:

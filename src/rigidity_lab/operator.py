@@ -9,7 +9,7 @@ the truncated inverse problem is well posed, and the Neumann series built
 on it is the reconstruction engine. The layer solves no orbit: its callers
 pass one `assemble_T` and the ladder fit to `contraction_certificate`, and
 gate `neumann_invert`, which always sums ``order`` terms, on its result.
-It and `lstsq_invert` solve on plain arrays shaped like the right-hand side.
+It and `lstsq_invert` (an LU cross-check) solve on arrays shaped like the right-hand side.
 
 The weighted operator norm is ``sup_q sum_j q^gamma j^(-gamma) |T_qj|``
 over labels q, j >= 1; rows with divisor structure get their j > J tails
@@ -19,6 +19,7 @@ Euler-Maclaurin sum (DLMF 25.11; Johansson, Numer. Algorithms 2015).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Mapping
@@ -26,7 +27,8 @@ from typing import Mapping
 import numpy as np
 
 from .billiards import AlphaBetaFit, PeriodicOrbit, guarded_sin_phi
-from .functionals import sigma_p, tilde_sigma_table
+from .errors import SingularBlockError
+from .functionals import sigma_p, tilde_sigma_table  # sigma_p unread: perfbench/spans.py wraps it
 from .geometry import TWO_PI, BoundaryFrame, LazutkinChart, closeness_report, harmonics
 
 #: B_2j / (2j)! for j = 1..10, the Euler-Maclaurin weights through B_20
@@ -66,6 +68,14 @@ def hurwitz_zeta(s: float, a):
 
 
 ZETA3 = 1.2020569031595942  # zeta(3), correctly rounded
+
+#: y/sin y = sum c_k y^(2k), |y| < pi, c_k = 2 eta(2k) pi^(-2k) > 0 by one triangular Toeplitz
+#: solve of (sin y/y)(y/sin y) = 1, on first use (LAPACK at import adds ~1 MB to every process's
+#: RSS); a 2^-60 tail at (max mu/(q pi))^2 = 9/16 (q=2, |mu-pi|=pi/2)
+_SERIES_REACH = 9.0 / 16.0
+_k = np.arange(math.ceil(60 * math.log(2.0) / -math.log(_SERIES_REACH)) + 1)
+_y_over_sin_y = functools.cache(lambda: np.linalg.solve(np.tril(((-1.0) ** _k / np.cumprod(
+    np.maximum(2.0 * _k * (2 * _k + 1), 1.0)))[np.abs(_k[:, None] - _k)]), 1.0 * (_k == 0)))
 
 #: remainder-norm constant, calibrated as max over an a_2 sweep
 #: {0.005, 0.01, 0.02} of (weighted remainder norm)/(C0 weight offset),
@@ -113,8 +123,8 @@ def assemble_T(
     Entries are exact functional evaluations on the computed orbits: row 0
     is the mean functional (delta_{j0}), row 1 the marked-point row (all
     ones), and row q the bounce sum weighted by mu/(q^2 sin phi). All periods
-    are evaluated in one pass over their concatenated bounces (one weight
-    evaluation, one cosine table by `harmonics`), split with ``np.add.reduceat``.
+    are evaluated in one pass over their concatenated bounces (the weight of
+    their ``kappa``, one cosine table by `harmonics`), split with ``np.add.reduceat``.
     A grazing bounce raises (`billiards.guarded_sin_phi`).
     """
     qs = [q for q in sorted(orbits) if 2 <= q <= params.Q]
@@ -126,7 +136,7 @@ def assemble_T(
         orbs = [orbits[q] for q in qs]
         sin_phi, starts = guarded_sin_phi(orbs)
         q = np.repeat(qs, qs)  # a period-q orbit has q bounces
-        w = chart.mu_of_theta(np.concatenate([orb.theta for orb in orbs])) / (sin_phi * q * q)
+        w = chart.mu_of_kappa(np.concatenate([orb.kappa for orb in orbs])) / (sin_phi * q * q)
         cos = np.stack(harmonics(TWO_PI * np.concatenate([orb.x for orb in orbs]), len(cols))[0])
         entries[2:] = np.add.reduceat(cos * w, starts, axis=1).T
     return OperatorMatrix(entries=entries, row_q=np.array([0, 1] + qs), col_j=cols)
@@ -161,11 +171,33 @@ def script_L_star_star_table(chart: LazutkinChart, fit: AlphaBetaFit, jmax: int)
     return tilde_sigma_table(chart, jmax).real - (beta + np.pi * j * alpha)
 
 
+def angle_correction_mean(chart: LazutkinChart, qs) -> np.ndarray:
+    """sigma_0(q), the mean of ``S_q = y/sin y - 1`` at ``y = mu/q`` over the x nodes, per q
+    (`functionals.sigma_p` at frequency 0, there by a transform).
+
+    The series ``sum_k c_k M_k q^(-2k)`` in the moments ``M_k = mean(mu^(2k))`` of one
+    running power. Term k is below ``2 (max mu / (q pi))^(2k)``, which sets the term
+    count at the smallest q; a table beyond the series' reach raises ValueError.
+    """
+    qs = np.asarray(qs, dtype=int)
+    mu2, q_min = chart.mu_at_x_nodes ** 2, qs.min(initial=2)  # no periods, nothing to sum
+    ratio = float(np.max(mu2)) / (np.pi * q_min) ** 2
+    if not ratio <= _SERIES_REACH:
+        raise ValueError(f"the angle correction at q={q_min} has max mu/q = "
+                         f"{np.sqrt(ratio) * np.pi:.6g}, beyond the reach 3 pi/4 of its series")
+    power, moments = np.ones_like(mu2), []
+    for _ in range(max(1, math.ceil(60 * math.log(2.0) / -math.log(ratio)))):
+        power *= mu2
+        moments.append(power.sum())
+    k = np.arange(1, len(moments) + 1)
+    return (1.0 / qs.astype(float)[:, None] ** 2) ** k @ (_y_over_sin_y()[k] * moments / len(mu2))
+
+
 def divisor_weight(chart: LazutkinChart, fit: AlphaBetaFit, qs) -> np.ndarray:
     """Weight ``1 + sigma_0(q) - beta_0/q^2`` of the divisor part on the multiples of each q,
-    with the means sigma_0 of all q in one batched transform."""
+    with sigma_0 from one moment pass (`angle_correction_mean`)."""
     qs = np.asarray(qs, dtype=int)
-    return 1.0 + sigma_p(chart, qs, 0).real - fit.beta0 / qs**2
+    return 1.0 + angle_correction_mean(chart, qs) - fit.beta0 / qs**2
 
 
 def assemble_T_star_R(
@@ -397,15 +429,20 @@ def neumann_invert(
     B = np.eye(n) - A
     w = np.zeros((order + 1,) + rhs.shape)  # w[k]: the sum of the first k terms
     for k in range(1, order + 1):
-        w[k] = rhs + B @ w[k - 1]
+        np.matmul(B, w[k - 1], out=w[k])
+        w[k] += rhs
     weighted = (np.abs(np.diff(w, axis=0)) * weights).max(axis=1)
     return w[order], NeumannInfo(iterations=order, weighted_update_norms=weighted)
 
 
 def lstsq_invert(T_star_R: OperatorMatrix, rhs) -> np.ndarray:
-    """Direct least-squares solve of the same square system, for cross-checks.
+    """Direct LU solve of the same square system, for cross-checks.
 
     The coefficients 1..n come shaped like ``rhs``; an (n, m) right-hand side
-    is solved in one call.
+    is solved in one call. A singular block, which only an overridden
+    certificate lets through, raises SingularBlockError.
     """
-    return np.linalg.lstsq(T_star_R.entries, np.asarray(rhs, dtype=float), rcond=None)[0]
+    try:
+        return np.linalg.solve(T_star_R.entries, np.asarray(rhs, dtype=float))
+    except np.linalg.LinAlgError as exc:
+        raise SingularBlockError(f"the square block is singular: {exc}") from None

@@ -14,7 +14,7 @@ contraction certificate, the square block, the full-depth rows and the solves
 of the K-independent right-hand side b*), and `RecoveryPlan.solve_many` does
 the K-dependent rest for a batch of K at once: their right-hand sides are the
 columns of one matrix, inverted by one Neumann series and cross-checked by one
-lstsq call (both return plain arrays), then projected and gated per K.
+direct solve (both return plain arrays), then projected and gated per K.
 `RecoveryPlan.solve` is the batch of one and `recover_robin` a one-shot plan;
 `rigidity_suite` synthesizes the data of all K of a domain in one batch and
 inverts them with one `solve_many`.
@@ -100,6 +100,8 @@ class RecoveryPlan:
         options: RecoveryOptions | None = None,
     ):
         opt = options or RecoveryOptions()
+        if not opt.residual_tol >= 0.0:  # NaN included; inf gates nothing and is allowed
+            raise ValueError(f"residual tolerance must be >= 0, got {opt.residual_tol}")
         n = opt.jmax if opt.jmax is not None else max(8, min(q_max - 4, 16))
         if n > q_max:
             raise ValueError(f"square block size {n} exceeds data depth q_max={q_max}")
@@ -149,7 +151,7 @@ class RecoveryPlan:
 
         The pairs share every solve: their right-hand sides are the columns of
         one (n, m) matrix, inverted by one Neumann series and cross-checked by
-        one lstsq call. Every input is validated before any work starts, down to
+        one direct solve. Every input is validated before any work starts, down to
         the periods the plan reads (2..n and the held-out rows) being present in
         ``provenance["orbit_periods"]``. The residual gate and the finiteness of
         every reported value are checked per pair; the first failing pair raises.
@@ -183,7 +185,7 @@ class RecoveryPlan:
         g[0] = K0 / mu0 - v0
         g[1:] = d[:, qs].T / qs[:, None] ** 2 - np.outer(self.col0, v0)
 
-        # the Neumann solve of g is the certified audit; lstsq cross-checks it
+        # the Neumann solve of g is the certified audit; a direct solve cross-checks it
         w_g = neumann_invert(A, g, order=opt.neumann_order, gamma=opt.gamma)[0].T
         lam = (w_g @ lss) / (1.0 + float(lss @ self.w_b))
         w = w_g - np.outer(lam, self.w_b)

@@ -562,6 +562,33 @@ def test_return_maps_equal_per_orbit_trees(coeffs):
         assert np.array_equal(billiards.linearized_poincare(frame, orbit).matrix, expect)
 
 
+@pytest.mark.parametrize("coeffs", [(), (0.0, 0.0, 0.01), (0.0, 0.0, 0.01, 0.0, 0.002)])
+def test_orbit_kappa_is_the_boundary_curvature(coeffs):
+    """Each orbit keeps the curvature at its bounces from the solution's one jet, bit
+    for bit what `DomainProfile.curvature` gives there."""
+    frame = _frame(coeffs, 2048)
+    for orbit in billiards.compute_orbits(frame, (2, 3, 5, 8, 17, 48, 64, 1024)).values():
+        assert np.array_equal(orbit.kappa, frame.profile.curvature(orbit.theta))
+
+
+def test_orbit_readers_evaluate_no_boundary_point(perturbed_frame, perturbed_orbits,
+                                                  monkeypatch):
+    """Given orbits, the return maps, the T assembly, the ladder fit and the weighted
+    bounce sums read each orbit's kappa: not one `DomainProfile.jet` call."""
+    jet, calls = geometry.DomainProfile.jet, []
+    monkeypatch.setattr(geometry.DomainProfile, "jet",
+                        lambda self, theta: calls.append(np.size(theta)) or jet(self, theta))
+    chart, orbits = perturbed_frame.chart, {q: perturbed_orbits[q] for q in range(2, 17)}
+    billiards.genericity_report(perturbed_frame, orbits)
+    billiards.linearized_poincare(perturbed_frame, orbits[5])
+    op.assemble_T(chart, orbits, op.GammaSpaceParams(J=8, Q=16))
+    billiards.fit_alpha_beta(chart, {q: perturbed_orbits[q] for q in LADDER})
+    fn.script_L_q(fn.CosineSeries([1.0, 0.5]), orbits[5], chart)
+    assert calls == []
+    billiards.compute_orbits(perturbed_frame, [5])  # the solve itself does evaluate
+    assert calls
+
+
 def _assert_same_orbit(got, expect):
     for field in dataclasses.fields(billiards.PeriodicOrbit):
         a, b = getattr(got, field.name), getattr(expect, field.name)
@@ -704,7 +731,7 @@ def test_poincare_against_finite_difference_oracle(perturbed_frame, perturbed_or
         phi_out = np.arctan2(t1[0] * d[1] - t1[1] * d[0], t1 @ d)
         return np.array([s_out, phi_out])
 
-    s0, phi0 = float(orb.sigma[0]), float(orb.phi[0])
+    s0, phi0 = float(chart.sigma_of_theta(orb.theta)[0]), float(orb.phi[0])
     h = 1e-6
     jac = np.zeros((2, 2))
     jac[:, 0] = (composed(s0 + h, phi0) - composed(s0 - h, phi0)) / (2 * h)
@@ -842,6 +869,18 @@ def test_fit_parity_and_decay(perturbed_fit):
     # corrections are small together with the domain perturbation
     assert np.max(np.abs(fit.alpha)) < 0.05
     assert np.max(np.abs(fit.beta)) < 0.2
+
+
+def test_fit_diagnostics_are_computed_when_read(perturbed_frame, perturbed_orbits):
+    """A plan reads only the fit's limits; its diagnostics wait until first read and
+    are then kept."""
+    fit = billiards.fit_alpha_beta(perturbed_frame.chart, {q: perturbed_orbits[q] for q in LADDER})
+    names = ("alpha_parity_residual", "beta_parity_residual", "alpha_residuals",
+             "beta_residuals", "alpha_slope", "beta_slope")
+    assert not set(names) & set(vars(fit))
+    values = [getattr(fit, name) for name in names]
+    assert set(names) <= set(vars(fit))
+    assert [getattr(fit, name) for name in names] == values
 
 
 def test_fit_residuals_shrink_along_ladder(perturbed_fit):

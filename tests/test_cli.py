@@ -318,6 +318,26 @@ def test_negative_neumann_order_is_an_error_not_a_traceback(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("tol", ["nan", "-1"])
+def test_nan_or_negative_tolerance_is_refused_by_name(tmp_path, capsys, tol):
+    """No residual meets a NaN or negative tolerance: that is a bad setting, refused
+    as one, not consistent data blamed as inconsistent."""
+    inv = tmp_path / "inv"
+    assert run(["invariants", "--coeffs", "0,0,0.01", "--robin-coeffs", "0,-1,1",
+                "--out", str(inv)]) == 0
+    out = tmp_path / "out"
+    capsys.readouterr()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code = run(["reconstruct", "--coeffs", "0,0,0.01", "--data", str(inv / "invariants.json"),
+                    "--k0", "0", "--tol", tol, "--out", str(out)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: residual tolerance must be >= 0, got ")
+    assert "inconsistent" not in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("domain", [["--coeffs", "0,0,0.01"], ["--epsilon", "0"]])
 @pytest.mark.parametrize("value", ["-10", "nan"])
 def test_c_constant_must_be_finite_and_nonnegative(tmp_path, capsys, domain, value):

@@ -130,7 +130,7 @@ def test_bounce_sums_match_per_orbit_loop(domain, request, a5_orbits, rng):
 def test_bounce_sums_grazing_guard_names_the_period(circle_orbits):
     orb = circle_orbits[3]
     hacked = billiards.PeriodicOrbit(
-        q=3, theta=orb.theta, sigma=orb.sigma, x=orb.x, phi=orb.phi,
+        q=3, theta=orb.theta, x=orb.x, phi=orb.phi, kappa=orb.kappa,
         sin_phi=np.array([1.0, 1e-12, 1.0]), chords=orb.chords, length=orb.length,
         reflection_residual=0.0, gradient_residual=0.0, iterations=0,
     )

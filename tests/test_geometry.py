@@ -379,6 +379,57 @@ def test_inverse_from_table_start_property(table, xs):
     assert len(evaluations) <= 3
 
 
+def _plateau_scan(envelope, tol):
+    """The scalar plateau scan of Aurentz & Trefethen: (plateau, j2), or None past the end."""
+    n = len(envelope)
+    for j in range(2, n + 1):
+        j2 = int(np.floor(1.25 * j + 5.5))
+        if j2 > n:
+            return None
+        e1, e2 = envelope[j - 1], envelope[j2 - 1]
+        if e1 == 0.0 or e2 / e1 > 3.0 * (1.0 - np.log(e1) / np.log(tol)):
+            return j - 1, j2
+
+
+def _chop_by_scalar_scan(coeffs):
+    tol = np.finfo(float).eps
+    n = len(coeffs)
+    if n < 17:
+        return n
+    envelope = np.maximum.accumulate(np.abs(coeffs)[::-1])[::-1]
+    if envelope[0] == 0.0:
+        return 1
+    envelope = envelope / envelope[0]
+    found = _plateau_scan(envelope, tol)
+    if found is None:
+        return n
+    plateau, j2 = found
+    if envelope[plateau - 1] == 0.0:
+        return plateau
+    floor = tol ** (7.0 / 6.0)
+    j3 = int(np.sum(envelope >= floor))
+    if j3 < j2:
+        j2 = j3 + 1
+        envelope[j2 - 1] = floor
+    biased = np.log10(envelope[:j2]) + np.linspace(0.0, -np.log10(tol) / 3.0, j2)
+    return max(int(np.argmin(biased)), 1)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(17, 400), st.floats(0.05, 0.999), st.integers(-20, -8),
+       st.integers(0, 2**32 - 1), st.booleans())
+def test_standard_chop_matches_the_scalar_plateau_scan(n, rate, noise, seed, zero_tail):
+    """The plateau test runs on every j at once and keeps the first hit: the same
+    cut as the scan from j = 2, on decaying spectra with a noise floor or zeros."""
+    rng = np.random.default_rng(seed)
+    k = np.arange(n)
+    coeffs = rate ** k * (1.0 + 0.1 * rng.standard_normal(n))
+    coeffs += 10.0 ** noise * rng.standard_normal(n)
+    if zero_tail:
+        coeffs[rng.integers(1, n):] = 0.0
+    assert geometry._standard_chop(coeffs) == _chop_by_scalar_scan(coeffs.copy())
+
+
 def test_standard_chop_plateau_rules():
     k = np.arange(200)
     noisy = 0.5**k + 1e-16 * np.random.default_rng(0).standard_normal(200)

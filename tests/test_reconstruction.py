@@ -175,6 +175,17 @@ def test_nan_residual_fails_strict_gate(perturbed_frame, perturbed_orbits, pertu
             plan.solve(data, 0.0)
 
 
+@pytest.mark.parametrize("tol", [np.nan, -1.0, -np.inf])
+def test_plan_refuses_a_tolerance_no_residual_meets(perturbed_frame, perturbed_orbits, tol,
+                                                   monkeypatch):
+    """A NaN or negative residual tolerance is refused by name before any assembly."""
+    assembled = _count_calls(monkeypatch, op, "assemble_T")
+    with pytest.raises(ValueError, match="residual tolerance must be >= 0"):
+        rec.RecoveryPlan(perturbed_frame, perturbed_frame.chart, perturbed_orbits, 16,
+                         rec.RecoveryOptions(residual_tol=tol))
+    assert assembled == []
+
+
 def test_gappy_vector_is_refused_where_the_plan_reads_a_gap(perturbed_frame, perturbed_orbits,
                                                             perturbed_plan, rng):
     """A vector synthesized on 2..9 plus 16 reads 0 at 10..15: the plan, which reads

@@ -309,7 +309,7 @@ def test_build_trace_data_is_robin_data_with_its_heat(perturbed_frame, perturbed
 def test_grazing_angle_guard(circle_frame, circle_orbits):
     orb = circle_orbits[3]
     hacked = billiards.PeriodicOrbit(
-        q=orb.q, theta=orb.theta, sigma=orb.sigma, x=orb.x, phi=orb.phi,
+        q=orb.q, theta=orb.theta, x=orb.x, phi=orb.phi, kappa=orb.kappa,
         sin_phi=np.array([1e-12, 1.0, 1.0]), chords=orb.chords, length=orb.length,
         reflection_residual=0.0, gradient_residual=0.0, iterations=0,
     )
