@@ -9,7 +9,7 @@ bounces are slaved, and for even q the antipodal axis bounce is pinned).
 O(sum q) with no dense matrix:
 
 - it starts from the Lazutkin points ``x = k/q``, which the orbit misses by
-  O(q^-2), interpolated in the frame's own (x, theta) table;
+  O(q^-2), interpolated in the chart's own (x, theta) grid table;
 - each reduced Hessian is a tridiagonal band; with zero couplings between
   periods one LDL^T (Thomas) pass gives every period's Newton step, and the
   line search and stop run per period on masks, so each period takes the
@@ -27,8 +27,8 @@ O(sum q) with no dense matrix:
 The linearized return maps of many orbits come from one pass
 (`_return_maps`): one stack of transfer matrices over all bounces and one
 segmented pairwise product tree (planned once per period layout), each
-orbit's product associated as it would be alone. `genericity_report`, the
-CLI's `orbits` table and `linearized_poincare` (a batch of one) read it.
+orbit's product associated as it would be alone. `genericity_report` reads
+their traces, and the CLI's `orbits` table reads the report.
 
 Every division by an orbit's ``sin phi`` (the return maps here; the bounce
 sums, `script_L_q` and the T assembly downstream) reads it through one
@@ -67,7 +67,8 @@ MAX_NEWTON_ITER = 60
 HESSIAN_POS_TOL = 1e-8
 MAX_SHOOT_ITER = 100  # bisection alone needs ~50 steps from (0, 2 pi) to 1e-14
 
-#: a return map with |trace - 2| at or below this has a unit eigenvalue
+#: a return map with |trace - 2| at or below this has a unit eigenvalue: an area-preserving map
+#: has det(M - I) = 2 - trace, stable where the eigenvalues of a near-parabolic map are not
 UNIT_EIGEN_TOL = 1e-8
 
 #: dyadic periods whose orbits feed `fit_alpha_beta` in every pipeline
@@ -112,17 +113,6 @@ class PeriodicOrbit:
     gradient_residual: float
     iterations: int          # gradient checks until |grad| < tol
     final_step: float = 0.0  # size of the polishing Newton step taken after that
-
-
-@dataclass
-class PoincareData:
-    """Linearized q-bounce return map in (arclength, angle) variables."""
-
-    matrix: np.ndarray
-    eigenvalues: np.ndarray
-    trace: float
-    det: float
-    nondegenerate: bool
 
 
 class _Periods:
@@ -354,8 +344,8 @@ def _solve_offsets(frame, lay, tol, max_iter, failed):
     recorded in ``failed`` (q -> error) and drops out.
     """
     profile, n = frame.profile, len(lay.qs)
-    # Lazutkin start: x_q^k = k/q + O(q^-2), read off the frame's own table
-    s = np.interp(lay.j / lay.jq, frame.x, frame.theta) - MARKED_THETA
+    # Lazutkin start: x_q^k = k/q + O(q^-2), read off the chart's grid table
+    s = np.interp(lay.j / lay.jq, frame.chart.x_grid, frame.chart.theta_grid) - MARKED_THETA
     live, _, _, gr, d, e = _evaluate(profile, lay, lay.half > 0, s, failed)
     iterations, final_step = np.zeros(n, dtype=int), np.zeros(n)
     for it in range(1, max_iter + 1):
@@ -477,14 +467,14 @@ def maximal_marked_orbit(
 # -- linearized return map ----------------------------------------------------
 
 
-def _return_maps(frame: BoundaryFrame, orbits) -> np.ndarray:
+def _return_maps(orbits) -> np.ndarray:
     """Linearized return maps of ``orbits``, a (P, 2, 2) stack, in one pass.
 
     The bounces of all orbits are laid end to end: one stack of per-bounce transfer
-    matrices in (arclength, angle) variables from the orbits' ``kappa`` (the frame is
-    not read), and one segmented pairwise product tree (`_Periods.tree`), whose levels
-    pair each orbit's matrices (0, 1), (2, 3), ... and carry an odd last one, so each
-    product is step[q-1] @ ... @ step[0] as for the orbit alone. A grazing bounce raises.
+    matrices in (arclength, angle) variables from the orbits' ``kappa``, and one
+    segmented pairwise product tree (`_Periods.tree`), whose levels pair each orbit's
+    matrices (0, 1), (2, 3), ... and carry an odd last one, so each product is
+    step[q-1] @ ... @ step[0] as for the orbit alone. A grazing bounce raises.
     """
     if not orbits:
         return np.empty((0, 2, 2))
@@ -506,22 +496,6 @@ def _return_maps(frame: BoundaryFrame, orbits) -> np.ndarray:
         merged[pair] = steps[k + 1] @ steps[k]
         steps = merged
     return steps
-
-
-def linearized_poincare(frame: BoundaryFrame, orbit: PeriodicOrbit) -> PoincareData:
-    """Product of per-bounce transfer matrices in (arclength, angle) variables."""
-    mat = _return_maps(frame, [orbit])[0]
-    eig = np.linalg.eigvals(mat)
-    trace = float(np.trace(mat))
-    # unit eigenvalue of an area-preserving map <=> det(M - I) = 2 - trace = 0;
-    # the trace is stable where the eigenvalues of a near-parabolic map are not
-    return PoincareData(
-        matrix=mat,
-        eigenvalues=eig,
-        trace=trace,
-        det=float(np.linalg.det(mat)),
-        nondegenerate=bool(abs(trace - 2.0) > UNIT_EIGEN_TOL),
-    )
 
 
 # -- geometric shooting map (independent of the variational solver) -----------
@@ -654,6 +628,8 @@ def genericity_report(
 ) -> GenericityReport:
     """Length gaps and return-map traces of ``orbits``, the maps from one `_return_maps` pass.
 
+    ``frame`` is not read; it stays first because callers pass it by position.
+
     ``min_length_gap`` is the smallest ``|length_a - length_b|`` over pairs of
     periods, found between neighbours in length order; ``closest_pair`` is
     the first pair ``(qa, qb)``, qa < qb, in ascending order that attains it.
@@ -671,7 +647,7 @@ def genericity_report(
         while j < len(ell) and ell[j] - ell[i] <= gap:
             ties.append(tuple(sorted((order[i], order[j]))))
             j += 1
-    maps = _return_maps(frame, [orbits[q] for q in qs])
+    maps = _return_maps([orbits[q] for q in qs])
     traces = dict(zip(qs, (maps[:, 0, 0] + maps[:, 1, 1]).tolist()))
     return GenericityReport(
         qs=qs,

@@ -121,15 +121,15 @@ def cmd_domain(args) -> int:
         else:
             path = _out_path(args, "frame.csv")
             _write_text(path, _csv_text(frame.table()))
-        print(f"wrote {path} (N={n}, perimeter={frame.perimeter!r})")
+        print(f"wrote {path} (N={n}, perimeter={frame.chart.perimeter!r})")
     else:
         rep = geometry.closeness_report(frame)
         payload = {
             "eps": rep.eps,
             "eps_all": rep.eps_all,
             "derivative_sup": list(rep.derivative_sup),
-            "perimeter": frame.perimeter,
-            "lazutkin_const": frame.lazutkin_const,
+            "perimeter": frame.chart.perimeter,
+            "lazutkin_const": frame.chart.lazutkin_const,
         }
         path = _out_path(args, "closeness.json")
         _write_text(path, _json_text(payload))
@@ -217,10 +217,8 @@ def cmd_reconstruct(args) -> int:
     profile, n = _load_profile(args)
     frame = geometry.build_frame(profile, n)
     data = functionals.InvariantVector.load(args.data)
-    orbits = billiards.compute_orbits(
-        frame,
-        sorted(set(range(2, data.q_max + 1)) | set(billiards.LADDER)),
-    )
+    # the periods the data hold, each refused by name unless in 2..q_max, and the fit's rungs
+    orbits = billiards.compute_orbits(frame, sorted(set(data.periods) | set(billiards.LADDER)))
     options = reconstruction.RecoveryOptions(
         gamma=args.gamma,
         jmax=args.jmax,

@@ -2,9 +2,10 @@
 
 Reflection-symmetric boundary functions are stored as cosine series in the
 Lazutkin coordinate, ``u(x) = sum_j u_j cos(2 pi j x)``. The functionals
-come in two families: plain bounce sums of u/sin(phi), and the
-normalized sums weighted by ``mu/(q^2 sin(phi))`` whose large-q limit is
-the mean of u. Fourier data of the angle-correction function S_q feeds the
+are the plain bounce sums of u/sin(phi), which the invariant vector holds,
+and the normalized sum weighted by ``mu/(q^2 sin(phi))`` (`script_L_q`),
+whose large-q limit is the mean of u and whose rows `operator.assemble_T`
+batches. Fourier data of the angle-correction function S_q feeds the
 operator certificates.
 
 A ``CosineSeries`` holds one series or a batch of them: a coefficient matrix
@@ -24,7 +25,6 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .billiards import PeriodicOrbit, guarded_sin_phi
-from .errors import InsufficientLadderError
 from .geometry import TWO_PI, BoundaryFrame, LazutkinChart, float_list, harmonics, json_value
 
 
@@ -162,12 +162,6 @@ def script_L_q(u, orbit: PeriodicOrbit, chart: LazutkinChart) -> float:
     return float(np.sum(u(orbit.x) * mu / sin_phi) / orbit.q**2)
 
 
-def script_L_0(u, n_grid: int = 4096) -> float:
-    """Mean of u over one period of x (uniform-grid quadrature)."""
-    x = np.arange(n_grid) / n_grid
-    return float(np.mean(u(x)))
-
-
 # -- angle-correction function and its Fourier data ---------------------------
 
 
@@ -191,33 +185,6 @@ def sigma_p(chart: LazutkinChart, q, p: int):
 def tilde_sigma_table(chart: LazutkinChart, jmax: int) -> np.ndarray:
     """Fourier coefficients j = 0..jmax of mu^2/6, the q-independent limit of q^2 sigma_j(q)."""
     return _fourier_coeffs(chart.mu_at_x_nodes**2 / 6.0, jmax)
-
-
-# -- limit diagnostics ---------------------------------------------------------
-
-
-@dataclass
-class RiemannLimitReport:
-    qs: tuple
-    values: dict          # q -> script_L_q(u)
-    limit: float          # script_L_0(u)
-    diffs: dict           # q -> |value - limit|
-    decay_exponent: float # fitted slope of log|diff| vs log q, sign flipped
-
-
-def riemann_limit_check(u, orbits: Mapping[int, PeriodicOrbit], chart: LazutkinChart) -> RiemannLimitReport:
-    """Tabulate |L_q(u) - mean(u)| over a q ladder and fit its decay rate."""
-    qs = tuple(sorted(orbits))
-    if len(qs) < 3:
-        raise InsufficientLadderError(f"need at least 3 ladder periods, got {len(qs)}")
-    limit = script_L_0(u)
-    values = {q: script_L_q(u, orbits[q], chart) for q in qs}
-    diffs = {q: abs(values[q] - limit) for q in qs}
-    logq = np.log(np.array(qs, dtype=float))
-    logd = np.log(np.maximum([diffs[q] for q in qs], 1e-300))
-    slope = float(np.polyfit(logq, logd, 1)[0])
-    return RiemannLimitReport(qs=qs, values=values, limit=limit, diffs=diffs,
-                              decay_exponent=-slope)
 
 
 # -- invariant data vector -----------------------------------------------------
@@ -255,6 +222,20 @@ class InvariantVector:
             )
         if not (np.all(np.isfinite(self.d)) and np.isfinite(self.H0) and np.isfinite(self.H1)):
             raise ValueError("invariant vector entries d, H0 and H1 must be finite")
+
+    @property
+    def periods(self) -> tuple:
+        """The orbit periods the data hold, sorted: ``provenance["orbit_periods"]``, or
+        2..q_max where the key is absent. A period that is not an integer in 2..q_max
+        raises ValueError naming it."""
+        listed = json_value(self.provenance, "orbit_periods", float_list,
+                            list(range(2, self.q_max + 1)), "invariant vector provenance").tolist()
+        bad = [v for v in listed if not (v.is_integer() and 2 <= v <= self.q_max)]
+        if bad:
+            raise ValueError(f"invariant vector provenance key 'orbit_periods' holds "
+                             f"{[int(v) if v.is_integer() else v for v in bad]}, not periods "
+                             f"in 2..q_max={self.q_max}")
+        return tuple(sorted({int(v) for v in listed}))
 
     def to_json_dict(self) -> dict:
         return {

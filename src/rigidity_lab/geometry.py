@@ -19,10 +19,10 @@ evaluation costs the resolved bandwidth, a few dozen modes, whatever the
 grid size; it is summed by Horner's rule in one complex exponential per
 point, with no table of harmonics.
 
-The chart evaluates its uniform theta grid once: speed, curvature, weight,
-arclength and Lazutkin coordinate there are the frame's table, and the
-inverse map ``theta_of_x`` starts Newton from linear interpolation in that
-table.
+The chart evaluates its uniform theta grid once: curvature, weight,
+arclength and Lazutkin coordinate there are its read-only grid table, which
+a `BoundaryFrame` (the chart and nothing else) dumps, and the inverse map
+``theta_of_x`` starts Newton from linear interpolation in that table.
 """
 
 from __future__ import annotations
@@ -159,10 +159,6 @@ def build_profile(
     return profile
 
 
-def unit_circle_profile(smoothness_order: int = DEFAULT_SMOOTHNESS) -> DomainProfile:
-    return build_profile((), smoothness_order)
-
-
 def _standard_chop(coeffs) -> int:
     """Number of leading coefficients to keep before the roundoff plateau.
 
@@ -255,14 +251,13 @@ class LazutkinChart:
     ``mu(x)/q``; on the unit circle ``x = sigma/(2 pi)`` and ``mu = pi``.
     """
 
-    def __init__(self, profile: DomainProfile, n_grid: int = DEFAULT_FRAME_SAMPLES):
-        if n_grid < 256 or n_grid % 2:
-            raise ValueError(f"n_grid must be even and >= 256, got {n_grid}")
+    def __init__(self, profile: DomainProfile, n_samples: int = DEFAULT_FRAME_SAMPLES):
+        if n_samples < 256 or n_samples % 2:
+            raise ValueError(f"n_samples must be even and >= 256, got {n_samples}")
         self.profile = profile
-        self.n_grid = n_grid
-        self.marked_theta = MARKED_THETA
+        self.n_grid = n_samples
 
-        theta = MARKED_THETA + TWO_PI * np.arange(n_grid) / n_grid
+        theta = MARKED_THETA + TWO_PI * np.arange(n_samples) / n_samples
         speed, kappa = profile.speed_curvature(theta)
         self._speed_series = _FourierSeries(speed)
         self._density_series = _FourierSeries(kappa ** (2.0 / 3.0) * speed)
@@ -270,10 +265,13 @@ class LazutkinChart:
         self.perimeter = float(self._speed_series.mean * TWO_PI)
         self.lazutkin_const = float(1.0 / (self._density_series.mean * TWO_PI))
 
-        # the grid table: the frame's columns and the inverse map's Newton start
+        # the grid table, read only: the frame's columns and the inverse map's Newton start
         self.theta_grid, self.kappa_grid, self.mu_grid = theta, kappa, self.mu_of_kappa(kappa)
         self.sigma_grid = self.sigma_of_theta(theta)
         self.x_grid = self.x_of_theta(theta)
+        for column in (self.theta_grid, self.kappa_grid, self.mu_grid, self.sigma_grid,
+                       self.x_grid):
+            column.setflags(write=False)
 
     # -- forward maps ---------------------------------------------------
 
@@ -383,55 +381,31 @@ class LazutkinChart:
         return float(mean) if vals.ndim == 1 else mean
 
 
-@dataclass
+@dataclass(frozen=True)
 class BoundaryFrame:
-    """Dense boundary table with its chart; immutable after construction."""
+    """The boundary table of one chart: its read-only grid columns, dumped by `table`."""
 
-    profile: DomainProfile
-    n_samples: int
-    theta: np.ndarray
-    position: np.ndarray
-    sigma: np.ndarray
-    kappa: np.ndarray
-    x: np.ndarray
-    mu: np.ndarray
-    perimeter: float
-    lazutkin_const: float
     chart: LazutkinChart
+
+    @property
+    def profile(self) -> DomainProfile:
+        return self.chart.profile
+
+    @property
+    def n_samples(self) -> int:
+        return self.chart.n_grid
 
     def table(self) -> dict:
         """Columns for the frame dump."""
-        return {
-            "theta": self.theta,
-            "sigma": self.sigma,
-            "kappa": self.kappa,
-            "x": self.x,
-            "mu": self.mu,
-        }
+        c = self.chart
+        return {"theta": c.theta_grid, "sigma": c.sigma_grid, "kappa": c.kappa_grid,
+                "x": c.x_grid, "mu": c.mu_grid}
 
 
 def build_frame(profile: DomainProfile, n_samples: int = DEFAULT_FRAME_SAMPLES) -> BoundaryFrame:
-    """Tabulate boundary data on a uniform grid starting at the marked point:
-    the chart's grid table plus the boundary positions."""
-    if n_samples < 256 or n_samples % 2:
-        raise ValueError(f"n_samples must be even and >= 256, got {n_samples}")
-    chart = LazutkinChart(profile, n_samples)
-    frame = BoundaryFrame(
-        profile=profile,
-        n_samples=n_samples,
-        theta=chart.theta_grid,
-        position=profile.position(chart.theta_grid),
-        sigma=chart.sigma_grid,
-        kappa=chart.kappa_grid,
-        x=chart.x_grid,
-        mu=chart.mu_grid,
-        perimeter=chart.perimeter,
-        lazutkin_const=chart.lazutkin_const,
-        chart=chart,
-    )
-    for arr in (frame.theta, frame.position, frame.sigma, frame.kappa, frame.x, frame.mu):
-        arr.setflags(write=False)
-    return frame
+    """Tabulate boundary data on a uniform grid of ``n_samples`` (even, >= 256) points
+    starting at the marked point: the chart's grid table."""
+    return BoundaryFrame(LazutkinChart(profile, n_samples))
 
 
 @dataclass(frozen=True)
@@ -458,7 +432,7 @@ def closeness_report(frame: BoundaryFrame, order: int | None = None) -> Closenes
     """
     chart = frame.chart
     if order is None:
-        order = frame.profile.smoothness_order
+        order = chart.profile.smoothness_order
     mu_vals = chart.mu_at_x_nodes
     eps_c0 = float(np.max(np.abs(mu_vals - np.pi)))
 

@@ -142,19 +142,6 @@ def assemble_T(
     return OperatorMatrix(entries=entries, row_q=np.array([0, 1] + qs), col_j=cols)
 
 
-def assemble_delta(params: GammaSpaceParams) -> OperatorMatrix:
-    """Divisor matrix: entry 1 where the row period divides the column frequency."""
-    rows = np.arange(1, params.Q + 1)
-    cols = np.arange(1, params.J + 1)
-    entries = (cols[None, :] % rows[:, None] == 0).astype(float)
-    return OperatorMatrix(
-        entries=entries,
-        row_q=rows,
-        col_j=cols,
-        row_tail_coeff=np.ones(len(rows)),
-    )
-
-
 def script_L_star_star_table(chart: LazutkinChart, fit: AlphaBetaFit, jmax: int) -> np.ndarray:
     """Second-order column functional per basis frequency, j = 0..jmax.
 

@@ -41,8 +41,7 @@ from .errors import (
     SymmetryViolationError,
 )
 from .functionals import CosineSeries, InvariantVector, bounce_sums, cosine_coeffs
-from .geometry import (BoundaryFrame, LazutkinChart, build_frame, build_profile, float_list,
-                       json_value)
+from .geometry import BoundaryFrame, LazutkinChart, build_frame, build_profile
 from .operator import (
     ContractionCertificate,
     GammaSpaceParams,
@@ -152,8 +151,8 @@ class RecoveryPlan:
         The pairs share every solve: their right-hand sides are the columns of
         one (n, m) matrix, inverted by one Neumann series and cross-checked by
         one direct solve. Every input is validated before any work starts, down to
-        the periods the plan reads (2..n and the held-out rows) being present in
-        ``provenance["orbit_periods"]``. The residual gate and the finiteness of
+        the periods the plan reads (2..n and the held-out rows) being among the
+        data's `InvariantVector.periods`. The residual gate and the finiteness of
         every reported value are checked per pair; the first failing pair raises.
         """
         opt, chart, A, lss, b = self.options, self.chart, self.block, self.lss, self.b
@@ -164,8 +163,7 @@ class RecoveryPlan:
             if data.q_max != self.q_max:
                 raise ValueError(f"data depth q_max={data.q_max} does not match the plan's "
                                  f"q_max={self.q_max}")
-            missing = read.difference(json_value(data.provenance, "orbit_periods", float_list,
-                                                 sorted(read), "invariant vector provenance"))
+            missing = read.difference(data.periods)
             if missing:
                 raise ValueError(f"invariant vector lacks the periods {sorted(missing)} that "
                                  "the recovery reads")

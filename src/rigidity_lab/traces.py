@@ -40,6 +40,7 @@ def build_trace_data(
 
     Periods 2..max(orbits) absent from ``orbits`` (as on a gappy set such as
     2..48 plus 64..1024) read 0 in ``d``; ``provenance["orbit_periods"]``
-    lists the periods present.
+    lists the periods present, which `InvariantVector.periods` reads back and
+    the CLI's `reconstruct` solves.
     """
     return robin_data(frame, frame.chart, K, orbits, heat_defect(frame, K))

@@ -1,15 +1,23 @@
+"""Shared fixtures, and the test oracles that no command runs: the divisor matrix, the
+mean functional L_0 and the large-q limit check of L_q against it (import them from
+``conftest``)."""
+
+from dataclasses import dataclass
+
 import numpy as np
 import pytest
 
 from rigidity_lab import billiards, geometry
+from rigidity_lab import functionals as fn
 from rigidity_lab import operator as op
+from rigidity_lab.errors import InsufficientLadderError
 
 LADDER = (8, 16, 32, 64)
 
 
 @pytest.fixture(scope="session")
 def circle_frame():
-    return geometry.build_frame(geometry.unit_circle_profile(), 512)
+    return geometry.build_frame(geometry.build_profile(()), 512)
 
 
 @pytest.fixture(scope="session")
@@ -67,3 +75,42 @@ def _per_row_T(chart, orbits, params):
 def per_row_T():
     """Oracle for the batched operator assembly: the per-row loop it replaced."""
     return _per_row_T
+
+
+def assemble_delta(params):
+    """Divisor matrix: entry 1 where the row period divides the column frequency."""
+    rows = np.arange(1, params.Q + 1)
+    cols = np.arange(1, params.J + 1)
+    entries = (cols[None, :] % rows[:, None] == 0).astype(float)
+    return op.OperatorMatrix(entries=entries, row_q=rows, col_j=cols,
+                             row_tail_coeff=np.ones(len(rows)))
+
+
+def script_L_0(u, n_grid=4096):
+    """Mean of u over one period of x (uniform-grid quadrature)."""
+    x = np.arange(n_grid) / n_grid
+    return float(np.mean(u(x)))
+
+
+@dataclass
+class RiemannLimitReport:
+    qs: tuple
+    values: dict           # q -> script_L_q(u)
+    limit: float           # script_L_0(u)
+    diffs: dict            # q -> |value - limit|
+    decay_exponent: float  # fitted slope of log|diff| vs log q, sign flipped
+
+
+def riemann_limit_check(u, orbits, chart):
+    """Tabulate |L_q(u) - mean(u)| over a q ladder and fit its decay rate."""
+    qs = tuple(sorted(orbits))
+    if len(qs) < 3:
+        raise InsufficientLadderError(f"need at least 3 ladder periods, got {len(qs)}")
+    limit = script_L_0(u)
+    values = {q: fn.script_L_q(u, orbits[q], chart) for q in qs}
+    diffs = {q: abs(values[q] - limit) for q in qs}
+    logq = np.log(np.array(qs, dtype=float))
+    logd = np.log(np.maximum([diffs[q] for q in qs], 1e-300))
+    slope = float(np.polyfit(logq, logd, 1)[0])
+    return RiemannLimitReport(qs=qs, values=values, limit=limit, diffs=diffs,
+                              decay_exponent=-slope)

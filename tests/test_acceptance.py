@@ -13,6 +13,8 @@ from rigidity_lab import billiards, functionals as fn, geometry, traces
 from rigidity_lab import operator as op
 from rigidity_lab import reconstruction as rec
 
+from conftest import assemble_delta, riemann_limit_check
+
 LADDER = (8, 16, 32, 64)
 GRID_COEFFS = ([], [0.0, 0.0, 0.005], [0.0, 0.0, 0.01])
 XS = np.arange(4096) / 4096.0
@@ -25,9 +27,9 @@ def _report(name: str, ok: bool, elapsed: float, detail: str = ""):
 
 def test_c01_circle_closed_forms():
     t0 = time.monotonic()
-    frame = geometry.build_frame(geometry.unit_circle_profile(), 512)
+    frame = geometry.build_frame(geometry.build_profile(()), 512)
     chart = frame.chart
-    mu_err = float(np.max(np.abs(frame.mu - np.pi)))
+    mu_err = float(np.max(np.abs(frame.chart.mu_grid - np.pi)))
     orbits = billiards.compute_orbits(frame, range(2, 17))
     len_err = max(
         abs(orbits[q].length - 2 * q * np.sin(np.pi / q)) for q in range(2, 17)
@@ -78,7 +80,7 @@ def test_c03_divisor_operator_norm():
     values = {}
     for gamma in (3.1, 3.5, 3.9):
         params = op.GammaSpaceParams(gamma=gamma, J=48, Q=16)
-        res = op.gamma_norm(op.subtract_identity(op.assemble_delta(params)), gamma)
+        res = op.gamma_norm(op.subtract_identity(assemble_delta(params)), gamma)
         values[gamma] = res.tail_completed
         worst = max(worst, abs(res.tail_completed - (zeta(gamma, 1) - 1.0)))
     elapsed = time.monotonic() - t0
@@ -137,9 +139,9 @@ def test_c06_large_period_limit():
     for _ in range(5):
         coeffs = 0.5 * rng.standard_normal(7)
         coeffs[0] = 1.0 + 0.5 * rng.standard_normal()   # nonzero mean mode
-        rep = fn.riemann_limit_check(fn.CosineSeries(coeffs), orbits, frame.chart)
+        rep = riemann_limit_check(fn.CosineSeries(coeffs), orbits, frame.chart)
         slopes.append(rep.decay_exponent)
-    circle = geometry.build_frame(geometry.unit_circle_profile(), 512)
+    circle = geometry.build_frame(geometry.build_profile(()), 512)
     orb64 = billiards.maximal_marked_orbit(circle, 64)
     gap = fn.script_L_q(fn.CosineSeries.basis(0), orb64, circle.chart) - 1.0
     leading = np.pi**2 / (6.0 * 64.0**2)
@@ -190,7 +192,7 @@ def test_c08_injectivity_witness():
 
 def test_c09_heat_identities():
     t0 = time.monotonic()
-    circle = geometry.build_frame(geometry.unit_circle_profile(), 512)
+    circle = geometry.build_frame(geometry.build_profile(()), 512)
     h0, h1 = traces.heat_defect(circle, fn.CosineSeries.basis(0))
     err0 = abs(h0 - 1.0)
     err1 = abs(h1 - 3.0 * np.sqrt(np.pi) / 4.0)
@@ -198,7 +200,7 @@ def test_c09_heat_identities():
     worst_identity = 0.0
     for coeffs in ([], [0.0, 0.0, 0.01]):   # domains with the half-shift symmetry
         frame = geometry.build_frame(geometry.build_profile(list(coeffs)), 512)
-        speed = frame.profile.speed(frame.theta)
+        speed = frame.profile.speed(frame.chart.theta_grid)
         for _ in range(5):
             c = rng.standard_normal(7)
             K1 = fn.CosineSeries(c)
@@ -206,9 +208,9 @@ def test_c09_heat_identities():
             ha = traces.heat_defect(frame, K1)
             hb = traces.heat_defect(frame, K2)
             assert abs(ha[0] - hb[0]) < 1e-12 and abs(ha[1] - hb[1]) < 1e-12
-            k1v, k2v = K1(frame.x), K2(frame.x)
+            k1v, k2v = K1(frame.chart.x_grid), K2(frame.chart.x_grid)
             integral = np.mean(
-                (k1v - k2v) * (frame.kappa + 2.0 * (k1v + k2v)) * speed) * 2 * np.pi
+                (k1v - k2v) * (frame.chart.kappa_grid + 2.0 * (k1v + k2v)) * speed) * 2 * np.pi
             worst_identity = max(worst_identity, abs(integral))
     elapsed = time.monotonic() - t0
     ok = err0 < 1e-10 and err1 < 1e-10 and worst_identity < 1e-9

@@ -231,7 +231,7 @@ def test_length_monotonicity(perturbed_frame, perturbed_orbits):
     for q in (2, 4, 8, 16, 32):
         assert perturbed_orbits[2 * q].length > perturbed_orbits[q].length
     for q, orb in perturbed_orbits.items():
-        assert orb.length < perturbed_frame.perimeter
+        assert orb.length < perturbed_frame.chart.perimeter
 
 
 def test_solver_iteration_cap(perturbed_frame):
@@ -526,7 +526,7 @@ def test_poincare_tree_product_matches_per_bounce_loop(perturbed_frame, perturbe
     orbits += [billiards.maximal_marked_orbit(perturbed_frame, q) for q in (17, 1024)]
     for orbit in orbits:
         expect = loop(orbit)
-        got = billiards.linearized_poincare(perturbed_frame, orbit).matrix
+        got = billiards._return_maps([orbit])[0]
         assert np.max(np.abs(got - expect)) <= 1e-12 * np.max(np.abs(expect))
 
 
@@ -551,15 +551,15 @@ def _per_orbit_tree(frame, orbit):
 @pytest.mark.parametrize("coeffs", [(0.0, 0.0, 0.01), (0.0, 0.0, 0.01, 0.0, 0.002)])
 def test_return_maps_equal_per_orbit_trees(coeffs):
     """All return maps in one segmented tree are bit-equal to each orbit's own tree,
-    and so is the batch of one behind `linearized_poincare`."""
+    and so is each orbit's batch of one."""
     frame = _frame(coeffs)
     orbits = billiards.compute_orbits(frame, (2, 3, 5, 8, 64, 1024))
-    maps = billiards._return_maps(frame, list(orbits.values()))
+    maps = billiards._return_maps(list(orbits.values()))
     assert maps.shape == (len(orbits), 2, 2)
     for got, orbit in zip(maps, orbits.values()):
         expect = _per_orbit_tree(frame, orbit)
         assert np.array_equal(got, expect)
-        assert np.array_equal(billiards.linearized_poincare(frame, orbit).matrix, expect)
+        assert np.array_equal(billiards._return_maps([orbit])[0], expect)
 
 
 @pytest.mark.parametrize("coeffs", [(), (0.0, 0.0, 0.01), (0.0, 0.0, 0.01, 0.0, 0.002)])
@@ -580,7 +580,7 @@ def test_orbit_readers_evaluate_no_boundary_point(perturbed_frame, perturbed_orb
                         lambda self, theta: calls.append(np.size(theta)) or jet(self, theta))
     chart, orbits = perturbed_frame.chart, {q: perturbed_orbits[q] for q in range(2, 17)}
     billiards.genericity_report(perturbed_frame, orbits)
-    billiards.linearized_poincare(perturbed_frame, orbits[5])
+    billiards._return_maps([orbits[5]])
     op.assemble_T(chart, orbits, op.GammaSpaceParams(J=8, Q=16))
     billiards.fit_alpha_beta(chart, {q: perturbed_orbits[q] for q in LADDER})
     fn.script_L_q(fn.CosineSeries([1.0, 0.5]), orbits[5], chart)
@@ -695,23 +695,24 @@ def test_not_maximal_error_counts_the_eigenvalues_above(perturbed_frame, monkeyp
 
 
 def test_poincare_circle_is_degenerate(circle_frame, circle_orbits):
-    pd = billiards.linearized_poincare(circle_frame, circle_orbits[2])
-    assert_allclose(pd.trace, 2.0, rtol=0, atol=1e-12)
-    assert_allclose(pd.det, 1.0, rtol=0, atol=1e-12)
-    assert not pd.nondegenerate
+    rep = billiards.genericity_report(circle_frame, {2: circle_orbits[2]})
+    assert_allclose(rep.traces[2], 2.0, rtol=0, atol=1e-12)
+    assert_allclose(np.linalg.det(billiards._return_maps([circle_orbits[2]])[0]), 1.0,
+                    rtol=0, atol=1e-12)
+    assert not rep.nondegenerate[2]
 
 
-def test_poincare_symplectic(perturbed_frame, perturbed_orbits):
-    for q in (2, 3, 8, 16):
-        pd = billiards.linearized_poincare(perturbed_frame, perturbed_orbits[q])
-        assert abs(pd.det - 1.0) < 1e-8
+def test_poincare_symplectic(perturbed_orbits):
+    maps = billiards._return_maps([perturbed_orbits[q] for q in (2, 3, 8, 16)])
+    for mat in maps:
+        assert abs(np.linalg.det(mat) - 1.0) < 1e-8
 
 
 def test_poincare_against_finite_difference_oracle(perturbed_frame, perturbed_orbits):
     """Jacobian of the composed shooting map, centered differences."""
     frame, chart = perturbed_frame, perturbed_frame.chart
     orb = perturbed_orbits[3]
-    pd = billiards.linearized_poincare(frame, orb)
+    mat = billiards._return_maps([orb])[0]
 
     def composed(s, phi):
         theta = float(chart._invert(chart.sigma_of_theta, frame.profile.speed, s,
@@ -723,7 +724,7 @@ def test_poincare_against_finite_difference_oracle(perturbed_frame, perturbed_or
             theta, d = billiards.billiard_map(frame, theta, d)
         t1 = frame.profile.tangent(theta)
         s_out = float(chart.sigma_of_theta(theta))
-        L = frame.perimeter
+        L = chart.perimeter
         while s_out - s > L / 2:
             s_out -= L
         while s_out - s < -L / 2:
@@ -736,7 +737,7 @@ def test_poincare_against_finite_difference_oracle(perturbed_frame, perturbed_or
     jac = np.zeros((2, 2))
     jac[:, 0] = (composed(s0 + h, phi0) - composed(s0 - h, phi0)) / (2 * h)
     jac[:, 1] = (composed(s0, phi0 + h) - composed(s0, phi0 - h)) / (2 * h)
-    assert np.max(np.abs(jac - pd.matrix)) < 1e-6
+    assert np.max(np.abs(jac - mat)) < 1e-6
 
 
 # -- diagnostics ------------------------------------------------------------------
@@ -772,8 +773,9 @@ def test_genericity_edge_cases(perturbed_frame, perturbed_orbits):
     assert empty.lengths == empty.traces == empty.nondegenerate == {}
     one = billiards.genericity_report(perturbed_frame, {5: perturbed_orbits[5]})
     assert one.min_length_gap == np.inf and one.closest_pair == ()
-    pd = billiards.linearized_poincare(perturbed_frame, perturbed_orbits[5])
-    assert one.traces == {5: pd.trace} and one.nondegenerate == {5: pd.nondegenerate}
+    trace = float(np.trace(billiards._return_maps([perturbed_orbits[5]])[0]))
+    assert one.traces == {5: trace}
+    assert one.nondegenerate == {5: abs(trace - 2.0) > billiards.UNIT_EIGEN_TOL}
     assert billiards.compute_orbits(perturbed_frame, []) == {}
 
 
@@ -810,7 +812,7 @@ def test_grazing_bounce_raises_for_the_smallest_period(perturbed_frame, perturbe
     with pytest.raises(SingularAngleError, match=r"sin phi = 3e-10\)"):
         billiards.genericity_report(perturbed_frame, orbits)
     with pytest.raises(SingularAngleError, match=r"sin phi = 2e-12\)"):
-        billiards.linearized_poincare(perturbed_frame, orbits[6])
+        billiards._return_maps([orbits[6]])
 
 
 @settings(max_examples=40, deadline=None)

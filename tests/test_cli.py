@@ -193,7 +193,7 @@ def test_reconstruct_rejects_malformed_invariants(tmp_path, capsys):
                                    ("short", short_d, "entries"),
                                    ("normalization", other_normalization,
                                     "'normalization' has the value 'C_gamma=2'"),
-                                   ("gappy", gappy, "lacks the periods [11, 12, 13, 14, 15]"),
+                                   ("gappy", gappy, "lacks the periods [11, 12]"),
                                    ("periods", bad_periods, "'orbit_periods' has a malformed")):
         path = tmp_path / f"{name}.json"
         path.write_text(json.dumps(payload))
@@ -202,6 +202,42 @@ def test_reconstruct_rejects_malformed_invariants(tmp_path, capsys):
                     "--k0", "0", "--out", str(rc_dir)]) == 1
         assert message in capsys.readouterr().err
         assert not (rc_dir / "reconstruction.json").exists()
+
+
+def test_reconstruct_solves_the_periods_the_data_hold(tmp_path):
+    """A gappy vector (periods 2..20 plus 32, as `build_trace_data` writes it) is
+    recovered from the periods it holds: the gap 21..31 is neither solved nor read."""
+    frame = rigidity_lab.build_frame(rigidity_lab.build_profile([0.0, 0.0, 0.01]))
+    orbits = rigidity_lab.compute_orbits(frame, [*range(2, 21), 32])
+    path = tmp_path / "gappy.json"
+    rigidity_lab.build_trace_data(frame, rigidity_lab.CosineSeries([0.0, -1.0, 1.0]),
+                                  orbits).save(path)
+    assert run(["reconstruct", "--coeffs", "0,0,0.01", "--data", str(path), "--k0", "0",
+                "--out", str(tmp_path)]) == 0
+    coeffs = json.loads((tmp_path / "reconstruction.json").read_text())["K_hat_cosine_coeffs"]
+    expect = np.zeros(len(coeffs))
+    expect[1], expect[2] = -1.0, 1.0
+    assert np.max(np.abs(np.array(coeffs) - expect)) <= 1e-5
+
+
+@pytest.mark.parametrize("period, shown", [(1, "[1]"), (2.5, "[2.5]"), (10**6, "[1000000]")])
+def test_reconstruct_refuses_a_provenance_period_outside_2_to_q_max(tmp_path, capsys,
+                                                                    monkeypatch, period, shown):
+    """Refused by name before any orbit is solved, and no file is written."""
+    inv_dir = tmp_path / "inv"
+    assert run(["invariants", "--coeffs", "0,0,0.01", "--robin-coeffs", "0,-1,1",
+                "--q-max", "16", "--out", str(inv_dir)]) == 0
+    payload = json.loads((inv_dir / "invariants.json").read_text())
+    payload["provenance"]["orbit_periods"].append(period)
+    path = tmp_path / "periods.json"
+    path.write_text(json.dumps(payload))
+    monkeypatch.setattr(cli.billiards, "compute_orbits", lambda *args: pytest.fail("solved"))
+    out = tmp_path / "rc"
+    assert run(["reconstruct", "--coeffs", "0,0,0.01", "--data", str(path), "--k0", "0",
+                "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and f"'orbit_periods' holds {shown}" in err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("flag, payload, message", [

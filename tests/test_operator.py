@@ -10,6 +10,8 @@ from rigidity_lab import billiards, functionals as fn, geometry
 from rigidity_lab import operator as op
 from rigidity_lab.errors import RigidityError, SingularBlockError
 
+from conftest import assemble_delta
+
 LADDER = (8, 16, 32, 64)
 PARAMS = op.GammaSpaceParams(gamma=3.5, J=48, Q=16)
 
@@ -61,7 +63,7 @@ def test_hurwitz_zeta_domain():
 
 
 def test_delta_entries():
-    delta = op.assemble_delta(PARAMS)
+    delta = assemble_delta(PARAMS)
     get = lambda q, j: delta.entries[q - 1, j - 1]
     assert get(2, 6) == 1.0 and get(2, 5) == 0.0
     assert np.all(delta.row(1) == 1.0)
@@ -72,14 +74,14 @@ def test_delta_entries():
 
 @pytest.mark.parametrize("gamma", [3.1, 3.5, 3.9])
 def test_delta_minus_identity_norm(gamma):
-    dmi = op.subtract_identity(op.assemble_delta(PARAMS))
+    dmi = op.subtract_identity(assemble_delta(PARAMS))
     res = op.gamma_norm(dmi, gamma)
     assert abs(res.tail_completed - (zeta(gamma, 1) - 1.0)) < 1e-10
     assert res.tail_completed < 0.202057  # below the gamma -> 3 limit
 
 
 def test_delta_norm_and_identity_norm():
-    assert op.gamma_norm(op.assemble_delta(PARAMS), 3.5).tail_completed < zeta(3.0, 1)
+    assert op.gamma_norm(assemble_delta(PARAMS), 3.5).tail_completed < zeta(3.0, 1)
     rows, cols = np.arange(1, PARAMS.Q + 1), np.arange(1, PARAMS.J + 1)
     identity = op.OperatorMatrix(entries=(rows[:, None] == cols).astype(float), row_q=rows,
                                  col_j=cols, row_tail_coeff=np.zeros(len(rows)))
@@ -90,7 +92,7 @@ def test_truncated_norm_monotone_in_J():
     values = []
     for J in (12, 24, 48, 96):
         params = op.GammaSpaceParams(3.5, J, 16)
-        dmi = op.subtract_identity(op.assemble_delta(params))
+        dmi = op.subtract_identity(assemble_delta(params))
         res = op.gamma_norm(dmi, 3.5)
         values.append(res.truncated)
         assert res.truncated <= res.tail_completed + 1e-15
@@ -314,7 +316,7 @@ def test_certificate_triangle_inequality(perturbed_frame, perturbed_orbits, pert
     tsr = op.assemble_T_star_R(chart, op.assemble_T(chart, orbits, PARAMS), PARAMS, fit)
     norm_total = op.gamma_norm(op.subtract_identity(tsr), 3.5).tail_completed
 
-    dmi = op.subtract_identity(op.assemble_delta(PARAMS))
+    dmi = op.subtract_identity(assemble_delta(PARAMS))
     norm_dmi = op.gamma_norm(dmi, 3.5).tail_completed
 
     # the divisor matrix scaled per row by sigma_0(q) - beta_0/q^2, zero on row 1

@@ -50,8 +50,9 @@ def test_heat_defect_sign_structure(perturbed_frame, rng):
     assert_allclose(h0m, -h0p, rtol=0, atol=1e-12)
     # linear part flips, quadratic part survives:
     # H1(K) - H1(-K) = (1/(4 sqrt(pi))) * int K kappa dsigma
-    speed = perturbed_frame.profile.speed(perturbed_frame.theta)
-    kk = np.mean(K(perturbed_frame.x) * perturbed_frame.kappa * speed) * 2 * np.pi
+    chart = perturbed_frame.chart
+    speed = chart.profile.speed(chart.theta_grid)
+    kk = np.mean(K(chart.x_grid) * chart.kappa_grid * speed) * 2 * np.pi
     assert_allclose(h1p - h1m, kk / (4.0 * np.sqrt(np.pi)), rtol=0, atol=1e-12)
 
 
@@ -68,10 +69,11 @@ def test_heat_defect_quadratic_split(perturbed_frame, rng):
 
 def _heat_theta_trapezoid(frame, K):
     """(H0, H1) by the periodic trapezoid on the frame's uniform theta grid."""
-    speed = frame.profile.speed(frame.theta)
-    k = K(frame.x)
+    chart = frame.chart
+    speed = chart.profile.speed(chart.theta_grid)
+    k = K(chart.x_grid)
     h0 = np.mean(k * speed)
-    h1 = np.mean((k * frame.kappa + 2.0 * k**2) * speed) * 2.0 * np.pi / (8.0 * np.sqrt(np.pi))
+    h1 = np.mean((k * chart.kappa_grid + 2.0 * k**2) * speed) * 2.0 * np.pi / (8.0 * np.sqrt(np.pi))
     return h0, h1
 
 
@@ -87,9 +89,9 @@ def test_heat_on_x_nodes_matches_theta_trapezoid(coeffs, n, rng):
     assert abs(h0 - t0) <= 1e-13 * s
     assert abs(h1 - t1) <= 1e-13 * (s + s * s)
     # the same weight integrates the radius of curvature
-    theta_ell0 = np.mean(frame.profile.speed(frame.theta) / frame.kappa) * 2.0 * np.pi
-    assert abs(frame.chart.integrate_dsigma(1.0 / frame.chart.kappa_at_x_nodes)
-               - theta_ell0) <= 1e-13
+    chart = frame.chart
+    theta_ell0 = np.mean(chart.profile.speed(chart.theta_grid) / chart.kappa_grid) * 2.0 * np.pi
+    assert abs(chart.integrate_dsigma(1.0 / chart.kappa_at_x_nodes) - theta_ell0) <= 1e-13
 
 
 def _heat_mpmath(radial, k_coeffs, dps=20):
@@ -205,7 +207,7 @@ def test_heat_defect_matches_a_robin_disk_spectrum(disk_brackets, coeffs, R):
     the unit disk has H1 = 0, and R = 0.8 separates the K kappa term from 2 K^2.
     """
     frame = geometry.build_frame(geometry.build_profile(coeffs), 512)
-    assert_allclose(frame.perimeter, 2 * np.pi * R, rtol=1e-12)
+    assert_allclose(frame.chart.perimeter, 2 * np.pi * R, rtol=1e-12)
     sel = disk_brackets[1] / R <= DISK_X_MAX
     n, lo, hi = (col[sel] for col in disk_brackets)
     Ks = (-0.3, -0.5, -1.0)
@@ -232,10 +234,10 @@ def test_equal_data_difference_identity_circle(circle_frame, rng):
     h1 = traces.heat_defect(circle_frame, K1)
     h2 = traces.heat_defect(circle_frame, K2)
     assert_allclose(h1, h2, rtol=0, atol=1e-12)
-    speed = circle_frame.profile.speed(circle_frame.theta)
-    k1v, k2v = K1(circle_frame.x), K2(circle_frame.x)
+    speed = circle_frame.profile.speed(circle_frame.chart.theta_grid)
+    k1v, k2v = K1(circle_frame.chart.x_grid), K2(circle_frame.chart.x_grid)
     integral = np.mean(
-        (k1v - k2v) * (circle_frame.kappa + 2.0 * (k1v + k2v)) * speed
+        (k1v - k2v) * (circle_frame.chart.kappa_grid + 2.0 * (k1v + k2v)) * speed
     ) * 2 * np.pi
     assert abs(integral) < 1e-9
 
@@ -248,9 +250,10 @@ def test_equal_data_difference_identity_even_harmonic_domain(rng):
     h1 = traces.heat_defect(frame, K1)
     h2 = traces.heat_defect(frame, K2)
     assert_allclose(h1, h2, rtol=0, atol=1e-12)
-    speed = frame.profile.speed(frame.theta)
-    k1v, k2v = K1(frame.x), K2(frame.x)
-    integral = np.mean((k1v - k2v) * (frame.kappa + 2.0 * (k1v + k2v)) * speed) * 2 * np.pi
+    chart = frame.chart
+    speed = chart.profile.speed(chart.theta_grid)
+    k1v, k2v = K1(chart.x_grid), K2(chart.x_grid)
+    integral = np.mean((k1v - k2v) * (chart.kappa_grid + 2.0 * (k1v + k2v)) * speed) * 2 * np.pi
     assert abs(integral) < 1e-9
 
 
