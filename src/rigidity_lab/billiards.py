@@ -5,8 +5,8 @@ orbit of rotation number 1/q through the marked point that maximizes the
 polygon length. It runs damped Newton on the length gradient in reduced
 coordinates (only the bounces in the open upper half are free; mirror
 bounces are slaved, and for even q the antipodal axis bounce is pinned).
-`compute_orbits` solves all its periods in one lockstep Newton, each step
-O(sum q) with no dense matrix:
+`compute_orbits` solves all its periods in one lockstep Newton, each step one
+jet over their free halves (bounces 0..q//2) and O(sum q) with no dense matrix:
 
 - it starts from the Lazutkin points ``x = k/q``, which the orbit misses by
   O(q^-2), interpolated in the chart's own (x, theta) grid table;
@@ -21,8 +21,9 @@ O(sum q) with no dense matrix:
   is negative (a Sturm count, by Sylvester's inertia); the bands of all
   periods are set up for it in one array pass (`_band_blocks`), and only
   the pivot loop runs per period;
-- one jet at the solution gives the tangents and the curvature ``kappa`` each
-  orbit keeps for the return maps and the weight mu (T, fit, `script_L_q`).
+- one jet on the free half at the solution gives the angles and the curvature
+  ``kappa`` each orbit keeps for the return maps and the weight mu (T, fit,
+  `script_L_q`), mirrored exactly onto bounces q - k (`guarded_half` sums halves).
 
 The linearized return maps of many orbits come from one pass
 (`_return_maps`): one stack of transfer matrices over all bounces and one
@@ -78,9 +79,9 @@ LADDER = (8, 16, 32, 64)
 SIN_PHI_TOL = 1e-9
 
 
-def guarded_sin_phi(orbits) -> tuple:
+def guarded_sin_phi(orbits) -> np.ndarray:
     """The grazing guard: ``sin phi`` of the bounces of ``orbits`` (a non-empty
-    sequence) laid end to end, and the index where each orbit starts.
+    sequence) laid end to end.
 
     The first orbit, in the given order, with a bounce closer to grazing than
     ``SIN_PHI_TOL`` raises SingularAngleError quoting its own min ``sin phi``.
@@ -94,12 +95,26 @@ def guarded_sin_phi(orbits) -> tuple:
         raise SingularAngleError(
             f"bounce angle too close to grazing at q={orbits[i].q} (sin phi = {low[i]:.3g})"
         )
-    return sin_phi, starts
+    return sin_phi
+
+
+def guarded_half(orbits) -> tuple:
+    """For sums taking bounce q - k as its mirror k: the indices of the bounces 0..q//2
+    of ``orbits`` laid end to end, their x, their guarded ``sin phi`` over the
+    multiplicity (2; 1 at the marked and even-q axis bounce) and where each half starts."""
+    # the key from a list: tuple() of a generator grows by realloc, and per call that
+    # fragmented the heap of long runs (peak RSS +0.3 MB over 2,000 suite units)
+    lay = _periods(tuple([orbit.q for orbit in orbits]))
+    idx, sin_phi = lay.bounce, guarded_sin_phi(orbits)[lay.bounce] / 2.0
+    sin_phi[np.r_[lay.hstart, lay.axis_half]] *= 2.0
+    return idx, np.concatenate([orbit.x for orbit in orbits])[idx], sin_phi, lay.hstart
 
 
 @dataclass
 class PeriodicOrbit:
-    """Reflection-symmetric maximal q-periodic orbit through the marked point."""
+    """Reflection-symmetric maximal q-periodic orbit through the marked point; bounce
+    q - k is bounce k mirrored exactly (x to 1 - x; phi, sin_phi, kappa copied; chords
+    reversed)."""
 
     q: int
     theta: np.ndarray        # bounce parameters, lifted to [pi, 3*pi)
@@ -122,22 +137,40 @@ class _Periods:
     point) and free offsets ``free[p] : free[p] + half``. Free offset j moves
     bounce ``up`` = j and, oppositely, its mirror ``down`` = q - j; for even q
     the ``axis`` bounce q/2 is pinned at pi.
+
+    The free half, bounces k = 0..q//2 (``bounce``), has points ``hstart[p] + k``
+    (free offset j moves ``fp``), each chord from k to ``head`` = k + 1; from the
+    ``last`` point it ends at the mirror (x, -y) of itself (odd q) or of k - 1.
     """
 
     def __init__(self, qs):
         self.qs = q = np.array(qs, dtype=int)
         self.half = half = (q - 1) // 2
         self.start, self.free = np.cumsum(q) - q, np.cumsum(half) - half
-        owner, fowner = np.repeat(np.arange(len(q)), q), np.repeat(np.arange(len(q)), half)
-        k, base = np.arange(len(owner)) - self.start[owner], self.start[owner]
-        self.nxt, self.prv = base + (k + 1) % q[owner], base + (k - 1) % q[owner]
-        self.wrap = k == q[owner] - 1
-        self.j, self.jq = np.arange(len(fowner)) - self.free[fowner] + 1, q[fowner]
-        self.up = self.start[fowner] + self.j
-        self.down = self.start[fowner] + self.jq - self.j
-        self.axis = (self.start + q // 2)[q % 2 == 0]
+        self.hstart, self.last = np.cumsum(q // 2 + 1) - (q // 2 + 1), np.cumsum(q // 2 + 1) - 1
+        self.axis, self.axis_half = (self.start + q // 2)[q % 2 == 0], self.last[q % 2 == 0]
         self.end = (self.free + half - 1)[half > 0]
         self.odd_end = self.end[q[half > 0] % 2 == 1]
+        fowner, hown = np.repeat(np.arange(len(q)), half), np.repeat(np.arange(len(q)), q // 2 + 1)
+        j = np.arange(len(fowner)) - self.free[fowner] + 1
+        self.up, self.down = self.start[fowner] + j, self.start[fowner] + q[fowner] - j
+        self.fp = self.hstart[fowner] + j
+        self.bounce = self.start[hown] + np.arange(len(hown)) - self.hstart[hown]
+        self.head = np.arange(1, len(hown) + 1)
+        self.head[self.last] = self.last - 1 + q % 2
+
+    @cached_property
+    def nxt(self) -> np.ndarray:  # each bounce's successor in its period
+        nxt = np.arange(1, int(self.qs.sum()) + 1)
+        nxt[self.start + self.qs - 1] = self.start
+        return nxt
+
+    @cached_property
+    def record(self) -> tuple:  # the half's point of bounce k (q - k if mirrored), of chord k
+        owner = np.repeat(np.arange(len(self.qs)), self.qs)
+        k, q, base = np.arange(len(owner)) - self.start[owner], self.qs[owner], self.hstart[owner]
+        mirrored, chord = 2 * k > q, base + np.where(2 * k < q, k, q - 1 - k)
+        return base + np.where(mirrored, q - k, k), mirrored, chord
 
     @cached_property
     def tree(self) -> list:
@@ -154,79 +187,69 @@ class _Periods:
 
     def assemble(self, s):
         """Full offset vector from the free offsets: t_0 = 0 and t_{q-j} = 2 pi - t_j."""
-        t = np.zeros(len(self.nxt))
+        t = np.zeros(int(self.qs.sum()))
         t[self.up], t[self.down], t[self.axis] = s, TWO_PI - s, np.pi
         return t
 
     def increasing(self, t):
         """Per period: the offsets rise by more than 1e-12 and stay 1e-12 below 2 pi."""
-        ok = np.where(self.wrap, t < TWO_PI - 1e-12, t[self.nxt] - t > 1e-12)
+        ok, wrap = t[self.nxt] - t > 1e-12, self.start + self.qs - 1
+        ok[wrap] = t[wrap] < TWO_PI - 1e-12
         return np.logical_and.reduceat(ok, self.start)
 
 
 _periods = lru_cache(maxsize=32)(_Periods)  # shared between callers: read only
 
 
-def _length_grad_hess(profile, thetas, lay=None):
-    """Chords, gradient and cyclic tridiagonal Hessian of closed polygon lengths.
-
-    ``lay`` cuts ``thetas`` into polygons (default: one). Returns ``(ell,
-    grad, diag, off)``: chord k joins bounces k and k+1 of its polygon,
-    ``diag[k]`` is the Hessian entry at bounce k and ``off[k]`` the entry
-    coupling k and k+1. A chord below 1e-12 raises DegenerateChordError,
-    whose ``qs`` lists the periods of the polygons at fault.
-    """
-    lay = lay or _periods((len(thetas),))
-    nxt, prv = lay.nxt, lay.prv
-    (px, py), (vx, vy), (ax, ay) = profile.point_jet(thetas)
-
-    dx, dy = px[nxt] - px, py[nxt] - py
+def _half_chords(lay, px, py):
+    """Lengths and unit vectors of the free half's chords from its points (`_Periods`)."""
+    hy = py[lay.head]
+    hy[lay.last] *= -1.0
+    dx, dy = px[lay.head] - px, hy - py
     ell = np.hypot(dx, dy)
-    short = np.minimum.reduceat(ell, lay.start) < 1e-12
-    if short.any():
-        err = DegenerateChordError("degenerate chord during orbit solve")
-        err.qs = lay.qs[short]
-        raise err
-    ux, uy = dx / ell, dy / ell
-
-    # gradient: tangential mismatch of incoming vs outgoing unit chords
-    grad = vx * (ux[prv] - ux) + vy * (uy[prv] - uy)
-
-    vx1, vy1 = vx[nxt], vy[nxt]
-    vu_tail = vx * ux + vy * uy            # V_k . u_k
-    vu_head = vx1 * ux + vy1 * uy          # V_{k+1} . u_k
-    vv = vx * vx + vy * vy
-    vv_cross = vx * vx1 + vy * vy1
-    au_tail = ax * ux + ay * uy
-    au_head = ax[nxt] * ux + ay[nxt] * uy
-
-    diag_tail = (vv - vu_tail**2) / ell - au_tail
-    diag_head = (vv[nxt] - vu_head**2) / ell + au_head
-    off = -(vv_cross - vu_tail * vu_head) / ell
-    # chord k contributes diag_tail[k] at bounce k and diag_head[k] at bounce k+1
-    diag = diag_tail + diag_head[prv]
-    return ell, grad, diag, off
+    return ell, dx / ell, dy / ell
 
 
 def _reduced_grad_hess(profile, t, lay=None):
     """Chords, gradient and Hessian band of symmetric orbits in their free offsets.
 
-    ``t`` is the full offset vector from `_Periods.assemble`. Free bounce j
-    (j = 1..half) moves with its mirror q-j in the opposite direction, so the
-    reduced gradient is ``grad[j] - grad[q-j]`` and the reduced Hessian stays
-    tridiagonal: it is returned as the band ``(d, e)`` of its diagonal and
-    off-diagonal, with a zero coupling between consecutive periods. For odd q
-    the mirror pair half, half+1 are neighbours, which adds the coupling
-    ``-2*off[half]`` to the period's last diagonal entry.
+    ``t`` (from `_Periods.assemble`) is read on the free half: one jet at bounces
+    0..q//2, a mirror point (x, -y) taking the velocity (-vx, vy) and acceleration
+    (ax, -ay). Free bounce j moves with its mirror q-j oppositely and alike, so the
+    reduced gradient and tridiagonal Hessian are twice the polygon's at j: the band
+    ``(d, e)``, zero-coupled between periods; for odd q the neighbouring mirror pair
+    adds ``-e`` to the last diagonal entry. A half chord below 1e-12 raises
+    DegenerateChordError, whose ``qs`` lists the periods at fault.
     """
     lay = lay or _periods((len(t),))
-    ell, grad, diag, off = _length_grad_hess(profile, MARKED_THETA + t, lay)
-    up, down = lay.up, lay.down
-    d = diag[up] + diag[down]
-    e = off[up] + off[down - 1]  # couples free j and j+1; at j = half of odd q, 2*off[half]
+    (px, py), (vx, vy), (ax, ay) = profile.point_jet(MARKED_THETA + t[lay.bounce])
+    ell, ux, uy = _half_chords(lay, px, py)
+    short = np.minimum.reduceat(ell, lay.hstart) < 1e-12
+    if short.any():
+        err = DegenerateChordError("degenerate chord during orbit solve")
+        err.qs = lay.qs[short]
+        raise err
+
+    head, last = lay.head, lay.last
+    vx1, vy1, ay1 = vx[head], vy[head], ay[head]
+    vx1[last], ay1[last] = -vx1[last], -ay1[last]
+    vu_tail = vx * ux + vy * uy            # V_k . u_k
+    vu_head = vx1 * ux + vy1 * uy          # V_{k+1} . u_k
+    vv = vx * vx + vy * vy
+    au_tail = ax * ux + ay * uy
+    au_head = ax[head] * ux + ay1 * uy
+    # chord k contributes diag_tail[k] at point k and diag_head[k] at its head
+    diag_tail = (vv - vu_tail**2) / ell - au_tail
+    diag_head = (vv[head] - vu_head**2) / ell + au_head
+    off = -(vx * vx1 + vy * vy1 - vu_tail * vu_head) / ell
+
+    f = lay.fp  # free j: its point, with chords f - 1 in and f out
+    grad = 2.0 * (vx[f] * (ux[f - 1] - ux[f]) + vy[f] * (uy[f - 1] - uy[f]))
+    d = 2.0 * (diag_tail[f] + diag_head[f - 1])
+    e = 2.0 * off[f]  # couples free j and j+1; at j = half of odd q, the mirror pair
     d[lay.odd_end] -= e[lay.odd_end]
     e[lay.end] = 0.0
-    return ell, grad[up] - grad[down], (d, e[:-1])
+    return ell, grad, (d, e[:-1])
 
 
 # -- symmetric tridiagonal bands (d, e): O(n) per pass, no dense matrix ----------
@@ -312,25 +335,22 @@ def _band_inertia(block: _Block, shift: float) -> int:
 def _evaluate(profile, lay, mask, s, failed):
     """`_reduced_grad_hess` of the periods of ``lay`` in ``mask`` at free offsets ``s``.
 
-    Returns ``(mask, t, ell, gr, d, e)`` laid out as ``lay``, zero outside
+    Returns ``(mask, gr, d, e)`` laid out as ``lay``, zero outside
     ``mask``; ``e`` ends each period with a zero coupling, so the band of any
     set of whole periods is ``(d[f], e[f][:-1])``. A period with a degenerate
     chord is recorded in ``failed`` (q -> error) and dropped from ``mask``.
     """
     while True:
         sub, f = _periods(tuple(lay.qs[mask].tolist())), np.repeat(mask, lay.half)
-        t_sub = sub.assemble(s[f])
         try:
-            ell, g, (d, e) = _reduced_grad_hess(profile, t_sub, sub)
+            _, g, (d, e) = _reduced_grad_hess(profile, sub.assemble(s[f]), sub)
             break
         except DegenerateChordError as err:
             failed.update(dict.fromkeys(err.qs.tolist(), err))
             mask = mask & ~np.isin(lay.qs, err.qs)
-    b = np.repeat(mask, lay.qs)
-    t, chords, terms = np.zeros(len(b)), np.zeros(len(b)), np.zeros((3, len(s)))
-    t[b], chords[b] = t_sub, ell
+    terms = np.zeros((3, len(s)))
     terms[:, f] = g, d, np.append(e, 0.0)[: len(d)]
-    return mask, t, chords, *terms
+    return mask, *terms
 
 
 def _solve_offsets(frame, lay, tol, max_iter, failed):
@@ -345,8 +365,9 @@ def _solve_offsets(frame, lay, tol, max_iter, failed):
     """
     profile, n = frame.profile, len(lay.qs)
     # Lazutkin start: x_q^k = k/q + O(q^-2), read off the chart's grid table
-    s = np.interp(lay.j / lay.jq, frame.chart.x_grid, frame.chart.theta_grid) - MARKED_THETA
-    live, _, _, gr, d, e = _evaluate(profile, lay, lay.half > 0, s, failed)
+    x0 = (lay.up - np.repeat(lay.start, lay.half)) / np.repeat(lay.qs, lay.half)
+    s = np.interp(x0, frame.chart.x_grid, frame.chart.theta_grid) - MARKED_THETA
+    live, gr, d, e = _evaluate(profile, lay, lay.half > 0, s, failed)
     iterations, final_step = np.zeros(n, dtype=int), np.zeros(n)
     for it in range(1, max_iter + 1):
         if not live.any():
@@ -372,7 +393,7 @@ def _solve_offsets(frame, lay, tol, max_iter, failed):
             cand = s + lam * step
             ok = search & lay.increasing(lay.assemble(cand))
             if ok.any():
-                got, _, _, gr_c, d_c, e_c = _evaluate(profile, lay, ok, cand, failed)
+                got, gr_c, d_c, e_c = _evaluate(profile, lay, ok, cand, failed)
                 live, search = live & ~(ok & ~got), search & ~(ok & ~got)
                 gmax_c = np.maximum.reduceat(np.abs(gr_c), lay.free)
                 take = got & ((gmax_c < gmax) | (lam < 1e-8))
@@ -398,14 +419,14 @@ def compute_orbits(
     Each period gets the iterations and the result it would get alone. A
     converged orbit that is not a length maximum fails with
     `NotMaximalError`. If some fail, the error of the smallest failing
-    period is raised. One `DomainProfile.jet` at the solution gives angles and ``kappa``.
+    period is raised. One jet of the solution's free half gives angles, ``kappa`` and x.
     """
     qs = tuple(sorted({int(q) for q in qs}))
     if qs and qs[0] < 2:
         raise ValueError(f"period must be >= 2, got {qs[0]}")
     profile, lay, failed = frame.profile, _periods(qs), {}
     s, iterations, final_step = _solve_offsets(frame, lay, tol, max_iter, failed)
-    _, t, chords, gr, d, e = _evaluate(profile, lay, ~np.isin(lay.qs, list(failed)), s, failed)
+    _, gr, d, e = _evaluate(profile, lay, ~np.isin(lay.qs, list(failed)), s, failed)
 
     # every period's band set up at once; the per-period Sturm count below reads its lists
     free = lay.half > 0
@@ -428,29 +449,33 @@ def compute_orbits(
     if failed:
         raise failed[min(failed)]
 
-    theta = MARKED_THETA + t
-    nxt, prv = lay.nxt, lay.prv
-    (px, py), (vx, vy), _, kappa = profile.point_jet(theta, curvature=True)
+    theta = MARKED_THETA + lay.assemble(s)
+    (px, py), (vx, vy), _, kappa = profile.point_jet(theta[lay.bounce], curvature=True)
     speed = np.hypot(vx, vy)
     tx, ty = vx / speed, vy / speed
-    ux, uy = (px[nxt] - px) / chords, (py[nxt] - py) / chords
-    ux_in, uy_in = ux[prv], uy[prv]
+    chords, ux, uy = _half_chords(lay, px, py)  # point k's own chord leaves it
+    # the chord before arrives; at the marked point, the mirror of its own chord reversed
+    ux_in, uy_in = np.roll(ux, 1), np.roll(uy, 1)
+    ux_in[lay.hstart], uy_in[lay.hstart] = -ux[lay.hstart], uy[lay.hstart]
 
     cross_out, dot_out = tx * uy - ty * ux, tx * ux + ty * uy
     cross_in, dot_in = ux_in * ty - uy_in * tx, ux_in * tx + uy_in * ty
     phi_out, phi_in = np.arctan2(cross_out, dot_out), np.arctan2(cross_in, dot_in)
-    reflection = np.maximum.reduceat(np.abs(phi_in - phi_out), lay.start)
-    x = frame.chart.x_of_theta(theta)
-    x[lay.start] = 0.0  # marked points, exact by convention
-    per_bounce = dict(theta=theta, x=x, phi=0.5 * (phi_in + phi_out),
-                      sin_phi=0.5 * (cross_in + cross_out), kappa=kappa)
+    reflection = np.maximum.reduceat(np.abs(phi_in - phi_out), lay.hstart)
+    x = frame.chart.x_of_theta(theta[lay.bounce])
+    x[lay.hstart], x[lay.axis_half] = 0.0, 0.5  # marked and axis points, exact by convention
+    mirror, mirrored, chord = lay.record
+    x = np.where(mirrored, 1.0 - x[mirror], x[mirror])
+    per_bounce = dict(theta=theta, x=x, phi=(0.5 * (phi_in + phi_out))[mirror],
+                      sin_phi=(0.5 * (cross_in + cross_out))[mirror],
+                      kappa=kappa[mirror], chords=chords[chord])
 
     orbits = {}
     for p, (q, res) in enumerate(zip(qs, grad_res.tolist())):
         b = slice(lay.start[p], lay.start[p] + q)
         orbits[q] = PeriodicOrbit(
-            q=q, **{k: v[b] for k, v in per_bounce.items()}, chords=chords[b],
-            length=float(np.sum(chords[b])),
+            q=q, **{k: v[b] for k, v in per_bounce.items()},
+            length=float(np.sum(per_bounce["chords"][b])),
             reflection_residual=float(reflection[p]), gradient_residual=res,
             iterations=int(iterations[p]), final_step=float(final_step[p]),
         )
@@ -478,8 +503,8 @@ def _return_maps(orbits) -> np.ndarray:
     """
     if not orbits:
         return np.empty((0, 2, 2))
-    sin_phi, _ = guarded_sin_phi(orbits)
-    lay = _periods(tuple(orbit.q for orbit in orbits))
+    sin_phi = guarded_sin_phi(orbits)
+    lay = _periods(tuple([orbit.q for orbit in orbits]))
     kappa = np.concatenate([orbit.kappa for orbit in orbits])
     tau = np.concatenate([orbit.chords for orbit in orbits])
     k0c, k1c = kappa, kappa[lay.nxt]

@@ -24,7 +24,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .billiards import PeriodicOrbit, guarded_sin_phi
+from .billiards import PeriodicOrbit, guarded_half, guarded_sin_phi
 from .geometry import TWO_PI, BoundaryFrame, LazutkinChart, float_list, harmonics, json_value
 
 
@@ -142,13 +142,13 @@ def cosine_coeffs(values, jmax: int) -> np.ndarray:
 
 
 def bounce_sums(u, orbits: Sequence[PeriodicOrbit]) -> np.ndarray:
-    """``sum_k u(x_k) / sin(phi_k)`` per orbit, in order: one evaluation of u over
-    all bounce points, split with ``np.add.reduceat`` along the last axis. For a
+    """``sum_k u(x_k) / sin(phi_k)`` per orbit, for u even about x = 1/2 (a cosine
+    series): one evaluation of u over the free halves, bounce q - k counted as k
+    (`guarded_half`), split with ``np.add.reduceat`` along the last axis. For a
     batch u the result is (m, orbits). A grazing bounce raises (`guarded_sin_phi`)."""
     if not orbits:
         return np.zeros(0)
-    sin_phi, starts = guarded_sin_phi(orbits)
-    x = np.concatenate([orb.x for orb in orbits])
+    _, x, sin_phi, starts = guarded_half(orbits)
     return np.add.reduceat(u(x) / sin_phi, starts, axis=-1)
 
 
@@ -157,7 +157,7 @@ def bounce_sums(u, orbits: Sequence[PeriodicOrbit]) -> np.ndarray:
 
 def script_L_q(u, orbit: PeriodicOrbit, chart: LazutkinChart) -> float:
     """Bounce sum of u weighted by mu/(q^2 sin phi); tends to the mean of u."""
-    sin_phi, _ = guarded_sin_phi([orbit])
+    sin_phi = guarded_sin_phi([orbit])
     mu = chart.mu_of_kappa(orbit.kappa)
     return float(np.sum(u(orbit.x) * mu / sin_phi) / orbit.q**2)
 

@@ -8,9 +8,9 @@ horizontal axis and translated so the marked boundary point (at
 The polar parametrization lives here only. One evaluation of the series
 and its first two derivatives, `DomainProfile.jet`, feeds every boundary
 quantity: position, velocity and acceleration (`DomainProfile.point_jet`,
-which the orbit solvers read), speed and curvature. Its harmonics, and the
-cosine tables of `CosineSeries` and `assemble_T`, are rotated up from one
-cosine and one sine per point by `harmonics`. Arclength and the
+which the orbit solvers read), speed and curvature. Its harmonics are rotated
+up from one cosine and one sine per point as `harmonics` rotates the cosine
+tables of `CosineSeries` and `assemble_T`. Arclength and the
 Lazutkin coordinate add FFT-based antiderivatives of smooth periodic
 integrands, so evaluations are spectrally accurate at arbitrary points, not
 just grid nodes. Each integrand's Fourier series is chopped where its
@@ -71,16 +71,23 @@ class DomainProfile:
 
     def jet(self, theta):
         """``(r, r', r'', cos theta, sin theta)``: the one sum of the radial series, over
-        its nonzero modes, from the `harmonics` of theta. Python floats for a scalar
-        theta, as numpy scalar arithmetic would double a shooting step."""
-        cos, sin = harmonics(theta, max(len(self.radial_coeffs), 2))
-        r, r1, r2 = cos[0], 0.0 * cos[0], 0.0 * cos[0]
-        for n, a in enumerate(self.radial_coeffs):
+        its nonzero modes, with cos(n theta) and sin(n theta) rotated up to the last one
+        as `harmonics` rotates them, bit for bit. Python floats for a scalar theta, as
+        numpy scalar arithmetic would double a shooting step."""
+        c1, s1 = np.cos(theta), np.sin(theta)
+        c1, s1 = (float(c1), float(s1)) if c1.ndim == 0 else (c1, s1)
+        c, s, coeffs = c1 * 0.0 + 1.0, c1 * 0.0, self.radial_coeffs
+        while coeffs and not coeffs[-1]:
+            coeffs = coeffs[:-1]
+        r, r1, r2 = c, 0.0 * c, 0.0 * c
+        for n, a in enumerate(coeffs):
+            if n:
+                c, s = (c1, s1) if n == 1 else (c * c1 - s * s1, s * c1 + c * s1)
             if a:
-                r = r + a * cos[n]
-                r1 = r1 - (n * a) * sin[n]
-                r2 = r2 - (n * (n * a)) * cos[n]  # not n^2 a: rounds as a per-mode (a n) n
-        return r, r1, r2, cos[1], sin[1]
+                r = r + a * c
+                r1 = r1 - (n * a) * s
+                r2 = r2 - (n * (n * a)) * c  # not n^2 a: rounds as a per-mode (a n) n
+        return r, r1, r2, c1, s1
 
     def point_jet(self, theta, curvature: bool = False):
         """Position ``(center_offset + r cos theta, r sin theta)``, velocity and

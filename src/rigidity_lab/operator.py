@@ -26,7 +26,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .billiards import AlphaBetaFit, PeriodicOrbit, guarded_sin_phi
+from .billiards import AlphaBetaFit, PeriodicOrbit, guarded_half
 from .errors import SingularBlockError
 from .functionals import sigma_p, tilde_sigma_table  # sigma_p unread: perfbench/spans.py wraps it
 from .geometry import TWO_PI, BoundaryFrame, LazutkinChart, closeness_report, harmonics
@@ -123,9 +123,9 @@ def assemble_T(
     Entries are exact functional evaluations on the computed orbits: row 0
     is the mean functional (delta_{j0}), row 1 the marked-point row (all
     ones), and row q the bounce sum weighted by mu/(q^2 sin phi). All periods
-    are evaluated in one pass over their concatenated bounces (the weight of
-    their ``kappa``, one cosine table by `harmonics`), split with ``np.add.reduceat``.
-    A grazing bounce raises (`billiards.guarded_sin_phi`).
+    are evaluated in one pass over their orbits' free halves, bounce q - k counted
+    as k (`billiards.guarded_half`): the weight of their ``kappa``, one cosine table
+    by `harmonics`, split with ``np.add.reduceat``. A grazing bounce raises.
     """
     qs = [q for q in sorted(orbits) if 2 <= q <= params.Q]
     cols = np.arange(params.J + 1)
@@ -134,10 +134,10 @@ def assemble_T(
     entries[1, :] = 1.0
     if qs:
         orbs = [orbits[q] for q in qs]
-        sin_phi, starts = guarded_sin_phi(orbs)
-        q = np.repeat(qs, qs)  # a period-q orbit has q bounces
-        w = chart.mu_of_kappa(np.concatenate([orb.kappa for orb in orbs])) / (sin_phi * q * q)
-        cos = np.stack(harmonics(TWO_PI * np.concatenate([orb.x for orb in orbs]), len(cols))[0])
+        idx, x, sin_phi, starts = guarded_half(orbs)
+        q = np.repeat(qs, qs)[idx]  # a period-q orbit has q bounces
+        w = chart.mu_of_kappa(np.concatenate([orb.kappa for orb in orbs])[idx]) / (sin_phi * q * q)
+        cos = np.stack(harmonics(TWO_PI * x, len(cols))[0])
         entries[2:] = np.add.reduceat(cos * w, starts, axis=1).T
     return OperatorMatrix(entries=entries, row_q=np.array([0, 1] + qs), col_j=cols)
 

@@ -99,13 +99,7 @@ class RecoveryPlan:
         options: RecoveryOptions | None = None,
     ):
         opt = options or RecoveryOptions()
-        if not opt.residual_tol >= 0.0:  # NaN included; inf gates nothing and is allowed
-            raise ValueError(f"residual tolerance must be >= 0, got {opt.residual_tol}")
-        n = opt.jmax if opt.jmax is not None else max(8, min(q_max - 4, 16))
-        if n > q_max:
-            raise ValueError(f"square block size {n} exceeds data depth q_max={q_max}")
-        # holdout rows are the caller's; rungs solved here only feed the fit
-        hold = [q for q in range(n + 1, q_max + 1) if q in orbits]
+        n, hold = _plan_rows(orbits, q_max, opt)
         need = sorted({*range(2, n + 1), *LADDER} - set(orbits))
         if need:
             orbits = dict(orbits) | compute_orbits(frame, need)
@@ -158,15 +152,8 @@ class RecoveryPlan:
         opt, chart, A, lss, b = self.options, self.chart, self.block, self.lss, self.b
         if len(data_list) != len(K0s):
             raise ValueError(f"{len(data_list)} invariant vectors for {len(K0s)} marked values")
-        read = {*range(2, self.n + 1), *self.hold_q.tolist()}
         for data in data_list:
-            if data.q_max != self.q_max:
-                raise ValueError(f"data depth q_max={data.q_max} does not match the plan's "
-                                 f"q_max={self.q_max}")
-            missing = read.difference(data.periods)
-            if missing:
-                raise ValueError(f"invariant vector lacks the periods {sorted(missing)} that "
-                                 "the recovery reads")
+            _check_data(data, self.q_max, self.n, self.hold_q.tolist())
         for K0 in K0s:
             if not np.isfinite(K0):
                 raise ValueError(f"marked value K0 must be finite, got {K0!r}")
@@ -245,6 +232,25 @@ class RecoveryPlan:
         return results
 
 
+def _plan_rows(orbits, q_max: int, opt: RecoveryOptions) -> tuple:
+    """Block size n and held-out rows (the given orbits past n) of a plan at ``q_max``."""
+    if not opt.residual_tol >= 0.0:  # NaN included; inf gates nothing and is allowed
+        raise ValueError(f"residual tolerance must be >= 0, got {opt.residual_tol}")
+    n = opt.jmax if opt.jmax is not None else max(8, min(q_max - 4, 16))
+    if n > q_max:
+        raise ValueError(f"square block size {n} exceeds data depth q_max={q_max}")
+    return n, [q for q in range(n + 1, q_max + 1) if q in orbits]
+
+
+def _check_data(data: InvariantVector, q_max: int, n: int, hold) -> None:
+    """Refuse data of another depth, or lacking a period the recovery reads (2..n, hold)."""
+    if data.q_max != q_max:
+        raise ValueError(f"data depth q_max={data.q_max} does not match the plan's q_max={q_max}")
+    if missing := {*range(2, n + 1), *hold}.difference(data.periods):
+        raise ValueError(f"invariant vector lacks the periods {sorted(missing)} that "
+                         "the recovery reads")
+
+
 def recover_robin(
     data: InvariantVector,
     frame: BoundaryFrame,
@@ -255,10 +261,12 @@ def recover_robin(
 ) -> RecoveryResult:
     """Recover the Robin function from its invariant vector and marked value.
 
-    A one-shot ``RecoveryPlan``; build the plan once to invert many data
-    vectors on the same table.
+    A one-shot ``RecoveryPlan``, refusing data that lack a period it would read
+    first; build the plan once to invert many data vectors on the same table.
     """
-    return RecoveryPlan(frame, chart, orbits, data.q_max, options).solve(data, K0_at_marked)
+    opt = options or RecoveryOptions()
+    _check_data(data, data.q_max, *_plan_rows(orbits, data.q_max, opt))
+    return RecoveryPlan(frame, chart, orbits, data.q_max, opt).solve(data, K0_at_marked)
 
 
 # -- three-function disambiguation audit ---------------------------------------

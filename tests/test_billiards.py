@@ -19,6 +19,8 @@ from rigidity_lab.errors import (
     SingularAngleError,
 )
 
+from conftest import length_grad_hess
+
 LADDER = (8, 16, 32, 64)
 
 
@@ -51,7 +53,8 @@ def test_inscribed_polygon_lengths(circle_frame):
 
 def test_degenerate_chord_rejected(circle_frame):
     with pytest.raises(DegenerateChordError):
-        billiards._length_grad_hess(circle_frame.profile, np.array([np.pi, np.pi + 1e-15, 4.0]))
+        billiards._reduced_grad_hess(circle_frame.profile,
+                                     _symmetric_assemble(3, np.array([1e-15])))
 
 
 # -- perturbed domain ------------------------------------------------------------
@@ -281,7 +284,7 @@ def test_reduced_hessian_matches_dense_reduction(perturbed_frame, q):
     rng = np.random.default_rng(q)
     s = 2 * np.pi * np.arange(1, half + 1) / q + 1e-3 * rng.standard_normal(half)
     t = _symmetric_assemble(q, s)
-    _, grad, diag, off = billiards._length_grad_hess(profile, geometry.MARKED_THETA + t)
+    _, grad, diag, off = length_grad_hess(profile, geometry.MARKED_THETA + t)
     hess, reduction = _dense_cyclic(diag, off), _reduction(q)
 
     _, gr, band = billiards._reduced_grad_hess(profile, t)
@@ -460,7 +463,7 @@ def _mp_orbit_theta(frame, q, theta):
     """
     coeffs = frame.profile.radial_coeffs
     half = (q - 1) // 2
-    _, _, diag, off = billiards._length_grad_hess(frame.profile, theta)
+    _, _, diag, off = length_grad_hess(frame.profile, theta)
     reduction = _reduction(q)
     inverse = np.linalg.inv(reduction.T @ _dense_cyclic(diag, off) @ reduction)
     with mpmath.workdps(30):
@@ -510,8 +513,7 @@ def test_poincare_tree_product_matches_per_bounce_loop(perturbed_frame, perturbe
     """The batched pairwise product keeps the order step[q-1] @ ... @ step[0]."""
 
     def loop(orbit):
-        kappa = perturbed_frame.profile.curvature(orbit.theta)
-        sin_phi, q = orbit.sin_phi, orbit.q
+        kappa, sin_phi, q = orbit.kappa, orbit.sin_phi, orbit.q
         mat = np.eye(2)
         for k in range(q):
             k1 = (k + 1) % q
@@ -531,9 +533,8 @@ def test_poincare_tree_product_matches_per_bounce_loop(perturbed_frame, perturbe
 
 
 def _per_orbit_tree(frame, orbit):
-    """The return map of one orbit alone: its own curvature evaluation, transfer
-    stack and pairwise tree."""
-    kappa, sin_phi = frame.profile.curvature(orbit.theta), orbit.sin_phi
+    """The return map of one orbit alone: its own transfer stack and pairwise tree."""
+    kappa, sin_phi = orbit.kappa, orbit.sin_phi
     nxt = np.arange(1, orbit.q + 1) % orbit.q
     tau, k0c, k1c, s0, s1 = orbit.chords, kappa, kappa[nxt], sin_phi, sin_phi[nxt]
     steps = np.empty((orbit.q, 2, 2))
@@ -564,11 +565,16 @@ def test_return_maps_equal_per_orbit_trees(coeffs):
 
 @pytest.mark.parametrize("coeffs", [(), (0.0, 0.0, 0.01), (0.0, 0.0, 0.01, 0.0, 0.002)])
 def test_orbit_kappa_is_the_boundary_curvature(coeffs):
-    """Each orbit keeps the curvature at its bounces from the solution's one jet, bit
-    for bit what `DomainProfile.curvature` gives there."""
+    """Each orbit keeps the curvature at its free half, bounces 0..q//2, from the
+    solution's one jet, bit for bit what `DomainProfile.curvature` gives there, and
+    copies it onto the mirror bounces, where it is the curvature to roundoff."""
     frame = _frame(coeffs, 2048)
     for orbit in billiards.compute_orbits(frame, (2, 3, 5, 8, 17, 48, 64, 1024)).values():
-        assert np.array_equal(orbit.kappa, frame.profile.curvature(orbit.theta))
+        half = orbit.q // 2 + 1
+        expect = frame.profile.curvature(orbit.theta)
+        assert np.array_equal(orbit.kappa[:half], expect[:half])
+        assert np.array_equal(orbit.kappa[half:], orbit.kappa[1 : orbit.q - half + 1][::-1])
+        assert np.max(np.abs(orbit.kappa - expect)) <= 1e-14 * np.max(expect)
 
 
 def test_orbit_readers_evaluate_no_boundary_point(perturbed_frame, perturbed_orbits,
@@ -608,6 +614,29 @@ def test_lockstep_orbits_equal_single_period_solves(coeffs, qs):
     assert sorted(together) == sorted(qs)
     for q in qs:
         _assert_same_orbit(together[q], billiards.compute_orbits(frame, [q])[q])
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.sampled_from([(), (0.0, 0.0, 0.01), (0.0, 0.0, 0.01, 0.0, 0.002),
+                     (0.0, 0.0, 0.0, 0.0, 0.0, 0.005), (0.0, 0.004, 0.01)]),
+    st.sets(st.sampled_from(list(range(2, 65)) + [128, 256]), max_size=8),
+)
+def test_orbits_are_mirrored_exactly(coeffs, qs):
+    """Bounce q - k of every orbit is bounce k mirrored, bit for bit: x[q-k] = 1 - x[k],
+    phi, sin phi and kappa copied and the chords reversed; the marked bounce sits at
+    x = 0 and, for even q, the axis bounce at x = 1/2 and theta = 2 pi."""
+    for q, orb in billiards.compute_orbits(_frame(coeffs), sorted(qs | set(LADDER))).items():
+        k, h = np.arange(1, q), np.arange(1, q // 2 + 1)
+        assert np.array_equal(orb.x[q - h], 1.0 - orb.x[h]), q
+        for field in ("phi", "sin_phi", "kappa"):
+            assert np.array_equal(getattr(orb, field)[q - k], getattr(orb, field)[k]), (q, field)
+        assert np.array_equal(orb.chords[::-1], orb.chords), q
+        assert orb.x[0] == 0.0 and orb.theta[0] == np.pi
+        if q % 2 == 0:
+            assert orb.x[q // 2] == 0.5 and orb.theta[q // 2] == 2.0 * np.pi
+        assert np.all(np.diff(orb.x) > 0.0) and orb.x[-1] < 1.0
+        assert orb.reflection_residual < 1e-10
 
 
 def test_damped_steps_equal_single_period_solves(perturbed_frame, monkeypatch):

@@ -8,7 +8,7 @@ from rigidity_lab import functionals as fn
 from rigidity_lab import geometry
 from rigidity_lab.errors import InsufficientLadderError, SingularAngleError
 
-from conftest import riemann_limit_check, script_L_0
+from conftest import full_orbit_sums, riemann_limit_check, script_L_0
 
 LADDER = (8, 16, 32, 64)
 
@@ -127,6 +127,20 @@ def test_bounce_sums_match_per_orbit_loop(domain, request, a5_orbits, rng):
     d = traces.build_trace_data(frame, K, orbits).d
     assert np.max(np.abs(d[qs] - loop) / scale) <= 1e-14
     assert fn.bounce_sums(K, [orbits[qs[-1]]])[0] == pytest.approx(loop[-1], rel=1e-14)
+
+
+def test_bounce_sums_on_the_free_half_match_full_orbit_sums(perturbed_frame, perturbed_orbits,
+                                                            a5_orbits, rng):
+    """Summed on the free halves, the bounce sums of a batch of cosine series are the
+    sums over all bounces (`conftest.full_orbit_sums`) to 1e-14 of their scale, odd
+    and even periods and the ladder up to q = 1024 included."""
+    frame = geometry.build_frame(geometry.build_profile([0.0, 0.0, 0.01, 0.0, 0.002]), 2048)
+    deep = billiards.compute_orbits(frame, [2, 3, 17, 48, 255, 256, 1024])
+    K = fn.CosineSeries(rng.standard_normal((3, 9)))
+    for orbits in (perturbed_orbits, a5_orbits[1], deep):
+        orbs = [orbits[q] for q in sorted(orbits)]
+        expect, scale = full_orbit_sums(orbs, lambda orb: K(orb.x) / orb.sin_phi)
+        assert np.max(np.abs(fn.bounce_sums(K, orbs) - expect.T) / scale.T) <= 1e-14
 
 
 def test_bounce_sums_grazing_guard_names_the_period(circle_orbits):

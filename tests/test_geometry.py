@@ -145,6 +145,36 @@ def test_jet_matches_mpmath_on_multi_mode_tables(coeffs):
     _assert_jet_matches_mpmath(coeffs)
 
 
+def _harmonics_jet(profile, theta):
+    """`DomainProfile.jet` summed from the `geometry.harmonics` lists of every mode."""
+    cos, sin = geometry.harmonics(theta, max(len(profile.radial_coeffs), 2))
+    r, r1, r2 = cos[0], 0.0 * cos[0], 0.0 * cos[0]
+    for n, a in enumerate(profile.radial_coeffs):
+        if a:
+            r = r + a * cos[n]
+            r1 = r1 - (n * a) * sin[n]
+            r2 = r2 - (n * (n * a)) * cos[n]
+    return r, r1, r2, cos[1], sin[1]
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from([(), (0.0, 0.0, 0.01), (0.0, 0.0, 0.01, 0.0, 0.002, 0.0, 0.0),
+                        (0.0, 0.0, 0.0, 0.0, 0.0, 0.005), (0.0, 0.004, 0.01, -0.003, 0.0)]),
+       st.lists(st.floats(-1e3, 1e3), min_size=1, max_size=12))
+def test_jet_by_one_rotation_equals_the_harmonics_sum(coeffs, thetas):
+    """One running rotation up to the last nonzero mode gives every jet value of the
+    harmonics lists bit for bit (zero signs included), for arrays and, on Python
+    floats, for each scalar theta."""
+    profile = geometry.build_profile(coeffs)
+    arr = np.array(thetas)
+    for got, want in zip(profile.jet(arr), _harmonics_jet(profile, arr), strict=True):
+        assert got.tobytes() == want.tobytes()
+    for theta in thetas:
+        got, want = profile.jet(theta), _harmonics_jet(profile, theta)
+        assert all(type(v) is float for v in got)
+        assert np.array(got).tobytes() == np.array(want).tobytes()
+
+
 def test_point_jet_derivatives_against_central_differences():
     profile = geometry.build_profile([0.0, 0.0, 0.01, 0.0, 0.002])
     theta = np.linspace(0.0, TWO_PI, 101)

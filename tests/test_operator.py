@@ -10,7 +10,7 @@ from rigidity_lab import billiards, functionals as fn, geometry
 from rigidity_lab import operator as op
 from rigidity_lab.errors import RigidityError, SingularBlockError
 
-from conftest import assemble_delta
+from conftest import assemble_delta, full_orbit_sums
 
 LADDER = (8, 16, 32, 64)
 PARAMS = op.GammaSpaceParams(gamma=3.5, J=48, Q=16)
@@ -155,6 +155,30 @@ def test_batched_assembly_matches_per_row_loop(perturbed_frame, perturbed_orbits
     assert np.array_equal(T.row_q, expect.row_q)
     assert np.array_equal(T.col_j, expect.col_j)
     assert_allclose(T.entries, expect.entries, rtol=0, atol=1e-15)
+
+
+@pytest.mark.parametrize("coeffs, n",
+                         [((0.0, 0.0, 0.01), 512), ((0.0, 0.0, 0.01, 0.0, 0.002), 2048)])
+def test_assembly_on_the_free_half_matches_full_orbit_sums(coeffs, n):
+    """Each row summed on its orbit's free half is the sum over all q bounces of
+    cos(2 pi j x) mu / (q^2 sin phi) (`conftest.full_orbit_sums`, the cosines from
+    `geometry.harmonics` as in the assembly), entry by entry to 1e-14 of the scale
+    for j <= 16. Past that the bound grows by 2 pi j eps (6.7e-14 at j = 48), by which
+    the full sum's cosine moves at the mirror's rounded x = 1 - x_k."""
+    frame = geometry.build_frame(geometry.build_profile(coeffs), n)
+    orbits = billiards.compute_orbits(frame, [*range(2, 17), 31, 48, 64, 255, 256, 1024])
+    params = op.GammaSpaceParams(3.5, 48, 1024)
+    chart, j = frame.chart, np.arange(49)
+
+    def terms(orb):
+        w = chart.mu_of_kappa(orb.kappa) / (orb.sin_phi * orb.q**2)
+        return np.stack(geometry.harmonics(2.0 * np.pi * orb.x, len(j))[0]) * w
+
+    expect, scale = full_orbit_sums([orbits[q] for q in sorted(orbits)], terms)
+    T = op.assemble_T(chart, orbits, params)
+    diff = np.abs(T.entries[2:] - expect) / scale
+    assert np.max(diff[:, :17]) <= 1e-14
+    assert np.all(diff <= 1e-14 + 2.0 * np.pi * j * np.finfo(float).eps)
 
 
 def test_rotated_cosine_table_is_as_accurate_as_rounded_phases(perturbed_orbits):

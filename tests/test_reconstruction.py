@@ -208,6 +208,25 @@ def test_gappy_vector_is_refused_where_the_plan_reads_a_gap(perturbed_frame, per
             perturbed_plan.solve(malformed, K.at_zero)
 
 
+def test_missing_block_periods_are_refused_before_any_solve(perturbed_frame, perturbed_orbits,
+                                                            rng, monkeypatch):
+    """A one-shot recovery of a vector on 2..10 plus 16 (as `reconstruct` gets it, with
+    the ladder's orbits) names the block periods 11, 12 it lacks without solving them
+    or building the plan."""
+    K = rec.draw_random_K(rng, 6)
+    data = traces.build_trace_data(perturbed_frame, K,
+                                   {q: perturbed_orbits[q] for q in [*range(2, 11), 16]})
+    orbits = {q: perturbed_orbits[q] for q in [*range(2, 11), 16, *billiards.LADDER]}
+    solved, built = [], []
+    solve = rec.compute_orbits
+    monkeypatch.setattr(rec, "compute_orbits",
+                        lambda frame, qs, **kw: solved.extend(qs) or solve(frame, qs, **kw))
+    monkeypatch.setattr(rec, "assemble_T", lambda *args: built.append(args))
+    with pytest.raises(ValueError, match=r"lacks the periods \[11, 12\] that the recovery reads"):
+        rec.recover_robin(data, perturbed_frame, perturbed_frame.chart, orbits, K.at_zero)
+    assert solved == [] and built == []
+
+
 def test_invariant_vector_validation():
     with pytest.raises(ValueError, match="entries"):
         fn.InvariantVector(d=np.zeros(9), H0=0.0, H1=0.0, q_max=16)
